@@ -107,14 +107,6 @@ def weyl_projector(p, chi: int, eta: int) -> np.ndarray:
     return 0.5 * (I2 + (eta / ap) * weyl_hamiltonian(p, chi))
 
 
-def energy_projector(p, eta: int, *, kind: str = "dirac", m: float = 1.0, chi: int = +1) -> np.ndarray:
-    if kind == "dirac":
-        return dirac_projector(p, m, eta)
-    if kind == "weyl":
-        return weyl_projector(p, chi, eta)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def canonical_cross_section(k) -> np.ndarray:
     """Positive 2x2 matrix Q(k) with Q(k).(eta m,0,0,0) = k for timelike k.
 
@@ -208,19 +200,6 @@ def wigner_rotation_massive(p, m: float, eta: int, rho: float) -> np.ndarray:
     d = np.sinh(rho / 2.0)
     norm = (m + eps) * (m + np.cosh(rho) * eps - np.sinh(rho) * eta * p[2])
     diag = g * (m + eps) - d * eta * p[2]
-    off = d * eta * (p[0] - 1j * p[1])
-    return np.array([[diag, off], [-np.conj(off), diag]], dtype=complex) / np.sqrt(norm)
-
-
-def _massless_wigner_boost(p4: np.ndarray, rho: float) -> np.ndarray:
-    """Closed form R0(p, A_rho) for lightlike p, boost along e3."""
-    eta = 1.0 if p4[0] > 0 else -1.0
-    p = p4[1:]
-    ap = float(np.linalg.norm(p))
-    g = np.cosh(rho / 2.0)
-    d = np.sinh(rho / 2.0)
-    norm = ap * (np.cosh(rho) * ap - np.sinh(rho) * eta * p[2])
-    diag = g * ap - d * eta * p[2]
     off = d * eta * (p[0] - 1j * p[1])
     return np.array([[diag, off], [-np.conj(off), diag]], dtype=complex) / np.sqrt(norm)
 

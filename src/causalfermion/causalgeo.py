@@ -242,14 +242,6 @@ class LightconeRegion:
         return self.perp_ntl().perp_ntl()
 
 
-def causal_complement(region: LightconeRegion) -> LightconeRegion:
-    return region.perp()
-
-
-def ntl_complement(region: LightconeRegion) -> LightconeRegion:
-    return region.perp_ntl()
-
-
 def completion(region: LightconeRegion) -> LightconeRegion:
     return region.completion()
 

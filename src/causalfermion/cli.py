@@ -110,6 +110,13 @@ SCHEMAS = {
 #: keys whose absence is a config error (stochastic experiments need a seed)
 REQUIRED = {"cascade": ("seed",), "lines": ("seed",)}
 
+#: value checks applied to every command that has the key: (test, what it must be)
+CHECKS = {
+    "n": (lambda v: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
+    "system": (lambda v: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
+    "depth": (lambda v: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}"),
+}
+
 
 def parse_config_text(text: str) -> dict:
     out = {}
@@ -159,6 +166,9 @@ def resolve_config(command: str, path: str | None, overrides) -> dict:
     for key in REQUIRED.get(command, ()):
         if cfg.get(key) is None:
             raise ConfigError(f"{command!r} requires key {key!r}")
+    for key, (ok, want) in CHECKS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError(f"key {key!r} = {cfg[key]!r}: must be {want}")
     return cfg
 
 
@@ -443,8 +453,7 @@ def run_lines(cfg, out: Path) -> int:
     }
     if cfg["target"] not in targets:
         raise ConfigError(f"unknown target {cfg['target']!r}")
-    target, predicate,描述 = targets[cfg["target"]]
-    desc = 描述
+    target, predicate, desc = targets[cfg["target"]]
     res = cg.monte_carlo_line_measure(
         predicate, (-1, -1, -1), (1, 1, 1), cfg["samples"], seed=cfg["seed"], strata=cfg["strata"]
     )

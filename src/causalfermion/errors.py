@@ -85,5 +85,9 @@ class NotInRange(CausalFermionError):
     """State is not in the required spectral subspace."""
 
 
+class NotEvenlySpaced(CausalFermionError, ValueError):
+    """Output points of a type-1 transform are not of the form x_0 + j delta."""
+
+
 class OriginSingular(CausalFermionError, ValueError):
     """Closed-form evaluation requested at the excluded origin."""

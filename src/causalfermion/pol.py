@@ -111,6 +111,10 @@ def random_positive_state(
     return positive_energy_project(phi).normalized()
 
 
+#: deepest measurement cascade whose accumulated roundoff stays negligible
+MAX_CASCADE_DEPTH = 12
+
+
 @dataclass(frozen=True)
 class CascadeStats:
     """Moments and probabilities of the repeated position measurement."""
@@ -124,11 +128,16 @@ class CascadeStats:
     sigma2_bar_prime: float  # ||(I-P) E(Delta') phi1||^2
 
 
-def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = 12) -> CascadeStats:
-    """Iterated T(Delta) moments; depth caps the error accumulation at ~k FFT roundoffs."""
+def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_CASCADE_DEPTH) -> CascadeStats:
+    """Iterated T(Delta) moments up to gamma_{2 depth - 1}.
+
+    Each of the 2 depth - 1 projector steps adds ~ one FFT roundoff to the chain,
+    so depths above MAX_CASCADE_DEPTH raise ValueError instead of being cut.
+    """
     if field.rep != "momentum":
         raise ValueError("measurement_cascade acts in momentum representation")
-    depth = min(depth, 12)
+    if not 1 <= depth <= MAX_CASCADE_DEPTH:
+        raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
     chain = field.copy()
     gamma = [1.0]
     for _ in range(2 * depth - 1):

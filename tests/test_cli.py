@@ -72,6 +72,26 @@ class TestExitCodes:
         assert rc == cli.EXIT_GUARD
 
 
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--set", "n=1000"],
+            ["cascade", "--set", "n=48", "--set", "seed=1"],
+            ["evolve", "--set", "system=weil"],
+            ["cascade", "--set", "depth=20", "--set", "seed=1"],
+        ],
+        ids=["n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap"],
+    )
+    def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestArtifacts:
     def test_frontier_run_and_reproducibility(self, tmp_path):
         args = [

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
-from causalfermion.errors import GuardViolation
+from causalfermion.errors import GuardViolation, NotEvenlySpaced
 
 rng = np.random.default_rng(23)
 
@@ -179,3 +182,78 @@ class TestBoost:
         psi = dirac_bump(n=1024, length=8.0, width=1.0, guard=0.5)
         with pytest.raises(GuardViolation):
             dyn.boost_e3(psi, 2.0)
+
+
+def dense_boost_values(field, rho, x_out):
+    """Direct O(N |x_out|) Fourier sum for the boosted field: the oracle for boost_values."""
+    g = field.grid
+    phi = field.to_momentum()
+    p = g.paxis()
+    eps = np.sqrt(p**2 + field.system.m**2)
+    hphi = dyn._momentum_h_apply(phi, phi.values)
+    y0 = -np.sinh(rho) * x_out
+    y3 = np.cosh(rho) * x_out
+    carrier = np.exp(1j * np.outer(y3, p))
+    c = np.cos(np.outer(y0, eps))
+    s = y0[:, None] * al.sinc(np.outer(y0, eps))
+    out = g.dp / np.sqrt(2.0 * np.pi) * ((carrier * c) @ phi.values - 1j * (carrier * s) @ hphi)
+    return np.einsum("ij,xj->xi", field.system.boost_rep(al.boost_matrix(rho)), out)
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBoostTransform:
+    SYSTEMS = [al.Dirac(1.0), al.Dirac(0.0), al.Weyl(+1), al.Weyl(-1)]
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=["dirac1", "dirac0", "weyl+", "weyl-"])
+    def test_matches_dense_sum(self, n, system):
+        grid = fd.Grid(1, n, 40.0 / n)
+        spinor = [1, 0.3, 1j, 0.2] if system.components == 4 else [1, 0.5j]
+        psi = fd.make_bump(grid, 0.3, 1.0, spinor, system, momentum=2.0)
+        x = grid.axis(0)
+        for rho in (-0.4, 0.0, 0.3, 0.9, 3.0):
+            # boost_e3 layout: grid nodes, as far out as the evolution guard allows
+            reach = min(3.0, 16.5 / max(abs(np.sinh(rho)), 1e-12))
+            nodes = x[np.abs(x) <= reach]
+            # strip_probability_boosted layout: preimages y / cosh(rho) of grid nodes
+            c = np.cosh(rho)
+            preimages = x[np.abs(x) < 0.9 * c] / c
+            for xs in (nodes, preimages):
+                assert _rel_err(dyn.boost_values(psi, rho, xs), dense_boost_values(psi, rho, xs)) <= 1e-10
+
+    def test_zero_and_one_output(self):
+        psi = dirac_bump(n=512)
+        assert dyn.boost_values(psi, 0.7, np.array([])).shape == (0, 4)
+        one = np.array([0.4])
+        assert _rel_err(dyn.boost_values(psi, 0.7, one), dense_boost_values(psi, 0.7, one)) <= 1e-10
+
+    def test_uneven_outputs_raise(self):
+        psi = dirac_bump(n=512)
+        with pytest.raises(NotEvenlySpaced):
+            dyn.boost_values(psi, 0.7, np.array([0.0, 0.1, 0.3]))
+
+    @pytest.mark.parametrize("m", [1, 59, 589, 1179])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_nufft1_matches_direct_sum(self, m, d):
+        r = np.random.default_rng(m * d)
+        theta = r.uniform(-3.0 * np.pi, 9.0 * np.pi, 3000)
+        c = r.normal(size=(3000, d)) + 1j * r.normal(size=(3000, d))
+        direct = np.exp(1j * np.outer(np.arange(m), theta)) @ c
+        assert _rel_err(fd.nufft1(theta, c, m), direct) <= 1e-11
+
+    def test_boost_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from causalfermion import algebra as al, dynamics as dyn, field as fd\n"
+            "g = fd.Grid(1, 512, 16.0 / 512)\n"
+            "psi = fd.make_bump(g, 0.0, 1.0, [1, 0, 0, 0], al.Dirac(1.0), guard=2.0)\n"
+            "dyn.boost_e3(psi, 0.5)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyn.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -287,6 +287,11 @@ class TestCascade:
         for k in range(1, 9):
             assert g[k - 1] * g[k + 1] - g[k] ** 2 >= -1e-12
 
+    def test_depth_above_cap_raises(self, grid3, phi3):
+        ball = fd.RegionMask.ball(grid3, (0, 0, 0), 1.0)
+        with pytest.raises(ValueError):
+            pol.measurement_cascade(phi3, ball, depth=pol.MAX_CASCADE_DEPTH + 1)
+
     def test_half_space_monotone_depth_ten(self, grid3):
         phi = pol.random_positive_state(grid3, al.Dirac(1.0), seed=21)
         half = fd.RegionMask.half_space(grid3, 0.0)
