@@ -5,7 +5,8 @@ Modules
 algebra     exact 2x2/4x4 spinor matrices: Hamiltonians, projectors, cross
             sections, Wigner rotations, boost representations, time reversal
 field       grid-sampled spinor fields, Fourier duality, masks, constructors
-dynamics    spectral causal/Newton-Wigner propagators, boosts, time reversal
+dynamics    the grid operators h(p), eps(p), pi^eta(p); spectral causal and
+            Newton-Wigner propagators, boosts, time reversal
 frontier    support edges, tent-law fits, late-change states, contraction scans
 weylradial  closed-form radial Weyl evolution and its Fourier-sine oracle
 pol         positive-operator localization, cascades, point-localized sequences

@@ -68,11 +68,12 @@ def sinc(w):
     return out if out.ndim else float(out)
 
 
-def energy(p, m: float):
-    """eps(p) = sqrt(|p|^2 + m^2); p is a 3-vector or an array of |p| values."""
+def energy(p, m: float) -> float:
+    """eps(p) = sqrt(|p|^2 + m^2) for a 3-vector p (ValueError for any other shape)."""
     p = np.asarray(p, dtype=float)
-    p2 = np.sum(p * p) if p.shape == (3,) else p * p
-    return np.sqrt(p2 + m * m)
+    if p.shape != (3,):
+        raise ValueError(f"energy takes a 3-vector p, got shape {p.shape}")
+    return float(np.sqrt(np.sum(p * p) + m * m))
 
 
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
@@ -195,7 +196,7 @@ def wigner_rotation_massive(p, m: float, eta: int, rho: float) -> np.ndarray:
     if m <= 0:
         raise ValueError("massive Wigner rotation needs m > 0")
     p = np.asarray(p, dtype=float)
-    eps = float(energy(p, m))
+    eps = energy(p, m)
     g = np.cosh(rho / 2.0)
     d = np.sinh(rho / 2.0)
     norm = (m + eps) * (m + np.cosh(rho) * eps - np.sinh(rho) * eta * p[2])
@@ -260,15 +261,6 @@ class Dirac:
     components = 4
     kind = "dirac"
 
-    def hamiltonian(self, p) -> np.ndarray:
-        return dirac_hamiltonian(p, self.m)
-
-    def energy(self, p):
-        return energy(p, self.m)
-
-    def projector(self, p, eta: int) -> np.ndarray:
-        return dirac_projector(p, self.m, eta)
-
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
         return boost_spinor_rep(a, "dirac")
 
@@ -285,15 +277,6 @@ class Weyl:
     components = 2
     kind = "weyl"
     m = 0.0
-
-    def hamiltonian(self, p) -> np.ndarray:
-        return weyl_hamiltonian(p, self.chi)
-
-    def energy(self, p):
-        return energy(p, 0.0)
-
-    def projector(self, p, eta: int) -> np.ndarray:
-        return weyl_projector(p, self.chi, eta)
 
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
         return boost_spinor_rep(a, "weyl", self.chi)

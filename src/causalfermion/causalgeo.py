@@ -373,52 +373,23 @@ class TimelikeLine:
             raise ValueError("timelike lines need |v| < 1")
 
 
-def line_hits(diamond: DiamondRegion, line: TimelikeLine, tol: float = 1e-10) -> bool:
-    """Whether the line meets the diamond: ternary search on the convex gap.
+def line_hits(diamond: DiamondRegion, line: TimelikeLine) -> bool:
+    """Whether the line meets the diamond: |x + c v - a| <= r.
 
-    f(s) = |s - c| + |x + s v - a| - r is convex; hit iff min f <= 0.
+    On the line, f(s) = |s - c| + |x + s v - a| - r.  The second term changes
+    at rate at most |v| < 1, so f falls for s < c and rises for s > c, and
+    min f = f(c).  A timelike line therefore meets the diamond exactly when it
+    crosses the base ball {x0 = c, |x - a| <= r}.
     """
-    x = np.asarray(line.x, dtype=float)
-    v = np.asarray(line.v, dtype=float)
-    a = np.asarray(diamond.a, dtype=float)
-
-    def f(s):
-        return abs(s - diamond.c) + np.linalg.norm(x + s * v - a) - diamond.r
-
-    # the minimizer lies within |s - c| <= r + |x + c v - a| of the apex time
-    span = diamond.r + np.linalg.norm(x + diamond.c * v - a) + 1.0
-    lo, hi = diamond.c - span, diamond.c + span
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return f(0.5 * (lo + hi)) <= tol
+    x, v = np.array([line.x], dtype=float), np.array([line.v], dtype=float)
+    return bool(hits_all([diamond], x, v)[0])
 
 
 def hits_all(diamonds, lines_x: np.ndarray, lines_v: np.ndarray) -> np.ndarray:
-    """Vectorized all-diamonds hit test for line batches (ternary search in lockstep)."""
-    n = lines_x.shape[0]
-    ok = np.ones(n, dtype=bool)
+    """Vectorized all-diamonds hit test for line batches (closed form of ``line_hits``)."""
+    ok = np.ones(lines_x.shape[0], dtype=bool)
     for d in diamonds:
-        a = np.asarray(d.a, dtype=float)
-        span = d.r + np.linalg.norm(lines_x + d.c * lines_v - a, axis=1) + 1.0
-        lo = np.full(n, d.c) - span
-        hi = np.full(n, d.c) + span
-
-        def f(s):
-            pos = lines_x + s[:, None] * lines_v
-            return np.abs(s - d.c) + np.linalg.norm(pos - a, axis=1) - d.r
-
-        for _ in range(60):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            smaller = f(m1) < f(m2)
-            hi = np.where(smaller, m2, hi)
-            lo = np.where(smaller, lo, m1)
-        ok &= f(0.5 * (lo + hi)) <= 1e-10
+        ok &= np.linalg.norm(lines_x + d.c * lines_v - np.asarray(d.a, dtype=float), axis=1) <= d.r
     return ok
 
 

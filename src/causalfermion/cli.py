@@ -110,11 +110,17 @@ SCHEMAS = {
 #: keys whose absence is a config error (stochastic experiments need a seed)
 REQUIRED = {"cascade": ("seed",), "lines": ("seed",)}
 
-#: value checks applied to every command that has the key: (test, what it must be)
+#: value checks applied to every command that has the key: (test(value, cfg), what it must be)
 CHECKS = {
-    "n": (lambda v: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
-    "system": (lambda v: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
-    "depth": (lambda v: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}"),
+    "n": (lambda v, _: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
+    "system": (lambda v, _: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
+    "depth": (lambda v, _: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}"),
+    # Simpson's rule on nodes + 1 points needs an even node count
+    "nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
+    "k_nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
+    "bump_width": (lambda v, _: v > 0, "> 0"),
+    "mass": (lambda v, _: v >= 0, ">= 0"),
+    "strata": (lambda v, cfg: 1 <= v <= cfg["samples"], "between 1 and samples"),
 }
 
 
@@ -167,7 +173,7 @@ def resolve_config(command: str, path: str | None, overrides) -> dict:
         if cfg.get(key) is None:
             raise ConfigError(f"{command!r} requires key {key!r}")
     for key, (ok, want) in CHECKS.items():
-        if key in cfg and not ok(cfg[key]):
+        if key in cfg and not ok(cfg[key], cfg):
             raise ConfigError(f"key {key!r} = {cfg[key]!r}: must be {want}")
     return cfg
 

@@ -1,4 +1,10 @@
-"""Exact-in-momentum propagators and boosts.
+"""Exact-in-momentum propagators and boosts, and the momentum-space operator they share.
+
+The grid operator of a system lives here and nowhere else: ``h_apply`` applies
+h(p) (alpha.p + beta m or chi sigma.p; alpha_3 / sigma_3 on the 1D lane along
+e3), ``_energy`` gives eps(p) from ``Grid.abs_p``, and ``energy_projector_apply``
+applies pi^eta(p) = (1 + eta h(p)/eps(p))/2 with h/eps = 0 where eps = 0.  The
+propagators, the boost and the POL projector in ``pol`` are all built on them.
 
 Time evolution multiplies the momentum representation by
 
@@ -27,42 +33,46 @@ import numpy as np
 
 from . import algebra as al
 from .errors import GuardViolation, NotEvenlySpaced, WrongRepresentation
-from .field import EPS_LEAK, Grid, RegionMask, SpinorField, nufft1
+from .field import EPS_LEAK, RegionMask, SpinorField, nufft1
 
 
-def _momentum_h_apply(field: SpinorField, phi: np.ndarray) -> np.ndarray:
-    """h(p) phi on the momentum grid, batched over sites."""
-    g = field.grid
-    s = field.system
-    mesh = g.momentum_mesh()
+def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
+    """h(p) vals on the momentum mesh: alpha.p + beta m (Dirac) or chi sigma.p (Weyl).
+
+    The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
+    """
+    g, s = field.grid, field.system
+    mats = al.ALPHA if s.kind == "dirac" else al.SIGMA
+    axes = (2,) if g.dim == 1 else (0, 1, 2)
+    out = sum(pk[..., None] * (vals @ mats[k].T) for pk, k in zip(g.momentum_mesh(), axes))
     if s.kind == "dirac":
-        out = np.zeros_like(phi)
-        for k in range(g.dim):
-            axis = k if g.dim == 3 else 2  # 1D lane is along e3
-            pk = mesh[k][..., None] if g.dim == 3 else mesh[0][..., None]
-            out += pk * np.einsum("ij,...j->...i", al.ALPHA[axis], phi)
-        out += s.m * np.einsum("ij,...j->...i", al.BETA, phi)
-        return out
-    out = np.zeros_like(phi)
-    for k in range(g.dim):
-        axis = k if g.dim == 3 else 2
-        pk = mesh[k][..., None] if g.dim == 3 else mesh[0][..., None]
-        out += pk * np.einsum("ij,...j->...i", al.SIGMA[axis], phi)
+        return out + s.m * (vals @ al.BETA.T)
     return s.chi * out
 
 
-def _momentum_abs_p(grid: Grid) -> np.ndarray:
-    mesh = grid.momentum_mesh()
-    return np.sqrt(sum(m**2 for m in mesh))
+def _energy(field: SpinorField) -> np.ndarray:
+    """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh."""
+    return np.sqrt(field.grid.abs_p() ** 2 + field.system.m**2)
+
+
+def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
+    """pi^eta(p) phi = (phi + eta (h/eps) phi) / 2 on the momentum mesh.
+
+    h/eps is taken as 0 where eps = 0: the p = 0 cell of a massless system is
+    spectrally ambiguous, and h(0) = 0 leaves it at the projector average 1/2,
+    keeping pi^+ + pi^- = I exact.
+    """
+    eps = _energy(field)
+    inv_eps = np.divide(1.0, eps, out=np.zeros_like(eps), where=eps > 0)
+    return 0.5 * (field.values + eta * inv_eps[..., None] * h_apply(field, field.values))
 
 
 def evolution_multiplier_apply(field: SpinorField, t: float) -> np.ndarray:
     """exp(i t h(p)) applied to momentum-representation values."""
-    g = field.grid
-    eps = np.sqrt(_momentum_abs_p(g) ** 2 + field.system.m**2)
+    eps = _energy(field)
     c = np.cos(t * eps)[..., None]
     s = (t * al.sinc(t * eps))[..., None]
-    return c * field.values + 1j * s * _momentum_h_apply(field, field.values)
+    return c * field.values + 1j * s * h_apply(field, field.values)
 
 
 def check_guard(field: SpinorField, horizon: float, axis: int = -1) -> None:
@@ -101,8 +111,7 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
-    eps = np.sqrt(_momentum_abs_p(field.grid) ** 2 + field.system.m**2)
-    vals = np.exp(1j * t * eta * eps)[..., None] * phi.values
+    vals = np.exp(1j * t * eta * _energy(phi))[..., None] * phi.values
     return replace(phi, values=vals).to_position()
 
 
@@ -132,7 +141,7 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
         s(A_rho) (dp / sqrt(2 pi)) sum_{eta = +-1} sum_p e^{i x kappa_eta(p)} pi^eta(p) phi(p),
         kappa_eta = cosh(rho) p + eta sinh(rho) eps(p),
 
-    with h/eps taken as 0 where eps = 0 (massless, p = 0, where h phi vanishes).
+    with pi^eta from ``energy_projector_apply`` (pi^- phi = phi - pi^+ phi).
     On x_j = x_0 + j delta this is a type-1 transform in theta = delta kappa
     mod 2 pi (the wrap is exact because j is an integer), evaluated by
     ``field.nufft1``: Gaussian gridding of half-width 13 fine cells on a grid
@@ -166,12 +175,10 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
     if np.max(np.abs(x_out - even)) > 1e-12 * max(float(np.max(np.abs(x_out))), abs(delta)):
         raise NotEvenlySpaced("boost outputs must be evenly spaced, x_j = x_0 + j delta")
     phi = field.to_momentum()
-    p = g.paxis()
-    eps = np.sqrt(p**2 + field.system.m**2)
-    inv_eps = np.divide(1.0, eps, out=np.zeros_like(eps), where=eps > 0)
-    h_over_eps = inv_eps[:, None] * _momentum_h_apply(phi, phi.values)
+    p, eps = g.paxis(), _energy(phi)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
-    proj = np.concatenate([0.5 * (phi.values + eta * h_over_eps) for eta in (1, -1)])
+    plus = energy_projector_apply(phi, +1)
+    proj = np.concatenate([plus, phi.values - plus])
     strengths = np.exp(1j * x_out[0] * kappa)[:, None] * proj
     out = (g.dp / np.sqrt(2.0 * np.pi)) * nufft1(delta * kappa, strengths, x_out.size)
     srep = field.system.boost_rep(al.boost_matrix(rho))

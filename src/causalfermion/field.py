@@ -92,6 +92,10 @@ class Grid:
             return (p,)
         return np.meshgrid(p, p, p, indexing="ij", sparse=True)
 
+    def abs_p(self) -> np.ndarray:
+        """|p| on the momentum mesh (shape (n,) or (n, n, n))."""
+        return np.sqrt(sum(m**2 for m in self.momentum_mesh()))
+
 
 @dataclass
 class RegionMask:
@@ -388,12 +392,9 @@ def make_radial_state(g_of_r, chi: int, grid: Grid) -> SpinorField:
 def band_edge(field: SpinorField, rtol: float = 1e-6) -> float:
     """Largest |p| carrying relative amplitude above rtol (momentum support edge)."""
     phi = field if field.rep == "momentum" else field.to_momentum()
-    g = field.grid
     amp = np.sqrt(np.sum(np.abs(phi.values) ** 2, axis=-1))
-    mesh = g.momentum_mesh()
-    pmag = np.sqrt(sum(m**2 for m in mesh))
     big = amp > rtol * float(amp.max())
-    return float(pmag[big].max()) if np.any(big) else 0.0
+    return float(field.grid.abs_p()[big].max()) if np.any(big) else 0.0
 
 
 def dilate(field: SpinorField, lam: float) -> SpinorField:

@@ -1,7 +1,9 @@
 """Causal positive-operator localization T(Delta) = P+ E(Delta) P+ and its statistics.
 
 Everything diagonal in momentum (pi^+, dilations, H) is applied there; E(Delta)
-routes through an FFT pair.  Two engines coexist:
+routes through an FFT pair.  On grids, pi^eta(p) is the shared momentum-space
+operator ``dynamics.energy_projector_apply`` (h(p), eps(p) and the eps = 0 rule
+are defined there only).  Two engines coexist:
 
   * 3D grid fields for generic states and measurement cascades;
   * a radial reduction for the point-localization sequences, whose momentum
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra as al
+from .dynamics import energy_projector_apply
 from .errors import (
     DegenerateState,
     DomainViolation,
@@ -40,44 +43,11 @@ _CHUNK = 256
 # --- 3D grid engine -----------------------------------------------------------
 
 
-def _projector_apply(field: SpinorField, eta: int) -> np.ndarray:
-    """pi^eta(p) phi on the momentum grid.
-
-    The p = 0 cell of a massless system is spectrally ambiguous; h(0) = 0
-    leaves it at the projector average 1/2, keeping P+ + P- = I exact.
-    """
-    g = field.grid
-    s = field.system
-    mesh = g.momentum_mesh()
-    pmag = np.sqrt(sum(m**2 for m in mesh))
-    eps = np.sqrt(pmag**2 + s.m**2)
-    hphi = _h_apply(field, field.values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(eps > 0, 1.0 / np.where(eps > 0, eps, 1.0), 0.0)
-    return 0.5 * (field.values + eta * inv[..., None] * hphi)
-
-
-def _h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
-    g = field.grid
-    s = field.system
-    mesh = g.momentum_mesh()
-    mats = al.ALPHA if s.kind == "dirac" else al.SIGMA
-    out = np.zeros_like(vals)
-    for k in range(g.dim):
-        axis = k if g.dim == 3 else 2
-        pk = mesh[k][..., None] if g.dim == 3 else mesh[0][..., None]
-        out += pk * np.einsum("ij,...j->...i", mats[axis], vals)
-    if s.kind == "dirac":
-        out += s.m * np.einsum("ij,...j->...i", al.BETA, vals)
-        return out
-    return s.chi * out
-
-
 def positive_energy_project(field: SpinorField, eta: int = +1) -> SpinorField:
     """P^eta phi in momentum representation; idempotent, commutes with e^{ith}."""
     if field.rep != "momentum":
         raise ValueError("positive_energy_project acts in momentum representation")
-    return replace(field, values=_projector_apply(field, eta))
+    return replace(field, values=energy_projector_apply(field, eta))
 
 
 def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> SpinorField:
@@ -100,9 +70,7 @@ def random_positive_state(
 ) -> SpinorField:
     """Gaussian momentum envelope times a random spinor, P+-projected, normalized."""
     rng = np.random.default_rng(seed)
-    mesh = grid.momentum_mesh()
-    pmag = np.sqrt(sum(m**2 for m in mesh))
-    env = np.exp(-0.5 * ((pmag - p_center) / p_width) ** 2)
+    env = np.exp(-0.5 * ((grid.abs_p() - p_center) / p_width) ** 2)
     d = system.components
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))

@@ -57,6 +57,12 @@ class TestHamiltonians:
 
 
 class TestProjectors:
+    def test_energy_takes_only_3_vectors(self):
+        assert al.energy([1.0, 2.0, 2.0], 0.0) == 3.0
+        for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], 2.0, np.zeros((3, 3))):
+            with pytest.raises(ValueError):
+                al.energy(bad, 1.0)
+
     def test_rest_projector(self):
         assert np.allclose(al.dirac_projector([0, 0, 0], 1.0, +1), 0.5 * (al.I4 + al.BETA))
 

@@ -159,6 +159,39 @@ class TestInfluenceClosedForms:
             assert cg.in_boosted_ball_influence(pt, center, radius, rho)
 
 
+def ternary_hits_all(diamonds, lines_x, lines_v):
+    """Oracle for hits_all: 60-step ternary search on the convex gap f(s) in lockstep.
+
+    f(s) = |s - c| + |x + s v - a| - r; a line hits iff min f <= 1e-10.
+    """
+    n = lines_x.shape[0]
+    ok = np.ones(n, dtype=bool)
+    for d in diamonds:
+        a = np.asarray(d.a, dtype=float)
+
+        def f(s):
+            return np.abs(s - d.c) + np.linalg.norm(lines_x + s[:, None] * lines_v - a, axis=1) - d.r
+
+        # the minimizer lies within |s - c| <= r + |x + c v - a| of the apex time
+        span = d.r + np.linalg.norm(lines_x + d.c * lines_v - a, axis=1) + 1.0
+        lo, hi = d.c - span, d.c + span
+        for _ in range(60):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            smaller = f(m1) < f(m2)
+            hi = np.where(smaller, m2, hi)
+            lo = np.where(smaller, lo, m1)
+        ok &= f(0.5 * (lo + hi)) <= 1e-10
+    return ok
+
+
+def random_lines(count):
+    xs = rng.uniform(-1.2, 1.2, (count, 3))
+    ds = rng.normal(size=(count, 3))
+    ds /= np.linalg.norm(ds, axis=1)[:, None]
+    return xs, ds * rng.random(count)[:, None] ** (1 / 3)
+
+
 class TestLineHits:
     def test_through_apex(self):
         d = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
@@ -175,27 +208,26 @@ class TestLineHits:
         assert not cg.line_hits(d, cg.TimelikeLine((1.0 + 1e-6, 0, 0), (0, 0, 0)))
 
     def test_vectorized_matches_scalar(self):
-        d1 = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
-        d2 = cg.DiamondRegion(-1.0, (0, 0, 0), 1.0)
-        xs = rng.uniform(-1.2, 1.2, (300, 3))
-        ds = rng.normal(size=(300, 3))
-        ds /= np.linalg.norm(ds, axis=1)[:, None]
-        vs = ds * rng.random(300)[:, None] ** (1 / 3)
-        batch = cg.hits_all([d1, d2], xs, vs)
-        for i in range(0, 300, 17):
-            single = cg.line_hits(d1, cg.TimelikeLine(tuple(xs[i]), tuple(vs[i]))) and cg.line_hits(
-                d2, cg.TimelikeLine(tuple(xs[i]), tuple(vs[i]))
-            )
-            assert single == batch[i]
+        # closed form against the ternary-search oracle, and scalar against batch
+        diamonds = [
+            cg.DiamondRegion(1.0, (0, 0, 0), 1.0),
+            cg.DiamondRegion(-1.0, (0, 0, 0), 1.0),
+            cg.DiamondRegion(0.3, (0.2, -0.1, 0.4), 0.8),
+        ]
+        xs, vs = random_lines(3000)
+        for d in diamonds:
+            batch = cg.hits_all([d], xs, vs)
+            assert 0 < batch.sum() < batch.size
+            assert np.array_equal(batch, ternary_hits_all([d], xs, vs))
+            for i in range(0, 3000, 97):
+                assert cg.line_hits(d, cg.TimelikeLine(tuple(xs[i]), tuple(vs[i]))) == batch[i]
+        assert np.array_equal(cg.hits_all(diamonds, xs, vs), ternary_hits_all(diamonds, xs, vs))
 
     def test_hit_set_closed_form(self):
         # lines meeting both unit diamonds: max(|x+v|, |x-v|) <= 1
         d1 = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
         d2 = cg.DiamondRegion(-1.0, (0, 0, 0), 1.0)
-        xs = rng.uniform(-1.2, 1.2, (2000, 3))
-        ds = rng.normal(size=(2000, 3))
-        ds /= np.linalg.norm(ds, axis=1)[:, None]
-        vs = ds * rng.random(2000)[:, None] ** (1 / 3)
+        xs, vs = random_lines(2000)
         batch = cg.hits_all([d1, d2], xs, vs)
         oracle = cg.diamond_pair_predicate(xs, vs)
         # disagreement only possible within the hit-test tolerance of the boundary
@@ -231,11 +263,11 @@ class TestMonteCarlo:
         assert abs(res.z_score(cg.SHRINKING_BALL_MEASURE)) <= 3.0
 
     def test_diamond_pair_exact_measure(self):
-        # dual route: geometric hit test against the analytic 2 pi^2/9
+        # dual route: ternary-search hit test (no closed form) against the analytic 2 pi^2/9
         d1 = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
         d2 = cg.DiamondRegion(-1.0, (0, 0, 0), 1.0)
         res = cg.monte_carlo_line_measure(
-            lambda x, v: cg.hits_all([d1, d2], x, v), (-1, -1, -1), (1, 1, 1), 200_000, seed=13
+            lambda x, v: ternary_hits_all([d1, d2], x, v), (-1, -1, -1), (1, 1, 1), 200_000, seed=13
         )
         assert abs(res.z_score(cg.DIAMOND_PAIR_MEASURE)) <= 3.0
 

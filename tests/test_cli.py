@@ -80,8 +80,20 @@ class TestFailFast:
             ["cascade", "--set", "n=48", "--set", "seed=1"],
             ["evolve", "--set", "system=weil"],
             ["cascade", "--set", "depth=20", "--set", "seed=1"],
+            ["radial", "--set", "nodes=3"],
+            ["radial", "--set", "nodes=4095"],
+            ["evolve", "--set", "bump_width=-1"],
+            ["evolve", "--set", "bump_width=0"],
+            ["evolve", "--set", "mass=-1"],
+            ["lines", "--set", "samples=10", "--set", "seed=1"],
+            ["lines", "--set", "strata=0", "--set", "seed=1"],
+            ["pol", "--set", "k_nodes=1023"],
         ],
-        ids=["n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap"],
+        ids=[
+            "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
+            "radial_nodes_3", "radial_nodes_odd", "negative_bump_width", "zero_bump_width",
+            "negative_mass", "samples_below_strata", "zero_strata", "pol_k_nodes_odd",
+        ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):
         rc = cli.main(argv + ["--out", str(tmp_path)])

@@ -184,13 +184,20 @@ class TestBoost:
             dyn.boost_e3(psi, 2.0)
 
 
+def pointwise_h(system, p):
+    """h(p) at one 3-momentum, straight from the algebra module."""
+    if system.kind == "dirac":
+        return al.dirac_hamiltonian(p, system.m)
+    return al.weyl_hamiltonian(p, system.chi)
+
+
 def dense_boost_values(field, rho, x_out):
     """Direct O(N |x_out|) Fourier sum for the boosted field: the oracle for boost_values."""
     g = field.grid
     phi = field.to_momentum()
     p = g.paxis()
     eps = np.sqrt(p**2 + field.system.m**2)
-    hphi = dyn._momentum_h_apply(phi, phi.values)
+    hphi = np.array([pointwise_h(field.system, (0.0, 0.0, pk)) @ v for pk, v in zip(p, phi.values)])
     y0 = -np.sinh(rho) * x_out
     y3 = np.cosh(rho) * x_out
     carrier = np.exp(1j * np.outer(y3, p))
@@ -257,3 +264,47 @@ class TestBoostTransform:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestMomentumOperator:
+    SYSTEMS = [al.Dirac(0.0), al.Dirac(1.0), al.Weyl(+1), al.Weyl(-1)]
+    IDS = ["dirac0", "dirac1", "weyl+", "weyl-"]
+
+    @staticmethod
+    def random_momentum_field(grid, system, seed):
+        r = np.random.default_rng(seed)
+        shape = (grid.n,) * grid.dim + (system.components,)
+        vals = r.normal(size=shape) + 1j * r.normal(size=shape)
+        return fd.SpinorField(grid, system, "momentum", vals)
+
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.2), fd.Grid(3, 8, 0.5)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
+    def test_h_apply_matches_algebra_at_every_site(self, grid, system):
+        phi = self.random_momentum_field(grid, system, 3)
+        got = dyn.h_apply(phi, phi.values)
+        if grid.dim == 1:
+            momenta = [(0.0, 0.0, pk) for pk in grid.paxis()]  # the 1D lane runs along e3
+        else:
+            momenta = np.stack(np.meshgrid(*(grid.paxis(),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        flat = phi.values.reshape(-1, system.components)
+        want = np.array([pointwise_h(system, p) @ v for p, v in zip(momenta, flat)])
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.2), fd.Grid(3, 8, 0.5)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
+    def test_energy_projectors(self, grid, system):
+        phi = self.random_momentum_field(grid, system, 5)
+        plus = dyn.energy_projector_apply(phi, +1)
+        minus = dyn.energy_projector_apply(phi, -1)
+        scale = np.max(np.abs(phi.values))
+        assert np.max(np.abs(plus + minus - phi.values)) <= 1e-14 * scale
+        origin = (0,) * grid.dim
+        # the massless p = 0 cell is pinned at 1/2, so it is no projector there
+        regular = np.ones((grid.n,) * grid.dim, dtype=bool)
+        regular[origin] = system.m > 0.0
+        for eta, once in ((+1, plus), (-1, minus)):
+            twice = dyn.energy_projector_apply(dataclasses.replace(phi, values=once), eta)
+            assert np.max(np.abs(twice - once)[regular]) <= 1e-13 * scale
+        if system.m == 0.0:
+            assert np.array_equal(plus[origin], 0.5 * phi.values[origin])
+            assert np.array_equal(minus[origin], 0.5 * phi.values[origin])
