@@ -238,13 +238,6 @@ class LightconeRegion:
     def completion(self) -> "LightconeRegion":
         return self.perp().perp()
 
-    def completion_ntl(self) -> "LightconeRegion":
-        return self.perp_ntl().perp_ntl()
-
-
-def completion(region: LightconeRegion) -> LightconeRegion:
-    return region.completion()
-
 
 def meet(a: LightconeRegion, b: LightconeRegion) -> LightconeRegion:
     """Lattice meet of complete regions: plain intersection."""
@@ -356,9 +349,6 @@ class DiamondRegion:
     c: float
     a: tuple
     r: float
-
-    def contains_event(self, x0: float, x) -> bool:
-        return abs(x0 - self.c) + float(np.linalg.norm(np.asarray(x) - self.a)) <= self.r
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,11 @@ CHECKS = {
     "k_nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
     "bump_width": (lambda v, _: v > 0, "> 0"),
     "mass": (lambda v, _: v >= 0, ">= 0"),
+    "length": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    "ball_radius": (lambda v, _: v > 0, "> 0"),
+    # energy_growth divides by the shell's weight, so a node k > 0 must lie in the shell
+    "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
+                 "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),
     "strata": (lambda v, cfg: 1 <= v <= cfg["samples"], "between 1 and samples"),
 }
 
@@ -219,6 +224,10 @@ def _system(cfg):
     if cfg.get("system", "dirac") == "dirac":
         return al.Dirac(cfg.get("mass", 1.0))
     return al.Weyl(int(cfg.get("chi", 1)))
+
+
+def _pol_k(cfg) -> np.ndarray:
+    return np.linspace(0.0, cfg["k_max"], cfg["k_nodes"] + 1)
 
 
 def _spinor(system):
@@ -355,7 +364,7 @@ def run_radial(cfg, out: Path) -> int:
 
 def run_pol(cfg, out: Path) -> int:
     system = al.Dirac(cfg["mass"])
-    k = np.linspace(0.0, cfg["k_max"], cfg["k_nodes"] + 1)
+    k = _pol_k(cfg)
     shell = pol.shell_state(system, k, cfg["shell_lo"], cfg["shell_hi"])
     radii = np.linspace(0.0, 10.0, 4097)
     rows, target = pol.energy_growth(

@@ -32,8 +32,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import algebra as al
-from .errors import GuardViolation, NotEvenlySpaced, WrongRepresentation
-from .field import EPS_LEAK, RegionMask, SpinorField, nufft1
+from .errors import GuardViolation, WrongRepresentation
+from .field import EPS_LEAK, RegionMask, SpinorField, even_step, nufft1
 
 
 def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
@@ -170,10 +170,7 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
         )
     if x_out.size == 0:
         return np.zeros((0, field.system.components), dtype=complex)
-    delta = (x_out[-1] - x_out[0]) / max(x_out.size - 1, 1)
-    even = x_out[0] + delta * np.arange(x_out.size)
-    if np.max(np.abs(x_out - even)) > 1e-12 * max(float(np.max(np.abs(x_out))), abs(delta)):
-        raise NotEvenlySpaced("boost outputs must be evenly spaced, x_j = x_0 + j delta")
+    delta = even_step(x_out)
     phi = field.to_momentum()
     p, eps = g.paxis(), _energy(phi)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])

@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import Dirac, Weyl
 from .errors import (
     BandExceeded,
+    NotEvenlySpaced,
     SupportExceedsGuard,
     WrongRepresentation,
 )
@@ -51,6 +52,8 @@ class Grid:
             raise ValueError("dim must be 1 or 3")
         if self.n < 4 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two >= 4")
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError(f"dx must be finite and > 0, got {self.dx!r}")
         if not self.origin:
             # centered grid: cells at origin + j dx, j = 0..n-1
             object.__setattr__(self, "origin", (-self.n * self.dx / 2.0,) * self.dim)
@@ -289,6 +292,7 @@ def _origin_phase(g: Grid, sign: int) -> np.ndarray:
 #: truncation error exp(-pi W (R-1/2)/R) <= 5e-14 (relative to sum_k |c_k|);
 #: measured against the direct sum: <= 4e-13 of max |f_j| on random strengths
 _NUFFT_HALF_WIDTH = 13
+NUFFT_ERR = 1.6e-12  # bound on the sum of both errors above, per unit sum_k |c_k|
 
 
 def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
@@ -328,6 +332,15 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     coef = np.fft.ifft(fine, axis=0)
     j = np.arange(m) - jc
     return np.sqrt(np.pi / tau) * np.exp(tau * j * j)[:, None] * coef[j % mr]
+
+
+def even_step(x: np.ndarray) -> float:
+    """delta of evenly spaced points x_j = x_0 + j delta (to 1e-12 relative); else NotEvenlySpaced."""
+    delta = (x[-1] - x[0]) / max(x.size - 1, 1)
+    even = x[0] + delta * np.arange(x.size)
+    if np.max(np.abs(x - even)) > 1e-12 * max(float(np.max(np.abs(x))), abs(delta)):
+        raise NotEvenlySpaced("outputs must be evenly spaced, x_j = x_0 + j delta")
+    return float(delta)
 
 
 def translate(field: SpinorField, shift: float, axis: int = -1) -> SpinorField:

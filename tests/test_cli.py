@@ -88,11 +88,19 @@ class TestFailFast:
             ["lines", "--set", "samples=10", "--set", "seed=1"],
             ["lines", "--set", "strata=0", "--set", "seed=1"],
             ["pol", "--set", "k_nodes=1023"],
+            ["cascade", "--set", "seed=1", "--set", "ball_radius=-1"],
+            ["pol", "--set", "ball_radius=-1"],
+            ["evolve", "--set", "length=-16"],
+            ["evolve", "--set", "length=nan"],
+            ["pol", "--set", "k_nodes=2", "--set", "ns=1"],
+            ["pol", "--set", "shell_lo=2", "--set", "shell_hi=1"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
             "radial_nodes_3", "radial_nodes_odd", "negative_bump_width", "zero_bump_width",
             "negative_mass", "samples_below_strata", "zero_strata", "pol_k_nodes_odd",
+            "cascade_negative_ball_radius", "pol_negative_ball_radius", "negative_length",
+            "nan_length", "pol_empty_shell", "pol_shell_reversed",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):

@@ -64,6 +64,12 @@ class TestFourierDuality:
             psi.to_position()
 
 
+@pytest.mark.parametrize("dx", [-0.1, 0.0, np.nan, np.inf])
+def test_grid_rejects_bad_spacing(dx):
+    with pytest.raises(ValueError):
+        fd.Grid(1, 64, dx)
+
+
 class TestMasks:
     def test_full_grid_probability_one(self):
         grid = fd.Grid(1, 256, 10.0 / 256)

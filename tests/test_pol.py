@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,27 @@ from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import pol
-from causalfermion.errors import DomainViolation, NotInRange, NotPositiveEnergy
+from causalfermion.errors import DomainViolation, NotEvenlySpaced, NotInRange, NotPositiveEnergy
+from causalfermion.weylradial import simpson_weights
 
 rng = np.random.default_rng(59)
+
+
+def dense_bessel_transform(x, nodes_in, nodes_out, order):
+    """Oracle: sqrt(2/pi) int j_order(k r) k^2 x(k) dk as the dense Simpson sum, chunked over outputs."""
+    w = simpson_weights(nodes_in.size, float(nodes_in[1] - nodes_in[0]))
+    pref = w * nodes_in**2
+    out = np.empty((nodes_out.size, x.shape[1]), dtype=complex)
+    for start in range(0, nodes_out.size, 256):
+        arg = np.outer(nodes_out[start : start + 256], nodes_in)
+        if order == 0:
+            kern = al.sinc(arg)
+        else:
+            small = np.abs(arg) < 1e-4
+            safe = np.where(small, 1.0, arg)
+            kern = np.where(small, arg / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe)
+        out[start : start + 256] = np.sqrt(2.0 / np.pi) * ((kern * pref) @ x)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +123,71 @@ class TestRadialEngineAlgebra:
         sel = dens > 1e-12
         assert kgrid[sel].min() >= 2.0 - 0.1
         assert kgrid[sel].max() <= 4.0 + 0.1
+
+
+def _truncated(pos, radius=1.0):
+    """E(B_radius) of a position-representation pair, as truncation_negative_fraction cuts it."""
+    mask = (pos.k <= radius).astype(float)[:, None]
+    return pol.RadialSpinorState(pos.k, pos.s * mask, pos.v * mask, pos.system, "position")
+
+
+class TestBesselTransform:
+    """radial_to_position / radial_to_momentum against the dense Simpson sum."""
+
+    @staticmethod
+    def weyl_state(kgrid):
+        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5).apply_projector(+1)
+        return pol.dilate_radial(st.normalized(), 8.0)
+
+    @pytest.fixture(scope="class")
+    def cases(self, kgrid, radii, shell):
+        # (momentum or position state, output nodes): the run_pol radii 0..10 and back to k
+        dirac64 = pol.point_localized_sequence(shell, 64.0)
+        weyl = self.weyl_state(kgrid)
+        offset = 0.03 + 0.0031 * np.arange(3001)  # r_0 != 0: no output at r = 0
+        random = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=3)
+        return {
+            "dirac-n1-to-r": (pol.point_localized_sequence(shell, 1.0), radii),
+            "dirac-n64-to-r": (dirac64, radii),
+            "dirac-n64-ball-to-k": (_truncated(pol.radial_to_position(dirac64, radii)), kgrid),
+            "weyl-to-r": (weyl, radii),
+            "weyl-ball-to-k": (_truncated(pol.radial_to_position(weyl, radii)), kgrid),
+            "random-to-r0": (random, offset),
+            "random-r0-to-k0": (pol.radial_to_position(random, offset), 0.05 + kgrid[:6000]),
+            # k_max r < 1 on every row: the fast sums cancel throughout
+            "dirac-n1-to-small-r": (pol.point_localized_sequence(shell, 1.0), radii[:257] / 100.0),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "dirac-n1-to-r", "dirac-n64-to-r", "dirac-n64-ball-to-k", "weyl-to-r",
+        "weyl-ball-to-k", "random-to-r0", "random-r0-to-k0", "dirac-n1-to-small-r",
+    ])
+    def test_matches_dense_sum(self, cases, case):
+        st, nodes = cases[case]
+        out = (pol.radial_to_position if st.rep == "momentum" else pol.radial_to_momentum)(st, nodes)
+        # every output up to k_max r = 16, every 4th up to 128 (the direct rows
+        # end in there on these states), then every 13th to the last
+        k_max = float(np.max(np.abs(st.k)))
+        head, mid = np.searchsorted(np.abs(nodes), np.array([16.0, 128.0]) / k_max)
+        idx = np.unique(np.r_[0:head, head:mid:4, mid:nodes.size:13, nodes.size - 1])
+        for got, x, order in ((out.s, st.s, 0), (out.v, st.v, 1)):
+            want = dense_bessel_transform(x, st.k, nodes[idx], order)
+            assert np.max(np.abs(got[idx] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_uneven_outputs_raise(self, kgrid, shell):
+        uneven = np.array([0.0, 0.1, 0.3])
+        with pytest.raises(NotEvenlySpaced):
+            pol.radial_to_position(shell, uneven)
+        pos = pol.RadialSpinorState(kgrid, shell.s, shell.v, shell.system, "position")
+        with pytest.raises(NotEvenlySpaced):
+            pol.radial_to_momentum(pos, uneven)
+
+    def test_no_runtime_warning(self, kgrid, radii, shell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pos = pol.radial_to_position(pol.point_localized_sequence(shell, 4.0), radii)
+            pol.radial_to_momentum(_truncated(pos), kgrid)
+            pol.radial_to_position(self.weyl_state(kgrid), 0.03 + radii)
 
 
 class TestPointLocalization:
