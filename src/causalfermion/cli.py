@@ -118,10 +118,14 @@ CHECKS = {
     # Simpson's rule on nodes + 1 points needs an even node count
     "nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
     "k_nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
-    "bump_width": (lambda v, _: v > 0, "> 0"),
-    "mass": (lambda v, _: v >= 0, ">= 0"),
+    "bump_width": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    "mass": (lambda v, _: 0 <= v < np.inf, "finite and >= 0"),
     "length": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
-    "ball_radius": (lambda v, _: v > 0, "> 0"),
+    "r_max": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    "ball_radius": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    # fit_tent needs at least five samples of the frontier profile
+    "n_times": (lambda v, _: v >= 5, ">= 5"),
+    "window": (lambda v, _: v > 0, "> 0"),
     # energy_growth divides by the shell's weight, so a node k > 0 must lie in the shell
     "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
                  "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),
@@ -372,17 +376,15 @@ def run_pol(cfg, out: Path) -> int:
         cfg["ns"],
         factory=lambda n: pol.dilated_shell(system, k, cfg["shell_lo"], cfg["shell_hi"], n),
     )
-    neg_fraction = dict(
-        pol.truncation_negative_fraction(shell, cfg["ns"], cfg["ball_radius"], radii)
-    )
     csv = CsvWriter(out / "pol.csv", cfg, extra_comments=[f"energy target = {target!r}"])
     csv.header("n", "ball_expectation", "energy_over_n", "negative_fraction")
     vals = []
     for n, en in rows:
-        phi_n = pol.point_localized_sequence(shell, n)
-        ball = pol.ball_expectation(phi_n, cfg["ball_radius"], radii)
+        # one transform of phi_n serves both the ball expectation and the truncation
+        pos = pol.radial_to_position(pol.point_localized_sequence(shell, n), radii)
+        ball = pol.radial_ball_mass(pos, cfg["ball_radius"])
         vals.append(ball)
-        csv.row(n, ball, en, neg_fraction[n])
+        csv.row(n, ball, en, pol.truncated_negative_fraction(pos, cfg["ball_radius"], k))
     print(csv.write())
     _require(vals[-1] >= 0.99, f"point localization stalled at {vals[-1]}")
     _require(abs(rows[-1][1] - target) <= 0.02 * target, "energy growth off target")

@@ -2,16 +2,22 @@
 
 The grid operator of a system lives here and nowhere else: ``h_apply`` applies
 h(p) (alpha.p + beta m or chi sigma.p; alpha_3 / sigma_3 on the 1D lane along
-e3), ``_energy`` gives eps(p) from ``Grid.abs_p``, and ``energy_projector_apply``
-applies pi^eta(p) = (1 + eta h(p)/eps(p))/2 with h/eps = 0 where eps = 0.  The
+e3), ``_energy`` gives eps(p), and ``energy_projector_apply`` applies
+pi^eta(p) = (1 + eta h(p)/eps(p))/2 with h/eps = 0 where eps = 0.  The
 propagators, the boost and the POL projector in ``pol`` are all built on them.
 
-Time evolution multiplies the momentum representation by
+Time evolution is one FFT pair (``SpinorField.to_momentum`` / ``to_position``)
+around the multiplier
 
-    exp(i t h(p)) = cos(t eps(p)) I + i t sinc(t eps(p)) h(p),
+    exp(i t h(p)) phi = cos(t eps(p)) phi + i (sin(t eps(p)) / eps(p)) h(p) phi,
 
-valid because h(p)^2 = eps(p)^2 I.  The Newton-Wigner (acausal) foil multiplies
-by the scalar exp(i t eta eps(p)) instead.
+valid because h(p)^2 = eps(p)^2 I; sin(t eps)/eps is its limit t where
+eps = 0.  The Newton-Wigner (acausal) foil multiplies by the scalar
+exp(i t eta eps(p)) instead.  The tables that depend only on the frozen grid
+and the mass are built once and returned read-only from bounded caches:
+eps(p) per (grid, mass) here (``_energy``), and the per-axis Fourier factors,
+origin phase times the transform's scale, per grid in ``field`` (O(n) per
+axis; the 3D product is formed per call and not kept).
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -27,13 +33,14 @@ O(N log N) in 1D; see ``boost_values``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 
 from . import algebra as al
 from .errors import GuardViolation, WrongRepresentation
-from .field import EPS_LEAK, RegionMask, SpinorField, even_step, nufft1
+from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1
 
 
 def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
@@ -42,17 +49,29 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
     """
     g, s = field.grid, field.system
-    mats = al.ALPHA if s.kind == "dirac" else al.SIGMA
+    mesh = [pk[..., None] for pk in g.momentum_mesh()]
     axes = (2,) if g.dim == 1 else (0, 1, 2)
-    out = sum(pk[..., None] * (vals @ mats[k].T) for pk, k in zip(g.momentum_mesh(), axes))
     if s.kind == "dirac":
-        return out + s.m * (vals @ al.BETA.T)
-    return s.chi * out
+        terms = [(pk, al.ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, al.BETA)]
+    else:
+        terms = [(s.chi * pk, al.SIGMA[k]) for pk, k in zip(mesh, axes)]
+    (c0, m0), *rest = terms
+    out = vals @ m0.T
+    out *= c0
+    term = None
+    for c, mat in rest:
+        term = np.matmul(vals, mat.T, out=term)  # allocated once, then reused as scratch
+        term *= c
+        out += term
+    return out
 
 
-def _energy(field: SpinorField) -> np.ndarray:
-    """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh."""
-    return np.sqrt(field.grid.abs_p() ** 2 + field.system.m**2)
+@functools.lru_cache(maxsize=2)
+def _energy(grid: Grid, m: float) -> np.ndarray:
+    """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh of grid, read-only (one table per grid and mass)."""
+    eps = np.sqrt(sum(pk * pk for pk in grid.momentum_mesh()) + m * m)
+    eps.setflags(write=False)
+    return eps
 
 
 def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
@@ -62,17 +81,27 @@ def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
     spectrally ambiguous, and h(0) = 0 leaves it at the projector average 1/2,
     keeping pi^+ + pi^- = I exact.
     """
-    eps = _energy(field)
-    inv_eps = np.divide(1.0, eps, out=np.zeros_like(eps), where=eps > 0)
-    return 0.5 * (field.values + eta * inv_eps[..., None] * h_apply(field, field.values))
+    eps = _energy(field.grid, field.system.m)
+    eta_inv = np.divide(eta, eps, out=np.zeros_like(eps), where=eps > 0)
+    out = h_apply(field, field.values)
+    out *= eta_inv[..., None]
+    out += field.values
+    out *= 0.5
+    return out
 
 
 def evolution_multiplier_apply(field: SpinorField, t: float) -> np.ndarray:
-    """exp(i t h(p)) applied to momentum-representation values."""
-    eps = _energy(field)
-    c = np.cos(t * eps)[..., None]
-    s = (t * al.sinc(t * eps))[..., None]
-    return c * field.values + 1j * s * h_apply(field, field.values)
+    """exp(i t h(p)) phi = cos(t eps) phi + i (sin(t eps) / eps) h(p) phi on momentum values.
+
+    sin(t eps) / eps is taken as its limit t where eps = 0.
+    """
+    eps = _energy(field.grid, field.system.m)
+    te = t * eps
+    s = np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0)
+    out = h_apply(field, field.values)
+    out *= (1j * s)[..., None]
+    out += np.cos(te)[..., None] * field.values
+    return out
 
 
 def check_guard(field: SpinorField, horizon: float, axis: int = -1) -> None:
@@ -111,8 +140,8 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
-    vals = np.exp(1j * t * eta * _energy(phi))[..., None] * phi.values
-    return replace(phi, values=vals).to_position()
+    phi.values *= np.exp(1j * t * eta * _energy(phi.grid, phi.system.m))[..., None]
+    return phi.to_position()
 
 
 def time_reverse(field: SpinorField) -> SpinorField:
@@ -172,7 +201,7 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
         return np.zeros((0, field.system.components), dtype=complex)
     delta = even_step(x_out)
     phi = field.to_momentum()
-    p, eps = g.paxis(), _energy(phi)
+    p, eps = g.paxis(), _energy(g, phi.system.m)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
     plus = energy_projector_apply(phi, +1)
     proj = np.concatenate([plus, phi.values - plus])

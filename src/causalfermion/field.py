@@ -17,6 +17,7 @@ membership is decided at cell centers, so complement identities are exact.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass, field as dc_field, replace
@@ -59,6 +60,8 @@ class Grid:
             object.__setattr__(self, "origin", (-self.n * self.dx / 2.0,) * self.dim)
         elif len(self.origin) != self.dim:
             raise ValueError("origin must have one entry per axis")
+        # a tuple keeps the grid hashable: the spectral tables are cached per grid
+        object.__setattr__(self, "origin", tuple(self.origin))
 
     @property
     def length(self) -> float:
@@ -203,7 +206,7 @@ class SpinorField:
 
     def norm_sq(self) -> float:
         w = self.grid.cell_measure(self.rep)
-        return float(w * np.sum(np.abs(self.values) ** 2))
+        return float(w * np.vdot(self.values, self.values).real)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
@@ -219,20 +222,15 @@ class SpinorField:
         if self.rep != "position":
             raise WrongRepresentation("to_momentum needs a position-representation field")
         g = self.grid
-        axes = tuple(range(g.dim))
-        vals = np.fft.fftn(self.values, axes=axes)
-        vals = vals * _origin_phase(g, sign=-1)
-        vals *= (g.dx / np.sqrt(2.0 * np.pi)) ** g.dim
+        vals = np.fft.fftn(self.values, axes=tuple(range(g.dim)))
+        vals *= _fourier_factor(g, sign=-1)
         return replace(self, rep="momentum", values=vals)
 
     def to_position(self) -> "SpinorField":
         if self.rep != "momentum":
             raise WrongRepresentation("to_position needs a momentum-representation field")
         g = self.grid
-        axes = tuple(range(g.dim))
-        vals = self.values * _origin_phase(g, sign=+1)
-        vals = np.fft.ifftn(vals, axes=axes)
-        vals *= (g.n * g.dp / np.sqrt(2.0 * np.pi)) ** g.dim
+        vals = np.fft.ifftn(self.values * _fourier_factor(g, sign=+1), axes=tuple(range(g.dim)))
         return replace(self, rep="position", values=vals)
 
     # --- localization -------------------------------------------------------
@@ -246,7 +244,8 @@ class SpinorField:
         if self.rep != "position":
             raise WrongRepresentation("masks act in position representation")
         w = self.grid.cell_measure(self.rep)
-        return float(w * np.sum(np.abs(self.values[mask.sites, :]) ** 2))
+        inside = self.values[mask.sites, :]
+        return float(w * np.vdot(inside, inside).real)
 
     # --- support helpers ------------------------------------------------------
     def support_bounds(self, axis: int = -1, mass_tol: float = 1e-12):
@@ -259,7 +258,7 @@ class SpinorField:
             raise WrongRepresentation("support is a position-space notion")
         g = self.grid
         ax = (g.dim - 1) if axis == -1 else axis
-        dens = np.sum(np.abs(self.values) ** 2, axis=-1)
+        dens = site_density(self.values)
         if g.dim == 3:
             other = tuple(k for k in range(3) if k != ax)
             dens = dens.sum(axis=other)
@@ -274,17 +273,35 @@ class SpinorField:
         return float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])
 
 
-def _origin_phase(g: Grid, sign: int) -> np.ndarray:
-    """Per-axis phase e^{sign * i p origin_k} broadcast to the value array."""
+def site_density(values: np.ndarray) -> np.ndarray:
+    """|psi|^2 at each site: re^2 + im^2 summed over the spinor components (no abs, no sqrt)."""
+    f = np.ascontiguousarray(values, dtype=complex).view(float)
+    return np.einsum("...k,...k->...", f, f)
+
+
+@functools.lru_cache(maxsize=2)  # the forward and inverse factors of one grid
+def _axis_factors(g: Grid, sign: int) -> tuple:
+    """Per-axis Fourier factors e^{sign i p origin_k} w, read-only, O(n) each.
+
+    w is the per-axis scale of the transform pair: dx / sqrt(2 pi) for the
+    forward FFT (sign -1) and n dp / sqrt(2 pi) for the inverse (sign +1).
+    """
     p = g.paxis()
+    w = (g.dx if sign < 0 else g.n * g.dp) / np.sqrt(2.0 * np.pi)
+    out = []
+    for k in range(g.dim):
+        f = w * np.exp(sign * 1j * p * g.origin[k])
+        f.setflags(write=False)
+        out.append(f)
+    return tuple(out)
+
+
+def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
+    """Origin phase times scale, broadcast to the value array (the 3D product is per call)."""
+    f = _axis_factors(g, sign)
     if g.dim == 1:
-        return np.exp(sign * 1j * p * g.origin[0])[:, None]
-    ph = 1.0
-    for k in range(3):
-        shape = [1, 1, 1]
-        shape[k] = g.n
-        ph = ph * np.exp(sign * 1j * p * g.origin[k]).reshape(shape)
-    return ph[..., None]
+        return f[0][:, None]
+    return (f[0][:, None, None] * f[1][:, None] * f[2])[..., None]
 
 
 #: Gaussian-gridding half-width W in fine-grid cells.  At oversampling ratio
@@ -405,7 +422,7 @@ def make_radial_state(g_of_r, chi: int, grid: Grid) -> SpinorField:
 def band_edge(field: SpinorField, rtol: float = 1e-6) -> float:
     """Largest |p| carrying relative amplitude above rtol (momentum support edge)."""
     phi = field if field.rep == "momentum" else field.to_momentum()
-    amp = np.sqrt(np.sum(np.abs(phi.values) ** 2, axis=-1))
+    amp = np.sqrt(site_density(phi.values))
     big = amp > rtol * float(amp.max())
     return float(field.grid.abs_p()[big].max()) if np.any(big) else 0.0
 
@@ -482,7 +499,7 @@ def density_csv(field: SpinorField, out, comments=()) -> None:
     if field.rep != "position":
         raise WrongRepresentation("density profile needs position representation")
     g = field.grid
-    dens = np.sum(np.abs(field.values) ** 2, axis=-1)
+    dens = site_density(field.values)
     if g.dim == 3:
         dens = dens.sum(axis=(0, 1)) * g.dx**2
     x = g.axis(g.dim - 1)

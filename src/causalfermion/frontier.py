@@ -24,7 +24,7 @@ from .errors import (
     InsufficientSamples,
     NoLateChangeSeed,
 )
-from .field import RegionMask, SpinorField, translate
+from .field import RegionMask, SpinorField, site_density, translate
 
 DEFAULT_EDGE_TOL = 1e-6
 
@@ -53,7 +53,7 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
         raise ValueError("tau must lie in (0, 1e-2]")
     g = field.grid
     ax = g.dim - 1
-    dens = np.sum(np.abs(field.values) ** 2, axis=-1)
+    dens = site_density(field.values)
     if g.dim == 3:
         dens = dens.sum(axis=(0, 1))
     dens = dens * g.cell_measure("position") / g.dx  # per-cell 1D mass
@@ -336,7 +336,7 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     if xs.size == 0:
         return 0.0
     vals = boost_values(field, rho, xs)
-    dens = np.sum(np.abs(vals) ** 2, axis=-1)
+    dens = site_density(vals)
     return float(np.sum(dens) * g.dx / c)
 
 

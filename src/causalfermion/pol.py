@@ -374,6 +374,14 @@ def energy_growth(phi0: RadialSpinorState, ns, guard_tol: float = 1e-12, factory
     return rows, target
 
 
+def truncated_negative_fraction(pos: RadialSpinorState, radius: float, k_nodes: np.ndarray) -> float:
+    """||(I - P+) phi^|| for phi^ = E(B_radius) psi / ||E(B_radius) psi||, psi the position pair."""
+    mask = (pos.k <= radius).astype(float)[:, None]
+    cut = RadialSpinorState(pos.k, pos.s * mask, pos.v * mask, pos.system, "position")
+    cut_m = radial_to_momentum(cut, k_nodes).normalized()
+    return float(np.sqrt(cut_m.apply_projector(-1).norm_sq()))
+
+
 def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, radii: np.ndarray):
     """[(n, negative-energy fraction of the ball-truncated phi_n)].
 
@@ -382,14 +390,8 @@ def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, rad
     """
     rows = []
     for n in ns:
-        phi_n = point_localized_sequence(phi0, float(n))
-        pos = radial_to_position(phi_n, radii)
-        mask = (radii <= radius).astype(float)[:, None]
-        cut = RadialSpinorState(radii, pos.s * mask, pos.v * mask, pos.system, "position")
-        cut_m = radial_to_momentum(cut, phi0.k)
-        cut_m = cut_m.normalized()
-        neg = cut_m.apply_projector(-1)
-        rows.append((float(n), float(np.sqrt(neg.norm_sq()))))
+        pos = radial_to_position(point_localized_sequence(phi0, float(n)), radii)
+        rows.append((float(n), truncated_negative_fraction(pos, radius, phi0.k)))
     return rows
 
 

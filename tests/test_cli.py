@@ -94,13 +94,24 @@ class TestFailFast:
             ["evolve", "--set", "length=nan"],
             ["pol", "--set", "k_nodes=2", "--set", "ns=1"],
             ["pol", "--set", "shell_lo=2", "--set", "shell_hi=1"],
+            ["radial", "--set", "r_max=-2"],
+            ["frontier", "--set", "n_times=1"],
+            ["frontier", "--set", "n_times=4"],
+            ["boost", "--set", "window=-1"],
+            ["contract", "--set", "window=-1"],
+            ["evolve", "--set", "mass=inf"],
+            ["cascade", "--set", "seed=1", "--set", "ball_radius=inf"],
+            ["evolve", "--set", "bump_width=inf"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
             "radial_nodes_3", "radial_nodes_odd", "negative_bump_width", "zero_bump_width",
             "negative_mass", "samples_below_strata", "zero_strata", "pol_k_nodes_odd",
             "cascade_negative_ball_radius", "pol_negative_ball_radius", "negative_length",
-            "nan_length", "pol_empty_shell", "pol_shell_reversed",
+            "nan_length", "pol_empty_shell", "pol_shell_reversed", "radial_negative_r_max",
+            "frontier_one_time", "frontier_four_times", "boost_negative_window",
+            "contract_negative_window", "infinite_mass", "cascade_infinite_ball_radius",
+            "infinite_bump_width",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):

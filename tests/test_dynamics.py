@@ -308,3 +308,113 @@ class TestMomentumOperator:
         if system.m == 0.0:
             assert np.array_equal(plus[origin], 0.5 * phi.values[origin])
             assert np.array_equal(minus[origin], 0.5 * phi.values[origin])
+
+
+def _dft_kernels(g):
+    """Per-axis e^{-i p x} on the grid's own axes, and the momenta p."""
+    p = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
+    return p, [np.exp(-1j * np.outer(p, g.origin[k] + g.dx * np.arange(g.n))) for k in range(g.dim)]
+
+
+def oracle_momentum(field):
+    """phi(p) = (2 pi)^{-dim/2} sum_x dx^dim e^{-i p.x} psi(x) as a direct sum (no FFT, no cached phase)."""
+    g = field.grid
+    _, kern = _dft_kernels(g)
+    spec = "ax,xd->ad" if g.dim == 1 else "ax,by,cz,xyzd->abcd"
+    return np.einsum(spec, *kern, field.values, optimize=True) * (g.dx / np.sqrt(2.0 * np.pi)) ** g.dim
+
+
+def oracle_evolve(field, t, eta=None):
+    """exp(i t h(p)) psi, or exp(i t eta eps(p)) psi for eta = +-1, by direct Fourier sums.
+
+    h(p) and its exponential (through eigh) are built site by site from the
+    algebra module, and the Fourier pair from the grid's axes: no FFT, no
+    cached table, no cos/sin formula.
+    """
+    g, system = field.grid, field.system
+    p, kern = _dft_kernels(g)
+    phi = oracle_momentum(field)
+    if g.dim == 1:
+        momenta = [(0.0, 0.0, pk) for pk in p]  # the 1D lane runs along e3
+    else:
+        momenta = np.stack(np.meshgrid(p, p, p, indexing="ij"), axis=-1).reshape(-1, 3)
+    if eta is None:
+        w, v = np.linalg.eigh(np.array([pointwise_h(system, pk) for pk in momenta]))
+        u = np.einsum("sij,sj,skj->sik", v, np.exp(1j * t * w), v.conj())
+    else:
+        phase = np.exp(1j * t * eta * np.array([al.energy(np.asarray(pk), system.m) for pk in momenta]))
+        u = phase[:, None, None] * np.eye(system.components)
+    d = system.components
+    phi = np.einsum("sij,sj->si", u, phi.reshape(-1, d)).reshape(phi.shape)
+    back = "xa,ad->xd" if g.dim == 1 else "xa,yb,zc,abcd->xyzd"
+    vals = np.einsum(back, *(k.conj().T for k in kern), phi, optimize=True)
+    return vals * (g.dp / np.sqrt(2.0 * np.pi)) ** g.dim
+
+
+def random_position_field(grid, system, seed):
+    r = np.random.default_rng(seed)
+    shape = (grid.n,) * grid.dim + (system.components,)
+    return fd.SpinorField(grid, system, "position", r.normal(size=shape) + 1j * r.normal(size=shape))
+
+
+class TestSpectralKernel:
+    """The cached-table kernel against an oracle that caches nothing."""
+
+    SYSTEMS = [al.Dirac(0.0), al.Dirac(1.0), al.Weyl(+1), al.Weyl(-1)]
+    IDS = ["dirac0", "dirac1", "weyl+", "weyl-"]
+    GRIDS = [fd.Grid(1, 64, 0.25), fd.Grid(3, 8, 0.5, (-2.0, -1.75, -2.25))]
+
+    @staticmethod
+    def assert_momentum_matches_oracle(field):
+        want = oracle_momentum(field)
+        assert np.max(np.abs(field.to_momentum().values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @staticmethod
+    def assert_matches_oracle(field, t, eta=None):
+        if eta is None:
+            got = dyn.evolve_causal(field, t, guard=False)
+        else:
+            got = dyn.evolve_newton_wigner(field, t, eta, guard=False)
+        want = oracle_evolve(field, t, eta)
+        assert got.rep == "position"
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), (t, eta)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "3d"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
+    def test_evolutions_match_oracle(self, grid, system):
+        # random values fill every momentum cell, the massless p = 0 cell included
+        psi = random_position_field(grid, system, 7)
+        self.assert_momentum_matches_oracle(psi)
+        for t in (0.0, 1e-9, -1e-9, 1.3):
+            for eta in (None, +1, -1):
+                self.assert_matches_oracle(psi, t, eta)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_no_stale_table(self, dim):
+        dyn._energy.cache_clear()
+        fd._axis_factors.cache_clear()
+        n = 64 if dim == 1 else 8
+        a = fd.Grid(dim, n, 0.25)
+        b = fd.Grid(dim, n, 0.3)  # same n, other dx
+        c = fd.Grid(dim, n, 0.3, (-5.0,) * dim)  # other origin
+        steps = [(a, al.Dirac(1.0)), (b, al.Dirac(1.0)), (c, al.Dirac(1.0)),
+                 (c, al.Dirac(0.5)), (c, al.Weyl(+1)), (c, al.Weyl(-1))]
+        for seed, (grid, system) in enumerate(steps):
+            psi = random_position_field(grid, system, seed)
+            # the origin phases cancel in an evolution, so check the momentum representation too
+            self.assert_momentum_matches_oracle(psi)
+            self.assert_matches_oracle(psi, 1.3)
+            self.assert_matches_oracle(psi, 1.3, eta=+1)
+
+    def test_tables_are_read_only_and_per_axis(self):
+        for grid in self.GRIDS:
+            dyn.evolve_causal(random_position_field(grid, al.Dirac(1.0), 1), 0.5, guard=False)
+            eps = dyn._energy(grid, 1.0)
+            with pytest.raises(ValueError):
+                eps[(0,) * grid.dim] = 0.0
+            for sign in (-1, +1):
+                factors = fd._axis_factors(grid, sign)
+                # O(n) per axis: no n^3 table outlives a call
+                assert [f.shape for f in factors] == [(grid.n,)] * grid.dim
+                with pytest.raises(ValueError):
+                    factors[0][0] = 0.0
