@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .algebra import Dirac, Weyl
+from .algebra import Dirac, Weyl, sinc
 from .errors import (
     BandExceeded,
     NotEvenlySpaced,
@@ -324,9 +324,13 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     modes are centered on j_c = m // 2 so the deconvolution never exceeds
     |j - j_c| <= m/2.  tau = pi W / (m^2 R (R - 1/2)) is set from the actual
     ratio R = M_r / m (rounding M_r up makes R > 2; a tau sized for R = 2
-    would then truncate the Gaussian early).
+    would then truncate the Gaussian early).  theta is reduced to [-pi, pi],
+    which keeps a small negative theta exact; reduced to [0, 2 pi) it would be
+    rounded to ulp(2 pi), which costs ~3e-13 of max |f_j| in sums that cancel
+    between sources at +-theta (a sine at small k x).
     """
-    theta = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
+    theta = np.asarray(theta, dtype=float)
+    theta = theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
     c = np.asarray(strengths, dtype=complex)
     half = _NUFFT_HALF_WIDTH
     jc = m // 2
@@ -349,6 +353,61 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     coef = np.fft.ifft(fine, axis=0)
     j = np.arange(m) - jc
     return np.sqrt(np.pi / tau) * np.exp(tau * j * j)[:, None] * coef[j % mr]
+
+
+def sin_cos_sums(k: np.ndarray, x: np.ndarray, sine: np.ndarray, cosine: np.ndarray | None = None):
+    """(sum_k sine_k sin(k x_j), sum_k cosine_k cos(k x_j)) at evenly spaced x_j = x_0 + j delta.
+
+    One nufft1 call with sources at theta = +-delta k carrying e^{+-i k x_0}.
+    Each sum is within NUFFT_ERR sum_k |strengths| of its column; no cosine
+    strengths means an empty cosine sum.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = even_step(x)
+    d = sine.shape[1]
+    cosine = sine[:, :0] if cosine is None else 1j * cosine
+    phase = np.exp(1j * k * x[0])[:, None]
+    strengths = np.vstack([phase * np.hstack([sine, cosine]), phase.conj() * np.hstack([-sine, cosine])])
+    sums = nufft1(np.concatenate([delta * k, -delta * k]), strengths, x.size) / 2j
+    return sums[:, :d], sums[:, d:]
+
+
+#: error of the fast Bessel sums, relative to max |out|, above which a row takes the direct sum
+_BESSEL_RTOL = 1e-10
+
+
+def bessel_sums(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray):
+    """(sum_k zero_k k j_0(k x_j), sum_k one_k k^2 j_1(k x_j)) at evenly spaced x_j.
+
+    With j_0(z) = sin z / z and j_1(z) = sin z / z^2 - cos z / z both are
+    ``sin_cos_sums`` divided by x or x^2.  The quotients cancel at small x:
+    x = 0 and every row where NUFFT_ERR sum |strengths| over x or x^2 may pass
+    _BESSEL_RTOL of max |out| take the direct sum (``bessel_rows``).
+    """
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    d = zero.shape[1]
+    cosine = k[:, None] * one
+    sines, cosines = sin_cos_sums(k, x, np.hstack([zero, one]), cosine)
+    origin = x == 0.0
+    r = np.where(origin, 1.0, x)[:, None]  # the x = 0 rows are replaced below
+    out0, out1 = sines[:, :d] / r, sines[:, d:] / r**2 - cosines / r
+    a0, b1, a1 = (NUFFT_ERR * np.abs(c).sum() for c in (zero, one, cosine))
+    r = np.abs(r[:, 0])
+    near = origin | (a0 / r > _BESSEL_RTOL * np.abs(out0[~origin]).max(initial=0.0))
+    near |= b1 / r**2 + a1 / r > _BESSEL_RTOL * np.abs(out1[~origin]).max(initial=0.0)
+    out0[near], out1[near] = bessel_rows(k, zero, one, x[near])
+    return out0, out1
+
+
+def bessel_rows(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray):
+    """The sums of ``bessel_sums`` at any x, one direct O(len(k)) row per point."""
+    live = np.any((zero != 0) | (one != 0), axis=1)  # zero strengths add nothing
+    kl = np.asarray(k, dtype=float)[live]
+    z = np.outer(x, kl)
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    j1 = np.where(small, z / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe)
+    return sinc(z) @ (kl[:, None] * zero[live]), j1 @ (kl[:, None] ** 2 * one[live])
 
 
 def even_step(x: np.ndarray) -> float:
@@ -430,8 +489,10 @@ def band_edge(field: SpinorField, rtol: float = 1e-6) -> float:
 def dilate(field: SpinorField, lam: float) -> SpinorField:
     """Momentum-representation dilation (D_lam phi)(p) = lam^{dim/2} phi(lam p).
 
-    1D: exact trigonometric (Fourier-series) evaluation at the scaled nodes,
-    O(N^2).  Unitary up to resampling error for fields band-limited to
+    1D: the Fourier sum phi(q) = dx/sqrt(2 pi) sum_j e^{-i q x_j} psi_j at
+    q = lam dp (m - n/2), m = 0..n-1, is one nufft1 call with theta_j =
+    -lam dp x_j and strengths psi_j e^{-i theta_j n/2} dx/sqrt(2 pi).
+    Unitary up to resampling error for fields band-limited to
     Nyquist/lam.  3D dilation is provided only through radial profiles.
     """
     if field.rep != "momentum":
@@ -446,12 +507,11 @@ def dilate(field: SpinorField, lam: float) -> SpinorField:
     if lam * edge > nyq * (1.0 + 1e-12):
         raise BandExceeded(f"lam * band = {lam * edge:.3g} exceeds Nyquist {nyq:.3g}")
     psi = field.to_position()
-    x = g.axis(0)
-    p_new = lam * g.paxis()
-    # phi(q) = dx/sqrt(2 pi) sum_j e^{-i q x_j} psi_j, evaluated at q = lam p_k
-    kernel = np.exp(-1j * np.outer(p_new, x)) * (g.dx / np.sqrt(2.0 * np.pi))
-    vals = lam**0.5 * (kernel @ psi.values)
-    return replace(field, values=vals)
+    theta = -lam * g.dp * g.axis(0)
+    strengths = psi.values * (np.exp(-0.5j * g.n * theta) * (g.dx / np.sqrt(2.0 * np.pi)))[:, None]
+    vals = lam**0.5 * nufft1(theta, strengths, g.n)
+    # row m holds p = dp (m - n/2); the grid's FFT order puts p = dp (k - n) at k >= n/2
+    return replace(field, values=np.roll(vals, g.n // 2, axis=0))
 
 
 # --- serialization ----------------------------------------------------------

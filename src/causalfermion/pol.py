@@ -17,7 +17,7 @@ The radial engine closes on states of the form
 
 because pi^eta(p), pi_0(p), h(p), dilations and radial masks mix only (s, v);
 position representation uses the order-0/1 spherical Bessel transforms
-(sine and cosine sums through ``field.nufft1``; see ``_bessel_transform``).
+(``field.bessel_sums``: sine and cosine sums through ``field.nufft1``).
 """
 
 from __future__ import annotations
@@ -35,12 +35,8 @@ from .errors import (
     NotPositiveEnergy,
     NullDilationLimit,
 )
-from .field import NUFFT_ERR, Grid, RegionMask, SpinorField, even_step, nufft1
+from .field import Grid, RegionMask, SpinorField, bessel_sums
 from .weylradial import cumulative_simpson, simpson_weights
-
-#: error of the fast Bessel transform, relative to max |out|, above which a row takes the direct sum
-_RTOL = 1e-10
-
 
 # --- 3D grid engine -----------------------------------------------------------
 
@@ -218,35 +214,14 @@ class RadialSpinorState:
 def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
     """(S, V)(r) = sqrt(2/pi) int k^2 [j_0(k r) s(k), j_1(k r) v(k)] dk by Simpson's rule.
 
-    With j_0(z) = sin z / z and j_1(z) = sin z / z^2 - cos z / z, S and V are
-    sin(k r) and cos(k r) sums over strengths w k s, w v and w k v (w the Simpson
-    weights), divided by r or r^2.  On r_j = r_0 + j delta they are one
-    ``field.nufft1`` call with sources at theta = +-delta k carrying e^{+-i k r_0}.
-    The quotients cancel at small r: r = 0 and the rows where nufft1's error
-    bound over r or r^2 may pass _RTOL of max |out| take the direct sum.
-    Measured against the dense sum: <= 2e-11 of max |out|.
+    ``field.bessel_sums`` with strengths w k s and w v (w the Simpson weights):
+    one ``field.nufft1`` call on the evenly spaced outputs, and the direct sum
+    at r = 0 and on the rows where the fast sums' quotients may lose accuracy.
+    Measured against the dense sum: <= 1.1e-13 of max |out|.
     """
-    k, s, v, d = state.k, state.s, state.v, state.s.shape[1]
-    nodes_out = np.asarray(nodes_out, dtype=float)
-    delta = even_step(nodes_out)
+    k = state.k
     w = simpson_weights(k.size, state.dk)[:, None]
-    sine, cosine = np.hstack([w * k[:, None] * s, w * v]), 1j * w * k[:, None] * v
-    phase = np.exp(1j * k * nodes_out[0])[:, None]
-    strengths = np.vstack([phase * np.hstack([sine, cosine]), phase.conj() * np.hstack([-sine, cosine])])
-    sums = nufft1(np.concatenate([delta * k, -delta * k]), strengths, nodes_out.size) / 2j
-    origin = nodes_out == 0.0
-    r = np.where(origin, 1.0, nodes_out)[:, None]  # the r = 0 rows are replaced below
-    s_out, v_out = sums[:, :d] / r, sums[:, d : 2 * d] / r**2 - sums[:, 2 * d :] / r
-    a0, b1, a1 = (NUFFT_ERR * np.abs(c).sum() for c in (sine[:, :d], sine[:, d:], cosine))
-    r = np.abs(r[:, 0])
-    near = origin | (a0 / r > _RTOL * np.abs(s_out[~origin]).max(initial=0.0))
-    near |= b1 / r**2 + a1 / r > _RTOL * np.abs(v_out[~origin]).max(initial=0.0)
-    live = np.any((s != 0) | (v != 0), axis=1)  # zero strengths add nothing
-    z = np.outer(nodes_out[near], k[live])
-    safe = np.where(np.abs(z) < 1e-4, 1.0, z)
-    j1 = np.where(np.abs(z) < 1e-4, z / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe)
-    pref = (w * k[:, None] ** 2)[live]
-    s_out[near], v_out[near] = al.sinc(z) @ (pref * s[live]), j1 @ (pref * v[live])
+    s_out, v_out = bessel_sums(k, w * k[:, None] * state.s, w * state.v, nodes_out)
     coef = np.sqrt(2.0 / np.pi)
     return coef * s_out, coef * v_out
 

@@ -14,8 +14,10 @@ of any ball or slab probability collapses to an (r, xi) integral whose xi part
 is exact (the integrand is affine in xi = cos(theta)).
 
 The independent spectral route uses the Fourier-sine pair j f = S(j g) of the
-radial momentum profile and evaluates three sine/cosine quadratures per output
-radius; it shares nothing with the closed form beyond g itself.
+radial momentum profile: the forward sine transform is one ``field.nufft1``
+call, and the evolved (u, v) are the order-0/1 spherical Bessel sums
+``field.bessel_sums`` that pol's radial transforms use too.  It shares nothing
+with the closed form beyond g itself.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import numpy as np
 
 from .algebra import SIGMA, Weyl, sinc
 from .errors import OriginSingular
-from .field import Grid, SpinorField
+from .field import Grid, SpinorField, bessel_rows, bessel_sums, sin_cos_sums
 
 DEFAULT_NODES = 4096
-_CHUNK = 512
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -274,16 +275,10 @@ def ball_probability_static(profile: RadialProfile, radius: float) -> float:
 
 
 def _sine_transform_at(profile: RadialProfile, s: np.ndarray) -> np.ndarray:
-    r = profile.r
-    u = r[:, None] * profile.g
-    w = simpson_weights(r.size, profile.dr)
-    out = np.empty((s.size, 2), dtype=complex)
-    coef = np.sqrt(2.0 / np.pi)
-    for start in range(0, s.size, _CHUNK):
-        block = s[start : start + _CHUNK]
-        kern = np.sin(np.outer(block, r)) * w
-        out[start : start + len(block)] = coef * (kern @ u)
-    return out
+    """u~(s) = sqrt(2/pi) sum_r w r g sin(s r) at evenly spaced s (one nufft1 call, no quotient)."""
+    w = simpson_weights(profile.r.size, profile.dr)
+    sine = np.sqrt(2.0 / np.pi) * (w * profile.r)[:, None] * profile.g
+    return sin_cos_sums(profile.r, s, sine)[0]
 
 
 def sine_transform_profile(profile: RadialProfile, band_tol: float = 1e-13):
@@ -308,30 +303,25 @@ def sine_transform_profile(profile: RadialProfile, band_tol: float = 1e-13):
 def spectral_evolve(profile: RadialProfile, chi: int, t: float, radii: np.ndarray):
     """(u, v) parts of psi_t at the radii via the Fourier-sine route.
 
-    u(r) = (1/r) S[cos(ts) u~](r)
+    u(r) = (1/r) S[cos(ts) u~](r) = sqrt(2/pi) sum_s f_cos s j_0(s r)
     v(r) = (1/r) C[sin(ts) u~](r) - (t/r^2) S[sinc(ts) u~](r)
-    with S/C the sine/cosine quadratures over the s band; independent of the
-    closed form (no use of G or the shifted profile).
+         = -sqrt(2/pi) sum_s f_snc s^2 j_1(s r)
+    with S/C the sine/cosine sums over the s band, f_cos = w cos(ts) u~ and
+    f_snc = w t sinc(ts) u~ (w the Simpson weights; sin(ts) = s t sinc(ts)).
+    Both are ``field.bessel_sums`` on radii[1:], which must be evenly spaced;
+    radii[0] is one direct row, so it may sit off that grid (the crosscheck's
+    dr/2 in place of the origin).  Independent of the closed form: no use of G
+    or the shifted profile.
     """
     radii = np.asarray(radii, dtype=float)
     s, ut = sine_transform_profile(profile)
-    ws = simpson_weights(s.size, s[1] - s[0])
+    ws = simpson_weights(s.size, s[1] - s[0])[:, None]
+    f_cos = np.cos(t * s)[:, None] * ut * ws
+    f_snc = (t * sinc(t * s))[:, None] * ut * ws
+    u0, v0 = bessel_rows(s, f_cos, f_snc, radii[:1])
+    u, v = bessel_sums(s, f_cos, f_snc, radii[1:])
     coef = np.sqrt(2.0 / np.pi)
-    f_cos = (np.cos(t * s)[:, None] * ut) * ws[:, None]
-    f_sin = (np.sin(t * s)[:, None] * ut) * ws[:, None]
-    f_snc = (t * sinc(t * s)[:, None] * ut) * ws[:, None]
-    u_out = np.empty((radii.size, 2), dtype=complex)
-    v_out = np.empty((radii.size, 2), dtype=complex)
-    for start in range(0, radii.size, _CHUNK):
-        r_blk = radii[start : start + _CHUNK]
-        sin_m = np.sin(np.outer(r_blk, s))
-        cos_m = np.cos(np.outer(r_blk, s))
-        term1 = coef * (sin_m @ f_cos) / r_blk[:, None]
-        term2 = coef * (cos_m @ f_sin) / r_blk[:, None]
-        term3 = coef * (sin_m @ f_snc) / (r_blk**2)[:, None]
-        u_out[start : start + len(r_blk)] = term1
-        v_out[start : start + len(r_blk)] = term2 - term3
-    return u_out, v_out
+    return coef * np.vstack([u0, u]), -coef * np.vstack([v0, v])
 
 
 def crosscheck_against_spectral(

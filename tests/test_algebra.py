@@ -229,6 +229,17 @@ class TestBoostRepAndTimeReversal:
         expect = np.diag([np.exp(0.5), np.exp(-0.5), np.exp(-0.5), np.exp(0.5)])
         assert np.max(np.abs(s - expect)) <= 1e-14
 
+    @pytest.mark.parametrize("kind, chi, signs", [
+        ("dirac", +1, (1, -1, -1, 1)), ("weyl", +1, (1, -1)), ("weyl", -1, (-1, 1)),
+    ])
+    def test_large_rapidity_axis_boost(self, kind, chi, signs):
+        # cosh^2 - sinh^2 of rho/2 would leave det A - 1 = -1.4e-8 at rho = 20, far past UNITARY_TOL
+        rho = 20.0
+        s = al.boost_spinor_rep(al.boost_matrix(rho), kind, chi)
+        expect = np.exp(0.5 * rho * np.array(signs, dtype=float))
+        assert np.max(np.abs(np.diag(s) / expect - 1.0)) <= 1e-14
+        assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+
     def test_group_law(self):
         for _ in range(20):
             a1, a2 = rand_sl2(), rand_sl2()

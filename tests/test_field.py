@@ -146,6 +146,16 @@ class TestDilation:
         phi = self.grid_state()
         assert (fd.dilate(phi, 1.0) - phi).norm() <= 1e-12
 
+    @pytest.mark.parametrize("lam", [0.5, 0.8, 1.0, 1.25])
+    def test_matches_dense_sum(self, lam):
+        # oracle: phi(lam p_k) = dx/sqrt(2 pi) sum_j e^{-i lam p_k x_j} psi_j as one dense matrix
+        phi = self.grid_state()
+        g = phi.grid
+        kernel = np.exp(-1j * np.outer(lam * g.paxis(), g.axis(0))) * (g.dx / np.sqrt(2.0 * np.pi))
+        want = lam**0.5 * (kernel @ phi.to_position().values)
+        got = fd.dilate(phi, lam).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_composition(self):
         phi = self.grid_state()
         double = fd.dilate(fd.dilate(phi, 1.2), 1.1)
@@ -179,6 +189,31 @@ class TestDilation:
         phi = fd.SpinorField(grid, al.Weyl(+1), "position", vals).normalized().to_momentum()
         with pytest.raises(BandExceeded):
             fd.dilate(phi, 3.0)
+
+
+class TestSinCosSums:
+    """sin_cos_sums against the dense sums, on the shapes of the radial transforms."""
+
+    @pytest.mark.parametrize("k_max, m, x0, x_max, kind", [
+        (2.0, 4097, 0.0, 650.0, "random"), (2.0, 4097, 0.0, 650.0, "smooth"),
+        (10.0, 8193, 0.0, 140.0, "random"), (10.0, 8193, 0.37, 140.0, "smooth"),
+    ])
+    def test_matches_dense_sums(self, k_max, m, x0, x_max, kind):
+        k = np.linspace(0.0, k_max, 4097)
+        x = np.linspace(x0, x_max, m)
+        r = np.random.default_rng(m)
+        if kind == "random":
+            c = r.normal(size=(k.size, 2)) + 1j * r.normal(size=(k.size, 2))
+        else:
+            env = np.exp(-(((k - k_max / 3) / (k_max / 8)) ** 2))
+            c = np.stack([env, 1j * env * np.cos(3.0 * k)], axis=1)
+        sines, cosines = fd.sin_cos_sums(k, x, c, c)
+        # the sine cancels between the sources at +-delta k when k x is small:
+        # a theta of -delta k rounded to ulp(2 pi) reads ~3e-13 here
+        for got, kern in ((sines, np.sin), (cosines, np.cos)):
+            want = kern(np.outer(x, k)) @ c
+            assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+        assert fd.sin_cos_sums(k, x, c)[1].shape == (m, 0)
 
 
 class TestRadialState:

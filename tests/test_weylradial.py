@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from causalfermion import weylradial as wr
-from causalfermion.algebra import SIGMA, weyl_projector
-from causalfermion.errors import OriginSingular
+from causalfermion.algebra import SIGMA, sinc, weyl_projector
+from causalfermion.errors import NotEvenlySpaced, OriginSingular
 
 rng = np.random.default_rng(41)
 
@@ -17,6 +19,55 @@ def bump_profile(width=1.5, second=0.4):
         return out
 
     return g
+
+
+def dense_sine_transform_at(profile, s):
+    """Oracle: u~(s) = sqrt(2/pi) sum_r w r g sin(s r) as the dense Simpson sum, chunked over s."""
+    r = profile.r
+    u = r[:, None] * profile.g
+    w = wr.simpson_weights(r.size, profile.dr)
+    out = np.empty((s.size, 2), dtype=complex)
+    for start in range(0, s.size, 512):
+        block = s[start : start + 512]
+        out[start : start + block.size] = np.sqrt(2.0 / np.pi) * ((np.sin(np.outer(block, r)) * w) @ u)
+    return out
+
+
+def dense_band(profile, band_tol=1e-13):
+    """Oracle: sine_transform_profile's s grid, with the band edge found on the dense probe."""
+    probe_max = 0.5 * np.pi / profile.dr
+    probe = np.linspace(0.0, probe_max, 2049)
+    amp = np.sum(np.abs(dense_sine_transform_at(profile, probe)) ** 2, axis=1)
+    edge = probe[np.nonzero(amp > band_tol**2 * amp.max())[0][-1]]
+    return np.linspace(0.0, min(1.25 * edge + 1.0, probe_max), profile.r.size)
+
+
+def dense_spectral_evolve(t, radii, s, ut):
+    """Oracle: spectral_evolve's (u, v) at any radii by dense sine and cosine sums of u~ over s."""
+    ws = wr.simpson_weights(s.size, s[1] - s[0])
+    coef = np.sqrt(2.0 / np.pi)
+    f_cos = (np.cos(t * s)[:, None] * ut) * ws[:, None]
+    f_sin = (np.sin(t * s)[:, None] * ut) * ws[:, None]
+    f_snc = (t * sinc(t * s)[:, None] * ut) * ws[:, None]
+    u_out = np.empty((radii.size, 2), dtype=complex)
+    v_out = np.empty((radii.size, 2), dtype=complex)
+    for start in range(0, radii.size, 512):
+        r_blk = radii[start : start + 512]
+        sin_m = np.sin(np.outer(r_blk, s))
+        cos_m = np.cos(np.outer(r_blk, s))
+        u_out[start : start + r_blk.size] = coef * (sin_m @ f_cos) / r_blk[:, None]
+        v_out[start : start + r_blk.size] = coef * (
+            (cos_m @ f_sin) / r_blk[:, None] - (sin_m @ f_snc) / (r_blk**2)[:, None]
+        )
+    return u_out, v_out
+
+
+@functools.lru_cache(maxsize=None)
+def spectral_case(nodes):
+    """(profile, s grid, u~ on it), all dense, for the bump profile on the given node count."""
+    prof = wr.RadialProfile.from_callable(bump_profile(), 2.0, nodes).normalized()
+    s = dense_band(prof)
+    return prof, s, dense_sine_transform_at(prof, s)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +139,39 @@ class TestSpectralCrosscheck:
 
     def test_other_chirality(self, profile):
         assert wr.crosscheck_against_spectral(profile, -1, 1.0) <= 1e-5
+
+
+class TestSpectralRouteAgainstDense:
+    """The nufft1 sine transform and Bessel sums against the dense sums they replaced."""
+
+    @pytest.mark.parametrize("nodes", [1024, 2048, 4096])
+    def test_forward_transform_and_band_edge(self, nodes):
+        prof, s_dense, ut_dense = spectral_case(nodes)
+        probe = np.linspace(0.0, 0.5 * np.pi / prof.dr, 2049)
+        s, ut = wr.sine_transform_profile(prof)
+        assert s[-1] == s_dense[-1] and s.size == s_dense.size
+        cases = ((wr._sine_transform_at(prof, probe), dense_sine_transform_at(prof, probe)), (ut, ut_dense))
+        for fast, want in cases:
+            assert np.max(np.abs(fast - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nodes", [1024, 2048, 4096])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, -1.0])
+    def test_evolve_matches_dense(self, nodes, t):
+        prof, s_dense, ut_dense = spectral_case(nodes)
+        # the crosscheck's radii: dr/2 off the even grid, then 2048 even steps
+        radii = np.linspace(0.0, prof.r_max + abs(t) + 1.0, 2049)
+        radii[0] = prof.dr / 2.0
+        # every row up to 128 (the direct rows end by row 82 here), then every 9th and the last
+        idx = np.unique(np.r_[0:128, 128 : radii.size : 9, radii.size - 1])
+        want = dense_spectral_evolve(t, radii[idx], s_dense, ut_dense)
+        for chi in (+1, -1):
+            got = wr.spectral_evolve(prof, chi, t, radii)
+            for fast, dense in zip(got, want):
+                assert np.max(np.abs(fast[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_uneven_radii_raise(self, profile):
+        with pytest.raises(NotEvenlySpaced):
+            wr.spectral_evolve(profile, +1, 0.5, np.array([profile.dr / 2.0, 0.1, 0.2, 0.5, 0.6]))
 
 
 class TestAsymptotics:
