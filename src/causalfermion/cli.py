@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, algebra as al, causalgeo as cg, dynamics as dyn
 from . import field as fd, frontier as fr, pol, weylradial as wr
-from .errors import ConfigError, GuardViolation, InvariantFailure
+from .errors import ConfigError, GuardViolation, InvariantFailure, NoLateChangeSeed
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -300,7 +300,10 @@ def _build_late_change(cfg):
     system = al.Dirac(cfg["mass"])
     psi0 = fd.make_bump(grid, 0.0, 0.7, _spinor(system), system, guard=3.3)
     eta = fr.make_seed_with_dates(psi0, cfg["target_t"], +1)
-    psi = fr.make_late_change_state(eta, cfg["window"], +1)
+    try:
+        psi = fr.make_late_change_state(eta, cfg["window"], +1)
+    except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so CHECKS cannot bound window
+        raise ConfigError(f"key 'window' = {cfg['window']!r} does not fit the seed: {exc}") from exc
     psi = fr.recenter_lower_edge(psi)
     alpha = (-fr.support_edge(psi, -1, 1e-6) - fr.support_edge(psi, +1, 1e-6)) / 2
     psi = fr.soften_lower_edge(psi, alpha)

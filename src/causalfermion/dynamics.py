@@ -27,8 +27,8 @@ A pure boost with rapidity rho along e3 acts in position space as
 i.e. each output sample needs the state evolved by a sample-dependent time and
 read at a sample-dependent point.  Split by energy sign, this is one Fourier
 sum over the boosted momenta kappa_eta(p) = cosh(rho) p + eta sinh(rho) eps(p);
-on evenly spaced outputs it is a type-1 nonuniform FFT (``field.nufft1``,
-O(N log N) in 1D; see ``boost_values``).
+on evenly spaced outputs it is a type-1 nonuniform FFT (``field.nufft1``, with
+exponential-of-semicircle spreading, O(N log N) in 1D; see ``boost_values``).
 """
 
 from __future__ import annotations
@@ -173,10 +173,9 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
     with pi^eta from ``energy_projector_apply`` (pi^- phi = phi - pi^+ phi).
     On x_j = x_0 + j delta this is a type-1 transform in theta = delta kappa
     mod 2 pi (the wrap is exact because j is an integer), evaluated by
-    ``field.nufft1``: Gaussian gridding of half-width 13 fine cells on a grid
-    oversampled at least 2x, one FFT per spinor component.  Measured against
-    the direct sum: relative max error <= 1e-13 on the test states (Dirac
-    m = 0, 1 and Weyl, N = 2^9..2^11, rho from -0.4 to 3).
+    ``field.nufft1``: exponential-of-semicircle spreading over 15 fine cells on
+    a grid oversampled at least 2.5x, one FFT per spinor component, within
+    NUFFT_ERR = 5e-14 of sum |strengths| (tested against a long-double sum).
 
     Outputs that are not evenly spaced (to 1e-12 relative) raise
     NotEvenlySpaced.  Accuracy requires the light cone of supp(psi) at time

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .algebra import Dirac, Weyl, sinc
+from .algebra import Dirac, Weyl
 from .errors import (
     BandExceeded,
     NotEvenlySpaced,
@@ -304,55 +304,107 @@ def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
     return (f[0][:, None, None] * f[1][:, None] * f[2])[..., None]
 
 
-#: Gaussian-gridding half-width W in fine-grid cells.  At oversampling ratio
-#: R >= 2 the aliasing error exp(-pi W (R-1)/(R-1/2)) <= 1.5e-12 and the
-#: truncation error exp(-pi W (R-1/2)/R) <= 5e-14 (relative to sum_k |c_k|);
-#: measured against the direct sum: <= 4e-13 of max |f_j| on random strengths
-_NUFFT_HALF_WIDTH = 13
-NUFFT_ERR = 1.6e-12  # bound on the sum of both errors above, per unit sum_k |c_k|
+#: exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)) on
+#: |z| <= 1, spanning _ES_WIDTH fine cells, with beta = 2.30 _ES_WIDTH (Barnett, Magland
+#: & af Klinteberg, SIAM J. Sci. Comput. 41, 2019)
+_ES_WIDTH = 15
+_ES_BETA = 2.30 * _ES_WIDTH
+#: 1/(2 pi) = _TURN_HI + _TURN_LO to ~1e-24; _TURN_HI has 24 bits, so its product with a
+#: 26-bit half of a float64 and a power of two is exact
+_TURN_HI = float(np.float32(1.0 / (2.0 * np.pi)))
+_TURN_LO = (1.0 / (2.0 * np.pi) - _TURN_HI) - 9.839338337591243e-18
+#: bound on |nufft1 - direct sum| per unit sum_k |c_k|, for every theta, m and output row
+#: (measured worst case 3.6e-14; see nufft1 and tests/test_field.py::TestNufftBound)
+NUFFT_ERR = 5e-14
+
+
+@functools.cache
+def _es_quadrature() -> tuple:
+    """Gauss-Legendre nodes z on (0, 1) and weights times e^beta phi(z).
+
+    e^beta Phi(xi) = 2 sum_q w_q e^beta phi(z_q) cos(xi z_q); nufft1 spreads with e^beta phi too.
+    """
+    x, w = np.polynomial.legendre.leggauss(2 * (2 + 3 * _ES_WIDTH // 2))
+    z, w = x[x > 0], w[x > 0]
+    return z, w * np.exp(_ES_BETA * np.sqrt(1.0 - z * z))
+
+
+@functools.lru_cache(maxsize=8)  # the output counts of one radial or pol op
+def _es_deconvolution(m: int, mr: int) -> np.ndarray:
+    """2 mr / (w Phi(j alpha)) for j = -(m // 2)..m - 1 - m // 2, alpha = pi w / mr; read-only."""
+    z, wphi = _es_quadrature()
+    j = np.arange(m) - m // 2
+    table = (2.0 * mr / _ES_WIDTH) / (2.0 * (np.cos(np.outer(j * (np.pi * _ES_WIDTH / mr), z)) @ wphi))
+    table.setflags(write=False)
+    return table
+
+
+def _fine_size(m: int) -> int:
+    """nufft1's fine-grid size M_r: the least power of two >= 5m/2 and >= 2 _ES_WIDTH."""
+    return 1 << int(max((5 * m + 1) // 2, 2 * _ES_WIDTH) - 1).bit_length()
 
 
 def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     """Type-1 nonuniform DFT f_j = sum_k c_k e^{i j theta_k}, j = 0..m-1.
 
     theta has shape (K,), strengths (K, d), m >= 1; the result has shape (m, d).
-    Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 2004): the sources are
-    spread with the periodized Gaussian g(t) = sum_l exp(-(t - 2 pi l)^2 / 4 tau)
-    onto a fine grid of M_r >= 2m points (a power of two), one inverse FFT per
-    component gives the Fourier coefficients of the smoothed sum, and dividing
-    by g's coefficients sqrt(tau/pi) exp(-j^2 tau) deconvolves.  The output
-    modes are centered on j_c = m // 2 so the deconvolution never exceeds
-    |j - j_c| <= m/2.  tau = pi W / (m^2 R (R - 1/2)) is set from the actual
-    ratio R = M_r / m (rounding M_r up makes R > 2; a tau sized for R = 2
-    would then truncate the Gaussian early).  theta is reduced to [-pi, pi],
-    which keeps a small negative theta exact; reduced to [0, 2 pi) it would be
-    rounded to ulp(2 pi), which costs ~3e-13 of max |f_j| in sums that cancel
-    between sources at +-theta (a sine at small k x).
+    Each source is spread with the ES kernel phi(x / alpha), alpha = w h / 2,
+    onto the w = 15 cells it covers of a fine grid of M_r >= 5m/2 points (a
+    power of two, cell h = 2 pi / M_r).  One inverse FFT per component gives
+    the Fourier coefficients of the smoothed sum, (alpha / 2 pi) Phi(j alpha) f_j
+    with Phi(xi) = int_{-1}^{1} phi(z) e^{i xi z} dz, and dividing by them
+    deconvolves.  Phi comes from Gauss-Legendre quadrature of phi (24 nodes
+    on (0, 1), computed once; one read-only table per (m, M_r) in a bounded
+    cache).  The output modes are centered on j_c = m // 2, so |j - j_c| <= m/2.
+
+    theta M_r / 2 pi is formed in double-double, as an integer cell plus an
+    offset good to ~1e-16 cells, and the centering phase e^{i j_c theta} from
+    the same pair.  Reducing theta mod 2 pi, rounding j_c theta or dividing by
+    h in float64 would each cost up to ~m pi eps / 2 per unit |c_k| (7e-13 at
+    m = 4097) wherever the sources' phases line up.
+
+    Error model: |f_j - direct| <= NUFFT_ERR sum_k |c_k| in every column.  The
+    error is the kernel's: largest at the band edges |j - j_c| = m/2 and at
+    the smallest oversampling M_r / m.  Against a long-double direct sum, one
+    source swept across a cell reads at most 1.3e-13 at M_r / m = 2, 6.5e-14 at
+    2.2, 3.6e-14 at 2.5 and 1.4e-14 at 3 to 4; hence M_r >= 5m/2, not 2m.
+    Random strengths read ~1e-15 of sum_k |c_k|.
     """
-    theta = np.asarray(theta, dtype=float)
-    theta = theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
     c = np.asarray(strengths, dtype=complex)
-    half = _NUFFT_HALF_WIDTH
-    jc = m // 2
-    mr = 1 << int(max(2 * m, 2 * half) - 1).bit_length()
-    ratio = mr / m
-    tau = np.pi * half / (m * m * ratio * (ratio - 0.5))
-    cell = 2.0 * np.pi / mr
-    c = c * np.exp(1j * jc * theta)[:, None]
-    scaled = theta / cell
-    base = np.floor(scaled).astype(np.intp)
-    offsets = np.arange(1 - half, half + 1)
-    frac = (scaled - base)[:, None] - offsets
-    weights = np.exp(-(cell * cell / (4.0 * tau)) * frac * frac)
-    cells = ((base[:, None] + offsets) & (mr - 1)).ravel()  # mod mr (a power of two)
-    fine = np.empty((mr, c.shape[1]), dtype=complex)
-    for comp in range(c.shape[1]):
-        real = np.bincount(cells, weights=(weights * c[:, comp, None].real).ravel(), minlength=mr)
-        imag = np.bincount(cells, weights=(weights * c[:, comp, None].imag).ravel(), minlength=mr)
-        fine[:, comp] = real + 1j * imag
+    theta = np.asarray(theta, dtype=float)
+    w, jc = _ES_WIDTH, m // 2
+    mr = _fine_size(m)
+    # theta mr / 2 pi = s1 + s2 with s1 exact: theta split into 26-bit halves (Veltkamp)
+    split = theta * 134217729.0
+    hi = split - (split - theta)
+    s1 = hi * (mr * _TURN_HI)
+    s2 = (theta - hi) * (mr * _TURN_HI) + theta * (mr * _TURN_LO)
+    base = np.round(s1)
+    near = (s1 - base) + s2  # position less the integer base, in cells
+    shift = np.ceil(near - 0.5 * w)  # first covered cell, so that w/2 - 1 <= u <= w/2
+    u = near - shift
+    base = (base + shift).astype(np.intp)
+    turn = ((jc * (base & (mr - 1))) & (mr - 1)) + jc * u  # j_c theta mr / 2 pi, mod mr
+    phase = np.exp((2j * np.pi / mr) * turn)
+    c = np.multiply(c.T, phase, out=np.empty((c.shape[1], c.shape[0]), dtype=complex))
+    # rows are the w kernel taps, so every elementwise pass runs along the K sources;
+    # e^beta phi(z) with z = 2 (tap - u) / w, the e^beta going into the deconvolution
+    weights = np.arange(w)[:, None] - u
+    np.multiply(weights, weights, out=weights)
+    np.subtract(0.25 * w * w, weights, out=weights)
+    np.sqrt(weights, out=weights)
+    weights *= 2.0 * _ES_BETA / w
+    np.exp(weights, out=weights)
+    cells = ((base + np.arange(w)[:, None]) & (mr - 1)).ravel()  # mod mr (a power of two)
+    buf = np.empty_like(weights)
+    fine = np.empty((mr, c.shape[0]), dtype=complex)
+    for comp, strength in enumerate(c):
+        np.multiply(weights, strength.real, out=buf)
+        fine[:, comp].real = np.bincount(cells, weights=buf.ravel(), minlength=mr)
+        np.multiply(weights, strength.imag, out=buf)
+        fine[:, comp].imag = np.bincount(cells, weights=buf.ravel(), minlength=mr)
     coef = np.fft.ifft(fine, axis=0)
-    j = np.arange(m) - jc
-    return np.sqrt(np.pi / tau) * np.exp(tau * j * j)[:, None] * coef[j % mr]
+    return _es_deconvolution(m, mr)[:, None] * np.concatenate([coef[mr - jc :], coef[: m - jc]])
 
 
 def sin_cos_sums(k: np.ndarray, x: np.ndarray, sine: np.ndarray, cosine: np.ndarray | None = None):
@@ -404,10 +456,12 @@ def bessel_rows(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray)
     live = np.any((zero != 0) | (one != 0), axis=1)  # zero strengths add nothing
     kl = np.asarray(k, dtype=float)[live]
     z = np.outer(x, kl)
-    small = np.abs(z) < 1e-4
+    small = np.abs(z) < 1e-4  # the series of algebra.sinc below 1e-4, and j_1 ~ z/3
     safe = np.where(small, 1.0, z)
-    j1 = np.where(small, z / 3.0, np.sin(safe) / safe**2 - np.cos(safe) / safe)
-    return sinc(z) @ (kl[:, None] * zero[live]), j1 @ (kl[:, None] ** 2 * one[live])
+    sin, cos = np.sin(safe), np.cos(safe)
+    j0 = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, sin / safe)
+    j1 = np.where(small, z / 3.0, sin / safe**2 - cos / safe)
+    return j0 @ (kl[:, None] * zero[live]), j1 @ (kl[:, None] ** 2 * one[live])
 
 
 def even_step(x: np.ndarray) -> float:

@@ -217,7 +217,7 @@ def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
     ``field.bessel_sums`` with strengths w k s and w v (w the Simpson weights):
     one ``field.nufft1`` call on the evenly spaced outputs, and the direct sum
     at r = 0 and on the rows where the fast sums' quotients may lose accuracy.
-    Measured against the dense sum: <= 1.1e-13 of max |out|.
+    Measured against the dense float64 sum on the test cases: <= 3.0e-13 of max |out|.
     """
     k = state.k
     w = simpson_weights(k.size, state.dk)[:, None]

@@ -297,3 +297,10 @@ class TestMonteCarlo:
         # quadrupling samples roughly halves the standard error
         assert 1.4 <= errs[0] / errs[1] <= 2.9
         assert 1.4 <= errs[1] / errs[2] <= 2.9
+
+
+def test_row_norms_bit_identical_to_linalg_norm():
+    r = np.random.default_rng(29)
+    scaled = r.uniform(-1.0, 1.0, (2000, 3)) * 10.0 ** r.integers(-150, 150, (2000, 1))
+    for a in (r.normal(size=(62_500, 3)), r.random((5, 3)), scaled, np.zeros((3, 3)), np.empty((0, 3))):
+        assert np.array_equal(cg._row_norms(a), np.linalg.norm(a, axis=1))

@@ -122,6 +122,16 @@ class TestFailFast:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["boost", "contract"])
+    def test_window_beyond_fitted_t_eb_exit_2(self, command, tmp_path, capsys):
+        # t_eb is fitted from the seed (about target_t = 1.5), so window = 2 passes CHECKS
+        rc = cli.main([command, "--set", "window=2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'window'" in err and "t_eb" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestArtifacts:
     def test_frontier_run_and_reproducibility(self, tmp_path):

@@ -216,6 +216,57 @@ class TestSinCosSums:
         assert fd.sin_cos_sums(k, x, c)[1].shape == (m, 0)
 
 
+def long_double_sums(theta, c, m):
+    """Oracle: sum_k c_k e^{i j theta_k}, the phases j theta_k and the sums in long double."""
+    th = theta.astype(np.longdouble)
+    cr, ci = c.real.astype(np.longdouble), c.imag.astype(np.longdouble)
+    out = np.empty((m, c.shape[1]), dtype=complex)
+    for start in range(0, m, 256):
+        phase = np.outer(np.arange(start, min(m, start + 256), dtype=np.longdouble), th)
+        cos, sin = np.cos(phase), np.sin(phase)
+        out[start : start + phase.shape[0]] = (cos @ cr - sin @ ci) + 1j * (cos @ ci + sin @ cr)
+    return out
+
+
+def bound_thetas(kind, m, r, count=400):
+    mr = fd._fine_size(m)
+    cell = 2.0 * np.pi / mr
+    if kind == "periods":
+        return r.uniform(-3.0 * np.pi, 9.0 * np.pi, count)
+    if kind == "one_cell":
+        return r.uniform(-np.pi, np.pi) + r.uniform(0.0, cell, count)
+    if kind == "nodes_and_half_cells":
+        nodes = r.integers(-mr // 2, mr // 2, count) * cell
+        return nodes + 0.5 * cell * (np.arange(count) % 2)
+    if kind == "plus_minus_pi":
+        return np.pi * np.where(np.arange(count) % 2, 1.0, -1.0)
+    k = np.linspace(0.0, 2.0, count // 2)  # the sources of sin_cos_sums at +-delta k
+    return np.concatenate([650.0 / m * k, -650.0 / m * k])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="the oracle needs an extended long double")
+class TestNufftBound:
+    """|nufft1 - direct| <= NUFFT_ERR sum_k |c_k| per column, against a long-double direct sum.
+
+    Column 0 holds equal strengths: at j = 0 (a band edge) the errors of sources that share
+    an offset within their fine cell add up instead of averaging out.  m = 1638 sits at the
+    smallest oversampling M_r / m = 2.5, where the kernel's error peaks.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 59, 589, 1179, 1638, 4097])
+    @pytest.mark.parametrize("kind", ["periods", "one_cell", "nodes_and_half_cells", "plus_minus_pi", "pm_delta_k"])
+    def test_error_within_bound(self, kind, m):
+        r = np.random.default_rng(m)
+        theta = bound_thetas(kind, m, r)
+        c = r.normal(size=(theta.size, 12)) + 1j * r.normal(size=(theta.size, 12))
+        c[:, 0] = 1.0
+        want = long_double_sums(theta, c, m)
+        for d in (1, 2, 12):
+            err = np.abs(fd.nufft1(theta, c[:, :d], m) - want[:, :d]).max(axis=0)
+            ratio = err / np.abs(c[:, :d]).sum(axis=0)
+            assert ratio.max() <= fd.NUFFT_ERR, f"{ratio.max():.3g} of sum |c_k| at d = {d}"
+
+
 class TestRadialState:
     def test_norm_against_quadrature(self):
         grid = fd.Grid(3, 64, 7.0 / 64)

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from causalfermion import field as fd
 from causalfermion import weylradial as wr
 from causalfermion.algebra import SIGMA, sinc, weyl_projector
 from causalfermion.errors import NotEvenlySpaced, OriginSingular
@@ -161,7 +162,7 @@ class TestSpectralRouteAgainstDense:
         # the crosscheck's radii: dr/2 off the even grid, then 2048 even steps
         radii = np.linspace(0.0, prof.r_max + abs(t) + 1.0, 2049)
         radii[0] = prof.dr / 2.0
-        # every row up to 128 (the direct rows end by row 82 here), then every 9th and the last
+        # every row up to 128 (the direct rows end by row 12 here), then every 9th and the last
         idx = np.unique(np.r_[0:128, 128 : radii.size : 9, radii.size - 1])
         want = dense_spectral_evolve(t, radii[idx], s_dense, ut_dense)
         for chi in (+1, -1):
@@ -172,6 +173,16 @@ class TestSpectralRouteAgainstDense:
     def test_uneven_radii_raise(self, profile):
         with pytest.raises(NotEvenlySpaced):
             wr.spectral_evolve(profile, +1, 0.5, np.array([profile.dr / 2.0, 0.1, 0.2, 0.5, 0.6]))
+
+    def test_default_crosscheck_takes_few_direct_rows(self, profile, monkeypatch):
+        # bessel_sums sums a row directly where NUFFT_ERR sum |c| / r or / r^2 could pass
+        # 1e-10 of max |out|: 75 rows at the Gaussian kernel's NUFFT_ERR = 1.6e-12
+        rows = []
+        direct = fd.bessel_rows
+        monkeypatch.setattr(fd, "bessel_rows", lambda k, zero, one, x: rows.append(x.size) or direct(k, zero, one, x))
+        for t in (0.0, 0.5, 1.0, 2.0):
+            wr.crosscheck_against_spectral(profile, +1, t)
+        assert len(rows) == 4 and max(rows) <= 16
 
 
 class TestAsymptotics:
