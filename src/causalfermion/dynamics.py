@@ -2,9 +2,10 @@
 
 The grid operator of a system lives here and nowhere else: ``h_apply`` applies
 h(p) (alpha.p + beta m or chi sigma.p; alpha_3 / sigma_3 on the 1D lane along
-e3), ``_energy`` gives eps(p), and ``energy_projector_apply`` applies
-pi^eta(p) = (1 + eta h(p)/eps(p))/2 with h/eps = 0 where eps = 0.  The
-propagators, the boost and the POL projector in ``pol`` are all built on them.
+e3; each matrix a signed component permutation), ``_energy`` gives eps(p),
+and ``energy_projector_apply`` applies pi^eta(p) = (1 + eta h(p)/eps(p))/2
+with h/eps = 0 where eps = 0.  The propagators, the boost and the POL
+projector in ``pol`` are all built on them.
 
 Time evolution is one FFT pair (``SpinorField.to_momentum`` / ``to_position``)
 around the multiplier
@@ -43,26 +44,39 @@ from .errors import GuardViolation, WrongRepresentation
 from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1
 
 
+def _signed_permutation(mat: np.ndarray) -> tuple:
+    """(perm, phase) with mat[i, perm[i]] = phase[i] the one nonzero (+-1 or +-i) of row i."""
+    perm = np.argmax(mat != 0, axis=1)
+    return perm, mat[np.arange(mat.shape[0]), perm]
+
+
+_ALPHA = [_signed_permutation(a) for a in al.ALPHA]
+_BETA = _signed_permutation(al.BETA)
+_SIGMA = [_signed_permutation(s) for s in al.SIGMA]
+
+
 def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     """h(p) vals on the momentum mesh: alpha.p + beta m (Dirac) or chi sigma.p (Weyl).
 
     The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
+    Component i of a term c M vals is (c phase_i) vals[..., perm_i], written from
+    strided component views through one scratch plane: bit for bit the dense
+    product, whose other entries add exact zeros.
     """
     g, s = field.grid, field.system
-    mesh = [pk[..., None] for pk in g.momentum_mesh()]
+    mesh = g.momentum_mesh()
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     if s.kind == "dirac":
-        terms = [(pk, al.ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, al.BETA)]
+        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, _BETA)]
     else:
-        terms = [(s.chi * pk, al.SIGMA[k]) for pk, k in zip(mesh, axes)]
-    (c0, m0), *rest = terms
-    out = vals @ m0.T
-    out *= c0
-    term = None
-    for c, mat in rest:
-        term = np.matmul(vals, mat.T, out=term)  # allocated once, then reused as scratch
-        term *= c
-        out += term
+        terms = [(s.chi * pk, _SIGMA[k]) for pk, k in zip(mesh, axes)]
+    out = np.empty(vals.shape, dtype=complex)
+    plane = np.empty(vals.shape[:-1], dtype=complex)
+    for i in range(vals.shape[-1]):
+        for t, (c, (perm, phase)) in enumerate(terms):
+            np.multiply(vals[..., perm[i]], c * phase[i], out=plane if t else out[..., i])
+            if t:
+                out[..., i] += plane
     return out
 
 

@@ -33,7 +33,9 @@ from .errors import (
 )
 
 #: fraction of total probability allowed to leak outside causal bounds for
-#: smooth compact states with >= 16 samples across the bump (measured budget)
+#: smooth compact states with >= 84 samples across the bump, 2 width / dx (measured:
+#: at most 7.6e-9 from 84 samples up for Dirac and both Weyl chiralities; below, the
+#: leak oscillates with the sampling and reaches 1.1e-8 at 82.1 samples)
 EPS_LEAK = 1e-8
 
 _SUPPORT_RTOL = 1e-13  # relative amplitude below which a sample counts as zero
@@ -416,10 +418,20 @@ def sin_cos_sums(k: np.ndarray, x: np.ndarray, sine: np.ndarray, cosine: np.ndar
     """
     x = np.asarray(x, dtype=float)
     delta = even_step(x)
-    d = sine.shape[1]
-    cosine = sine[:, :0] if cosine is None else 1j * cosine
+    kn, d = sine.shape
     phase = np.exp(1j * k * x[0])[:, None]
-    strengths = np.vstack([phase * np.hstack([sine, cosine]), phase.conj() * np.hstack([-sine, cosine])])
+    # the four phase * (+-sine, i cosine) blocks, written once into nufft1's source
+    # rows; column-major, so that nufft1's per-component pass reads contiguous columns
+    cols = d if cosine is None else d + cosine.shape[1]
+    strengths = np.empty((cols, 2 * kn), dtype=complex).T
+    top, bottom = strengths[:kn], strengths[kn:]
+    top[:, :d] = sine
+    np.negative(sine, out=bottom[:, :d])
+    if cosine is not None:
+        np.multiply(1j, cosine, out=top[:, d:])
+        bottom[:, d:] = top[:, d:]
+    np.multiply(phase, top, out=top)
+    np.multiply(phase.conj(), bottom, out=bottom)
     sums = nufft1(np.concatenate([delta * k, -delta * k]), strengths, x.size) / 2j
     return sums[:, :d], sums[:, d:]
 

@@ -2,8 +2,9 @@
 
 Everything diagonal in momentum (pi^+, dilations, H) is applied there; E(Delta)
 routes through an FFT pair.  On grids, pi^eta(p) is the shared momentum-space
-operator ``dynamics.energy_projector_apply`` (h(p), eps(p) and the eps = 0 rule
-are defined there only).  Two engines coexist:
+operator ``dynamics.energy_projector_apply`` (h(p), applied as signed component
+permutations, eps(p) and the eps = 0 rule are defined there only).  Two engines
+coexist:
 
   * 3D grid fields for generic states and measurement cascades;
   * a radial reduction for the point-localization sequences, whose momentum
@@ -49,11 +50,14 @@ def positive_energy_project(field: SpinorField, eta: int = +1) -> SpinorField:
 
 
 def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> SpinorField:
-    """T(Delta) phi = P+ E(Delta) phi for a positive-energy momentum-rep state."""
+    """T(Delta) phi = P+ E(Delta) phi for a positive-energy momentum-rep state.
+
+    The positivity check ||phi - P+ phi|| <= tol max(||phi||, 1) costs one
+    projection; tol = inf skips it.
+    """
     if field.rep != "momentum":
         raise ValueError("pol_apply acts in momentum representation")
-    proj = positive_energy_project(field)
-    if (field - proj).norm() > tol * max(field.norm(), 1.0):
+    if np.isfinite(tol) and (field - positive_energy_project(field)).norm() > tol * max(field.norm(), 1.0):
         raise NotPositiveEnergy("state is not in the positive-energy subspace")
     masked = field.to_position().apply_mask(mask).to_momentum()
     return positive_energy_project(masked)
@@ -77,7 +81,8 @@ def random_positive_state(
     return positive_energy_project(phi).normalized()
 
 
-#: deepest measurement cascade whose accumulated roundoff stays negligible
+#: deepest measurement cascade whose accumulated roundoff stays negligible: the
+#: chain applies T(Delta) depth times, each step adding ~ one FFT roundoff
 MAX_CASCADE_DEPTH = 12
 
 
@@ -94,40 +99,48 @@ class CascadeStats:
     sigma2_bar_prime: float  # ||(I-P) E(Delta') phi1||^2
 
 
-def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_CASCADE_DEPTH) -> CascadeStats:
-    """Iterated T(Delta) moments up to gamma_{2 depth - 1}.
+def _pair_probabilities(pos: SpinorField, mask: RegionMask):
+    """(T phi, ||T phi||^2, ||(I-P) E phi||^2) for E = E(mask), from phi in position representation."""
+    e_phi = pos.apply_mask(mask).to_momentum()
+    t_phi = positive_energy_project(e_phi)
+    return t_phi, t_phi.norm_sq(), (e_phi - t_phi).norm_sq()
 
-    Each of the 2 depth - 1 projector steps adds ~ one FFT roundoff to the chain,
-    so depths above MAX_CASCADE_DEPTH raise ValueError instead of being cut.
+
+def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_CASCADE_DEPTH) -> CascadeStats:
+    """Iterated T(Delta) moments up to gamma_{2 depth - 1}, and the pair probabilities.
+
+    T = P+ E(Delta) P+ is self-adjoint on the positive-energy space, so
+    gamma_2j = ||T^j phi||^2 and gamma_2j+1 = Re <T^j phi, T^{j+1} phi>: the
+    chain takes depth applications of T, not 2 depth - 1.  phi goes to position
+    once; E(Delta) phi and E(Delta') phi are both masked from that array and
+    projected once each, giving T phi, T' phi and the four sigma^2 values.
+    Each chain step adds ~ one FFT roundoff, so depths above
+    MAX_CASCADE_DEPTH raise ValueError instead of being cut.
     """
     if field.rep != "momentum":
         raise ValueError("measurement_cascade acts in momentum representation")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
-    chain = field.copy()
-    gamma = [1.0]
-    for _ in range(2 * depth - 1):
-        chain = pol_apply(chain, mask, tol=np.inf)
-        gamma.append(float(np.real(field.inner(chain))))
+    pos = field.to_position()
+    _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask)
+    cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask)  # cur = T phi
+    del pos  # the chain holds two states
+    gamma = [1.0, float(np.real(field.inner(cur)))]
+    for _ in range(depth - 1):
+        nxt = pol_apply(cur, mask, tol=np.inf)
+        gamma += [cur.norm_sq(), float(np.real(cur.inner(nxt)))]
+        cur = nxt
     gamma = np.array(gamma)
     if gamma[1] <= 0.0:
         raise DegenerateState("T(Delta) phi1 = 0")
-    omega = gamma[1::2] / gamma[0:-1:2]
-    sigma = gamma[0:-1:2]
-    t_phi = pol_apply(field, mask, tol=np.inf)
-    t_phi_c = pol_apply(field, ~mask, tol=np.inf)
-    e_phi = field.to_position().apply_mask(mask).to_momentum()
-    e_phi_c = field.to_position().apply_mask(~mask).to_momentum()
-    neg = e_phi - positive_energy_project(e_phi)
-    neg_c = e_phi_c - positive_energy_project(e_phi_c)
     return CascadeStats(
         gamma=gamma,
-        omega=omega,
-        sigma=sigma,
-        sigma2=t_phi.norm_sq(),
-        sigma2_prime=t_phi_c.norm_sq(),
-        sigma2_bar=neg.norm_sq(),
-        sigma2_bar_prime=neg_c.norm_sq(),
+        omega=gamma[1::2] / gamma[0:-1:2],
+        sigma=gamma[0:-1:2],
+        sigma2=sigma2,
+        sigma2_prime=sigma2_prime,
+        sigma2_bar=sigma2_bar,
+        sigma2_bar_prime=sigma2_bar_prime,
     )
 
 

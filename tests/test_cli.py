@@ -189,6 +189,16 @@ class TestArtifacts:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "evolve.csv").exists()
 
+    @pytest.mark.parametrize("system", [["system=dirac"], ["system=weyl", "chi=1"], ["system=weyl", "chi=-1"]],
+                             ids=["dirac", "weyl+", "weyl-"])
+    @pytest.mark.parametrize("center", [0.0, 1.0 / 64.0], ids=["on-node", "half-cell"])
+    def test_evolve_leak_budget_at_minimum_sampling(self, system, center, tmp_path):
+        # EPS_LEAK holds from 84 samples across the bump (2 width / dx >= 84): dx = 16/512,
+        # width = 84 dx / 2; evolve exits 1 ("causal leak above budget") if any time leaks more
+        sets = ["n=512", "length=16.0", "bump_width=1.3125", f"bump_center={center}", *system]
+        rc = cli.main(["evolve", "--out", str(tmp_path), *[a for kv in sets for a in ("--set", kv)]])
+        assert rc == cli.EXIT_OK
+
     def test_cascade_run(self, tmp_path):
         rc = cli.main(
             [

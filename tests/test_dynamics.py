@@ -310,6 +310,46 @@ class TestMomentumOperator:
             assert np.array_equal(minus[origin], 0.5 * phi.values[origin])
 
 
+def dense_h_apply(field, vals):
+    """Oracle: h(p) vals as a sum of dense (..., d) @ (d, d) products, one per term."""
+    g, s = field.grid, field.system
+    mesh = [pk[..., None] for pk in g.momentum_mesh()]
+    axes = (2,) if g.dim == 1 else (0, 1, 2)
+    if s.kind == "dirac":
+        terms = [(pk, al.ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, al.BETA)]
+    else:
+        terms = [(s.chi * pk, al.SIGMA[k]) for pk, k in zip(mesh, axes)]
+    (c0, m0), *rest = terms
+    out = vals @ m0.T
+    out *= c0
+    for c, mat in rest:
+        term = vals @ mat.T
+        term *= c
+        out += term
+    return out
+
+
+class TestSignedPermutationKernel:
+    SYSTEMS = [al.Dirac(0.0), al.Dirac(1.3), al.Weyl(+1), al.Weyl(-1)]
+    IDS = ["dirac0", "dirac1.3", "weyl+", "weyl-"]
+
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 256, 0.1), fd.Grid(3, 16, 0.4)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
+    def test_bitwise_equal_to_dense_product(self, grid, system):
+        phi = TestMomentumOperator.random_momentum_field(grid, system, 17)
+        got = dyn.h_apply(phi, phi.values)
+        want = dense_h_apply(phi, phi.values)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(float), want.view(float))
+
+    def test_matrices_are_signed_permutations(self):
+        # the kernel's assumption: one nonzero, +-1 or +-i, per row
+        for mat in [*al.ALPHA, al.BETA, *al.SIGMA]:
+            nonzero = mat != 0
+            assert np.all(nonzero.sum(axis=1) == 1)
+            assert np.all(np.isin(mat[nonzero], (1, -1, 1j, -1j)))
+
+
 def _dft_kernels(g):
     """Per-axis e^{-i p x} on the grid's own axes, and the momenta p."""
     p = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)

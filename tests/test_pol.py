@@ -356,6 +356,78 @@ class TestGridEngine:
         assert abs(t_val - direct) <= 1e-12
 
 
+def chain_cascade(field, mask, depth):
+    """Oracle: the direct chain, 2 depth - 1 pol_apply steps with gamma_k = <phi, T^k phi>,
+    and sigma^2, sigma'^2 from separate pol_apply calls; no use of T's self-adjointness."""
+    chain = field.copy()
+    gamma = [1.0]
+    for _ in range(2 * depth - 1):
+        chain = pol.pol_apply(chain, mask, tol=np.inf)
+        gamma.append(float(np.real(field.inner(chain))))
+    gamma = np.array(gamma)
+    bars = []
+    for region in (mask, ~mask):
+        e_phi = field.to_position().apply_mask(region).to_momentum()
+        bars.append((e_phi - pol.positive_energy_project(e_phi)).norm_sq())
+    return {
+        "gamma": gamma,
+        "omega": gamma[1::2] / gamma[0:-1:2],
+        "sigma": gamma[0:-1:2],
+        "sigma2": pol.pol_apply(field, mask, tol=np.inf).norm_sq(),
+        "sigma2_prime": pol.pol_apply(field, ~mask, tol=np.inf).norm_sq(),
+        "sigma2_bar": bars[0],
+        "sigma2_bar_prime": bars[1],
+    }
+
+
+@pytest.fixture(scope="module")
+def grid16():
+    return fd.Grid(3, 16, 8.0 / 16)
+
+
+def _region(grid, name):
+    if name == "ball":
+        return fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.0)
+    return fd.RegionMask.half_space(grid, 0.0)
+
+
+class TestCascadeOracle:
+    @pytest.mark.parametrize("region", ["ball", "half_space"])
+    @pytest.mark.parametrize("depth", [1, 2, 8, 12])
+    def test_matches_chain_oracle(self, grid16, region, depth):
+        phi = pol.random_positive_state(grid16, al.Dirac(1.0), seed=3)
+        mask = _region(grid16, region)
+        stats = pol.measurement_cascade(phi, mask, depth=depth)
+        want = chain_cascade(phi, mask, depth)
+        for name, ref in want.items():
+            got = getattr(stats, name)
+            assert np.shape(got) == np.shape(ref), name
+            assert np.all(np.abs(np.asarray(got) - ref) <= 1e-13 * np.abs(ref)), name
+
+    @pytest.mark.parametrize("depth", [1, 2, 8, 12])
+    def test_work_per_cascade(self, grid16, depth, monkeypatch):
+        # one cascade: phi to position once, E(Delta) and E(Delta') phi to momentum and
+        # projected once each, then depth - 1 chain steps of one FFT pair and one projection
+        phi = pol.random_positive_state(grid16, al.Dirac(1.0), seed=3)
+        mask = _region(grid16, "ball")
+        calls = {}
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((fd.SpinorField, "to_position"), (fd.SpinorField, "to_momentum"),
+                            (pol, "positive_energy_project")):
+            counting(owner, name)
+        pol.measurement_cascade(phi, mask, depth=depth)
+        assert calls == {"to_position": depth, "to_momentum": depth + 1, "positive_energy_project": depth + 1}
+
+
 class TestCascade:
     def test_full_space_trivial(self, grid3, phi3):
         stats = pol.measurement_cascade(phi3, fd.RegionMask.full(grid3), depth=3)
