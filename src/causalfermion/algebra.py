@@ -5,9 +5,8 @@ Conventions (natural units, c = hbar = 1):
   * Weyl representation of the Dirac matrices:
         beta = [[0, I2], [I2, 0]],  alpha_k = [[sigma_k, 0], [0, -sigma_k]].
   * Minkowski product a.b = a0 b0 - a1 b1 - a2 b2 - a3 b3 on length-4 arrays.
-  * A boost with rapidity rho along the unit vector e is represented in
-    SL(2,C) by A = exp(rho/2 * sum_k e_k sigma_k); along e3 this is
-    A_rho = diag(exp(rho/2), exp(-rho/2)).
+  * A boost with rapidity rho along e3 is represented in SL(2,C) by
+    A_rho = exp(rho/2 sigma_3) = diag(exp(rho/2), exp(-rho/2)).
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-14
 UNITARY_TOL = 1e-12
+#: |p.p| allowed for a lightlike p, relative to the Euclidean p . p
+LIGHTLIKE_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -46,8 +47,8 @@ ALPHA = np.array(
 GAMMA5 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -142,16 +143,13 @@ def helicity_cross_section(p) -> np.ndarray:
     return np.array([[a_plus, -np.conj(b) * a_minus], [b * a_minus, a_plus]], dtype=complex)
 
 
-def boost_matrix(rho: float, e=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """A_{rho e} = exp(rho/2 sum_k e_k sigma_k) for a unit 3-vector e.
+def boost_matrix(rho: float) -> np.ndarray:
+    """A_rho = exp(rho/2 sigma_3) = diag(e^{rho/2}, e^{-rho/2}), the boost along e3.
 
-    Built as e^{rho/2} P_+ + e^{-rho/2} P_- with P_+- = (I +- e.sigma)/2, which
-    is exactly diag(e^{rho/2}, e^{-rho/2}) for e3: det A = 1 to rounding at any
-    rho, where cosh^2 - sinh^2 of rho/2 cancels away 1e-12 by rho = 10.
+    Built from the two exponentials, so det A = 1 to rounding at any rho
+    (cosh^2 - sinh^2 of rho/2 would cancel away 1e-12 by rho = 10).
     """
-    e = np.asarray(e, dtype=float)
-    n = np.einsum("k,kij->ij", e, SIGMA)
-    return np.exp(rho / 2.0) * (0.5 * (I2 + n)) + np.exp(-rho / 2.0) * (0.5 * (I2 - n))
+    return np.diag([np.exp(rho / 2.0), np.exp(-rho / 2.0)]).astype(complex)
 
 
 def lorentz_action(a: np.ndarray, k) -> np.ndarray:
@@ -166,7 +164,7 @@ def lorentz_action(a: np.ndarray, k) -> np.ndarray:
     return out
 
 
-def polar_decompose_sl2(a: np.ndarray, tol: float = UNITARY_TOL):
+def polar_decompose_sl2(a: np.ndarray):
     """Split A in SL(2,C) as B' A_rho B with B', B in SU(2) and A_rho = diag(e^{rho/2}, e^{-rho/2}).
 
     Obtained from the eigen-decomposition of A^* A; rho = 2 log of the larger
@@ -180,13 +178,12 @@ def polar_decompose_sl2(a: np.ndarray, tol: float = UNITARY_TOL):
     w = w[::-1]
     v = v[:, ::-1]
     rho = float(np.log(w[0]))  # w[0] = e^{rho}, the square of the larger singular value
-    if abs(rho) <= tol:
+    if abs(rho) <= UNITARY_TOL:
         return a.copy(), 0.0, I2.copy()
     det = np.linalg.det(v)
     v = v @ np.diag([1.0, 1.0 / det])
     b = v.conj().T
-    a_rho = np.diag([np.exp(rho / 2.0), np.exp(-rho / 2.0)]).astype(complex)
-    b_prime = a @ np.linalg.inv(a_rho @ b)
+    b_prime = a @ np.linalg.inv(boost_matrix(rho) @ b)
     return b_prime, rho, b
 
 
@@ -210,14 +207,14 @@ def wigner_rotation_massive(p, m: float, eta: int, rho: float) -> np.ndarray:
     return np.array([[diag, off], [-np.conj(off), diag]], dtype=complex) / np.sqrt(norm)
 
 
-def wigner_rotation_massless(p4, a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def wigner_rotation_massless(p4, a: np.ndarray) -> np.ndarray:
     """R0(p, A) = B' B(B'^{-1}.p) B(B.q)^{-1} B for lightlike p, A = B' A_rho B.
 
     q = A^{-1}.p; R0 is in SU(2), dilation invariant in p, and satisfies the
     cocycle R0(p, A) R0(q, A') = R0(p, A A').  For A in SU(2), R0 = A.
     """
     p4 = np.asarray(p4, dtype=float)
-    if np.linalg.norm(p4[1:]) == 0.0 or abs(minkowski_square(p4)) > tol * float(np.dot(p4, p4)):
+    if np.linalg.norm(p4[1:]) == 0.0 or abs(minkowski_square(p4)) > LIGHTLIKE_TOL * float(np.dot(p4, p4)):
         raise NotLightlike(f"p.p = {minkowski_square(p4)} for p = {p4}")
     b_prime, rho, b = polar_decompose_sl2(np.asarray(a, dtype=complex))
     if rho == 0.0:

@@ -316,18 +316,19 @@ def influence_cylinder(c: float, a: float, b: float, rho: float):
     }
 
 
-def in_boosted_ball_influence(x, center, radius: float, rho: float, n_scan: int = 400) -> bool:
+def in_boosted_ball_influence(x, center, radius: float, rho: float) -> bool:
     """Whether x lies in the influence region of the boosted ball (center, radius).
 
     The influence is the union over ball points y of balls around
     (y1, y2, cosh(rho) y3) with radius |sinh(rho) y3|; minimized by a scan over
-    the ball cross-section through x (rotational symmetry around e3 offsets).
+    the ball cross-section through x (400 heights times 40 transverse offsets;
+    rotational symmetry around e3).
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(center, dtype=float)
     ch, sh = np.cosh(rho), np.sinh(rho)
     best = INF
-    for y3 in np.linspace(c[2] - radius, c[2] + radius, n_scan):
+    for y3 in np.linspace(c[2] - radius, c[2] + radius, 400):
         s = np.sqrt(max(radius**2 - (y3 - c[2]) ** 2, 0.0))
         # transverse offset along the direction of x_perp reaches the boundary circle
         xp = x[:2] - c[:2]

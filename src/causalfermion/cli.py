@@ -110,22 +110,29 @@ SCHEMAS = {
 #: keys whose absence is a config error (stochastic experiments need a seed)
 REQUIRED = {"cascade": ("seed",), "lines": ("seed",)}
 
+_POSITIVE = (lambda v, _: 0 < v < np.inf, "finite and > 0")
+# Simpson's rule on nodes + 1 points needs an even node count
+_EVEN_NODES = (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2")
+_FINITE_LIST = (lambda v, _: len(v) > 0 and all(-np.inf < x < np.inf for x in v), "a non-empty list of finite numbers")
+
 #: value checks applied to every command that has the key: (test(value, cfg), what it must be)
 CHECKS = {
     "n": (lambda v, _: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
     "system": (lambda v, _: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
+    "chi": (lambda v, _: v in (-1, 1), "-1 or 1"),
     "depth": (lambda v, _: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}"),
-    # Simpson's rule on nodes + 1 points needs an even node count
-    "nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
-    "k_nodes": (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2"),
-    "bump_width": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    "nodes": _EVEN_NODES,
+    "k_nodes": _EVEN_NODES,
     "mass": (lambda v, _: 0 <= v < np.inf, "finite and >= 0"),
-    "length": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
-    "r_max": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
-    "ball_radius": (lambda v, _: 0 < v < np.inf, "finite and > 0"),
+    **{key: _POSITIVE for key in ("bump_width", "length", "r_max", "ball_radius", "delta", "width", "target_t")},
     # fit_tent needs at least five samples of the frontier profile
     "n_times": (lambda v, _: v >= 5, ">= 5"),
     "window": (lambda v, _: v > 0, "> 0"),
+    # support_edge takes a mass-fraction tolerance in (0, 1e-2] only
+    "edge_tau": (lambda v, _: 0 < v <= 1e-2, "in (0, 1e-2]"),
+    "times": _FINITE_LIST,
+    "rhos": _FINITE_LIST,
+    "ns": (lambda v, _: len(v) > 0 and all(1 <= x < np.inf for x in v), "a non-empty list of finite numbers >= 1"),
     # energy_growth divides by the shell's weight, so a node k > 0 must lie in the shell
     "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
                  "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),

@@ -118,7 +118,7 @@ def evolution_multiplier_apply(field: SpinorField, t: float) -> np.ndarray:
     return out
 
 
-def check_guard(field: SpinorField, horizon: float, axis: int = -1) -> None:
+def check_guard(field: SpinorField, horizon: float) -> None:
     """Raise unless supp(psi) fattened by |horizon| stays inside the grid.
 
     Support is resolved at the documented leak budget: wrapping less than
@@ -245,11 +245,11 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
     return replace(field, values=vals)
 
 
-def newton_wigner_leak(field: SpinorField, t: float, eta: int = +1):
-    """(causal leak, Newton-Wigner leak) outside the light cone of supp at time t."""
+def newton_wigner_leak(field: SpinorField, t: float):
+    """(causal leak, positive-energy Newton-Wigner leak) outside the light cone of supp at time t."""
     g = field.grid
     lo, hi = field.support_bounds()
     cone = RegionMask.strip(g, lo - abs(t), hi + abs(t))
     causal = evolve_causal(field, t)
-    foil = evolve_newton_wigner(field, t, eta)
+    foil = evolve_newton_wigner(field, t)
     return causal.probability(~cone), foil.probability(~cone)

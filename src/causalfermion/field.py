@@ -130,21 +130,22 @@ class RegionMask:
         return RegionMask(grid, np.zeros((grid.n,) * grid.dim, dtype=bool))
 
     @staticmethod
-    def half_space(grid: Grid, alpha: float, e: int = +1, axis: int = -1) -> "RegionMask":
+    def half_space(grid: Grid, alpha: float, e: int = +1) -> "RegionMask":
         """{x : x e <= alpha} with e = +-1 along the last axis (e3 in 3D)."""
-        ax = (grid.dim - 1) if axis == -1 else axis
+        ax = grid.dim - 1
         x = grid.axis(ax)
         # {x e <= alpha} is {x <= alpha} for e = +1 and {x >= -alpha} for e = -1
         b = grid.snap_boundary(alpha if e > 0 else -alpha, ax)
         line = (x <= b) if e > 0 else (x >= b)
-        return RegionMask(grid, _broadcast_line(grid, line, ax))
+        return RegionMask(grid, _broadcast_line(grid, line))
 
     @staticmethod
-    def strip(grid: Grid, lo: float, hi: float, axis: int = -1) -> "RegionMask":
-        ax = (grid.dim - 1) if axis == -1 else axis
+    def strip(grid: Grid, lo: float, hi: float) -> "RegionMask":
+        """{x : lo <= x <= hi} along the last axis (e3 in 3D)."""
+        ax = grid.dim - 1
         x = grid.axis(ax)
         line = (x >= grid.snap_boundary(lo, ax)) & (x <= grid.snap_boundary(hi, ax))
-        return RegionMask(grid, _broadcast_line(grid, line, ax))
+        return RegionMask(grid, _broadcast_line(grid, line))
 
     @staticmethod
     def ball(grid: Grid, center, radius: float) -> "RegionMask":
@@ -154,12 +155,9 @@ class RegionMask:
         return RegionMask(grid, r2 <= radius**2)
 
 
-def _broadcast_line(grid: Grid, line: np.ndarray, ax: int) -> np.ndarray:
-    if grid.dim == 1:
-        return line.copy()
-    shape = [1, 1, 1]
-    shape[ax] = grid.n
-    return np.broadcast_to(line.reshape(shape), (grid.n,) * 3).copy()
+def _broadcast_line(grid: Grid, line: np.ndarray) -> np.ndarray:
+    """A mask of the last axis, repeated over the others."""
+    return np.broadcast_to(line, (grid.n,) * grid.dim).copy()
 
 
 @dataclass
@@ -485,14 +483,13 @@ def even_step(x: np.ndarray) -> float:
     return float(delta)
 
 
-def translate(field: SpinorField, shift: float, axis: int = -1) -> SpinorField:
-    """Spatial translation W(shift * e) by a whole number of cells (exact roll)."""
+def translate(field: SpinorField, shift: float) -> SpinorField:
+    """Spatial translation W(shift * e3) by a whole number of cells (exact roll)."""
     if field.rep != "position":
         raise WrongRepresentation("translate acts in position representation")
     g = field.grid
-    ax = (g.dim - 1) if axis == -1 else axis
     cells = int(round(shift / g.dx))
-    return replace(field, values=np.roll(field.values, cells, axis=ax))
+    return replace(field, values=np.roll(field.values, cells, axis=g.dim - 1))
 
 
 def make_bump(
@@ -544,11 +541,11 @@ def make_radial_state(g_of_r, chi: int, grid: Grid) -> SpinorField:
     return SpinorField(grid, Weyl(chi), "position", vals)
 
 
-def band_edge(field: SpinorField, rtol: float = 1e-6) -> float:
-    """Largest |p| carrying relative amplitude above rtol (momentum support edge)."""
+def band_edge(field: SpinorField) -> float:
+    """Largest |p| carrying amplitude above 1e-6 of the peak (momentum support edge)."""
     phi = field if field.rep == "momentum" else field.to_momentum()
     amp = np.sqrt(site_density(phi.values))
-    big = amp > rtol * float(amp.max())
+    big = amp > 1e-6 * float(amp.max())
     return float(field.grid.abs_p()[big].max()) if np.any(big) else 0.0
 
 

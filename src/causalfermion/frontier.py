@@ -28,6 +28,12 @@ from .field import RegionMask, SpinorField, site_density, translate
 
 DEFAULT_EDGE_TOL = 1e-6
 
+#: the soft lower edge: raised-cosine ramp width (length units), ramp/polish
+#: cycles, and projection rounds per polish
+_RAMP_WIDTH = 0.082
+_SOFTEN_CYCLES = 4
+_POLISH_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class TentFit:
@@ -129,13 +135,13 @@ def fit_both_edges(
     return plus, minus
 
 
-def fit_times(field: SpinorField, n: int = 17) -> np.ndarray:
-    """Symmetric time grid spanning both tent slopes within the grid's guard margin."""
+def fit_times(field: SpinorField) -> np.ndarray:
+    """Symmetric 17-point time grid spanning both tent slopes within the grid's guard margin."""
     lo, hi = field.support_bounds()
     g = field.grid
     margin = min(lo - g.axis(0)[0], g.axis(0)[-1] - hi)
     horizon = min(2.0 * (hi - lo), 0.95 * margin)
-    return np.linspace(-horizon, horizon, n)
+    return np.linspace(-horizon, horizon, 17)
 
 
 def construct_prescribed_tent(
@@ -144,7 +150,6 @@ def construct_prescribed_tent(
     delta: float,
     case: str,
     dates1=None,
-    edge_tau: float = DEFAULT_EDGE_TOL,
 ):
     """Superpose psi1 with its time-shifted, space-shifted copy.
 
@@ -157,39 +162,29 @@ def construct_prescribed_tent(
 
     dates1 may pass precomputed (t_e1, t_eb1); otherwise they are fitted.
     """
+    d = delta
+    # (condition, its text, shift of t_e, shift of t_eb) per case
     if case == "i":
-        if abs(tau_shift) > delta:
-            raise CaseMismatch("case (i) needs |tau| <= delta")
+        holds, need, moves = abs(tau_shift) <= d, "|tau| <= delta", (0.0, -tau_shift)
     elif case == "ii":
-        if not tau_shift > delta:
-            raise CaseMismatch("case (ii) needs tau > delta")
+        holds, need, moves = tau_shift > d, "tau > delta", ((d - tau_shift) / 2.0, -(tau_shift + d) / 2.0)
     elif case == "iii":
-        if not -tau_shift > delta:
-            raise CaseMismatch("case (iii) needs -tau > delta")
+        holds, need, moves = -tau_shift > d, "-tau > delta", (-(tau_shift + d) / 2.0, (d - tau_shift) / 2.0)
     else:
         raise CaseMismatch(f"unknown case {case!r}")
+    if not holds:
+        raise CaseMismatch(f"case ({case}) needs {need}")
     if dates1 is None:
-        fp, fm = fit_both_edges(psi1, fit_times(psi1), tau=edge_tau)
-        t_e1, t_eb1 = fp.t_e, fm.t_e
-    else:
-        t_e1, t_eb1 = dates1
+        fp, fm = fit_both_edges(psi1, fit_times(psi1))
+        dates1 = fp.t_e, fm.t_e
     shifted = translate(evolve_causal(psi1, tau_shift), delta)
-    psi = (psi1 + shifted).normalized()
-    d = delta
-    if case == "i":
-        t_e, t_eb = t_e1, t_eb1 - tau_shift
-    elif case == "ii":
-        t_e, t_eb = t_e1 + (d - tau_shift) / 2.0, t_eb1 - (tau_shift + d) / 2.0
-    else:
-        t_e, t_eb = t_e1 - (tau_shift + d) / 2.0, t_eb1 + (d - tau_shift) / 2.0
-    return psi, t_e, t_eb
+    return (psi1 + shifted).normalized(), dates1[0] + moves[0], dates1[1] + moves[1]
 
 
 def make_seed_with_dates(
     psi: SpinorField,
     target_t: float,
     sign: int = +1,
-    edge_tau: float = DEFAULT_EDGE_TOL,
 ):
     """Compact state with t_e = t_eb = sign*target_t > 0 from a tent-zero seed.
 
@@ -197,13 +192,13 @@ def make_seed_with_dates(
     with tau = t_eb - t_e, delta = |tau|, then a time shift), then evolve by
     -sign*target_t so both change times move to sign*target_t.
     """
-    fp, fm = fit_both_edges(psi, fit_times(psi), tau=edge_tau)
+    fp, fm = fit_both_edges(psi, fit_times(psi))
     tau = fm.t_e - fp.t_e
     if abs(tau) < psi.grid.dx:
         balanced, t_e = psi, fp.t_e
     else:
         balanced, t_e, _ = construct_prescribed_tent(
-            psi, tau, abs(tau), "i", dates1=(fp.t_e, fm.t_e), edge_tau=edge_tau
+            psi, tau, abs(tau), "i", dates1=(fp.t_e, fm.t_e)
         )
     # time translation moves both change times from t_e to 0, then to sign*target_t
     return evolve_causal(balanced, t_e - sign * target_t)
@@ -213,7 +208,6 @@ def make_late_change_state(
     eta: SpinorField,
     delta: float,
     sign: int = +1,
-    edge_tau: float = DEFAULT_EDGE_TOL,
     dates=None,
 ):
     """Truncate a seed with positive t_eb to its top window of width delta.
@@ -225,7 +219,7 @@ def make_late_change_state(
     """
     g = eta.grid
     if dates is None:
-        _, fm = fit_both_edges(eta, fit_times(eta), tau=edge_tau)
+        _, fm = fit_both_edges(eta, fit_times(eta))
         t_eb = fm.t_e
     else:
         t_eb = dates if np.isscalar(dates) else dates[1]
@@ -233,7 +227,7 @@ def make_late_change_state(
         raise NoLateChangeSeed(f"fitted t_eb = {t_eb:.4g} <= dx")
     if not 0.0 < delta < t_eb:
         raise NoLateChangeSeed(f"delta must lie in (0, t_eb = {t_eb:.4g})")
-    top = -support_edge(eta, e=-1, tau=edge_tau)
+    top = -support_edge(eta, e=-1)
     window = RegionMask.strip(g, top - delta, top)
     psi = eta.apply_mask(window).normalized()
     if sign < 0:
@@ -241,9 +235,9 @@ def make_late_change_state(
     return psi
 
 
-def recenter_lower_edge(field: SpinorField, edge_tau: float = DEFAULT_EDGE_TOL) -> SpinorField:
+def recenter_lower_edge(field: SpinorField) -> SpinorField:
     """Translate so e(psi) = 0 (cell-exact roll)."""
-    return translate(field, -support_edge(field, e=+1, tau=edge_tau))
+    return translate(field, -support_edge(field, e=+1))
 
 
 def project_late_change(field: SpinorField, alpha: float, sign: int = +1) -> SpinorField:
@@ -261,48 +255,36 @@ def project_late_change(field: SpinorField, alpha: float, sign: int = +1) -> Spi
     return evolve_causal(out, sign * alpha)
 
 
-def late_change_polish(
-    field: SpinorField,
-    alpha: float,
-    sign: int = +1,
-    rounds: int = 4,
-) -> SpinorField:
+def late_change_polish(field: SpinorField, alpha: float) -> SpinorField:
     """Alternate the late-change projection with the {0 <= x <= 2 alpha} mask.
 
-    `sign` is the late-change sign of the state (sign of t_eb); the underlying
-    projection runs with the opposite parameter.  Repeated application
-    converges onto the grid subspace whose states contract under sign-boosts.
+    For a state with positive t_eb: the underlying projection runs with
+    parameter -1.  Repeated application (_POLISH_ROUNDS rounds) converges onto
+    the grid subspace whose states contract under positive boosts.
     """
     g = field.grid
     strip = RegionMask.strip(g, 0.0, 2.0 * alpha)
     out = field
-    for _ in range(rounds):
-        out = project_late_change(out.apply_mask(strip), alpha, -sign).normalized()
+    for _ in range(_POLISH_ROUNDS):
+        out = project_late_change(out.apply_mask(strip), alpha, -1).normalized()
     return out.apply_mask(strip).normalized()
 
 
-def soften_lower_edge(
-    field: SpinorField,
-    alpha: float,
-    sign: int = +1,
-    ramp_width: float = 0.082,
-    cycles: int = 4,
-    rounds: int = 3,
-) -> SpinorField:
+def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     """Alternate a smooth lower-edge ramp with the late-change polish.
 
     The mask construction leaves an O(1) density step at the lower edge, which
     any band-limited evaluation smears over a cell.  Cycling a raised-cosine
-    ramp (ramp_width in length units) with the subspace polish converges to a
+    ramp (_RAMP_WIDTH in length units) with the subspace polish converges to a
     nearby late-change grid state whose edge profile is flat at a far smaller
     density, shrinking the discretization floor of boosted-strip probabilities
     by two orders of magnitude while keeping the evolution-side defect at
-    rounding level.
+    rounding level.  The state has positive t_eb.
     """
     g = field.grid
     x = g.axis(0)
     i0 = int(np.searchsorted(x, 0.0))
-    k = max(12, int(round(ramp_width / g.dx)))
+    k = max(12, int(round(_RAMP_WIDTH / g.dx)))
     ramp = np.ones(g.n)
     ramp[:i0] = 0.0
     ramp[i0 : i0 + k] = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, k)))
@@ -313,10 +295,9 @@ def soften_lower_edge(
         return out.normalized()
 
     cur = mollify(field)
-    for _ in range(cycles):
-        cur = late_change_polish(cur, alpha, sign, rounds=rounds)
-        cur = mollify(cur)
-    return late_change_polish(cur, alpha, sign, rounds=rounds)
+    for _ in range(_SOFTEN_CYCLES):
+        cur = mollify(late_change_polish(cur, alpha))
+    return late_change_polish(cur, alpha)
 
 
 def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: float) -> float:

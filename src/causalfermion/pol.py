@@ -63,16 +63,10 @@ def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> Spino
     return positive_energy_project(masked)
 
 
-def random_positive_state(
-    grid: Grid,
-    system,
-    seed: int,
-    p_center: float = 1.2,
-    p_width: float = 0.6,
-) -> SpinorField:
-    """Gaussian momentum envelope times a random spinor, P+-projected, normalized."""
+def random_positive_state(grid: Grid, system, seed: int) -> SpinorField:
+    """Gaussian envelope in |p| (center 1.2, width 0.6) times a random spinor, P+-projected, normalized."""
     rng = np.random.default_rng(seed)
-    env = np.exp(-0.5 * ((grid.abs_p() - p_center) / p_width) ** 2)
+    env = np.exp(-0.5 * ((grid.abs_p() - 1.2) / 0.6) ** 2)
     d = system.components
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))
@@ -175,25 +169,17 @@ class RadialSpinorState:
         n = np.sqrt(self.norm_sq())
         return RadialSpinorState(self.k, self.s / n, self.v / n, self.system, self.rep)
 
-    def _beta(self, x: np.ndarray) -> np.ndarray:
-        if self.system.kind != "dirac":
-            return np.zeros_like(x)
-        return np.einsum("ij,nj->ni", al.BETA, x)
-
     def apply_projector(self, eta: int) -> "RadialSpinorState":
-        """pi^eta(k): [s, v] -> [(s + (m/e) beta s + (k/e) v)/2, ((k/e) s + v - (m/e) beta v)/2]."""
+        """pi^eta(k) = (1 + eta h(k) / eps(k)) / 2; h / eps = 0 at the k = 0 node of a massless system."""
         if self.rep != "momentum":
             raise ValueError("projector acts in momentum representation")
-        sy = self.system
-        chi = getattr(sy, "chi", +1)
-        m = sy.m
+        m = self.system.m
         eps = np.sqrt(self.k**2 + m * m)
         eps[eps == 0.0] = np.inf  # k = 0 node of a massless system: weight 1/2
-        ke = (self.k / eps)[:, None] * (chi if sy.kind == "weyl" else 1.0)
-        me = (m / eps)[:, None]
-        s_new = 0.5 * (self.s + eta * (me * self._beta(self.s) + ke * self.v))
-        v_new = 0.5 * (self.v + eta * (ke * self.s - me * self._beta(self.v)))
-        return RadialSpinorState(self.k, s_new, v_new, sy, self.rep)
+        c = (eta / eps)[:, None]
+        h = self.apply_h()
+        s_new, v_new = 0.5 * (self.s + c * h.s), 0.5 * (self.v + c * h.v)
+        return RadialSpinorState(self.k, s_new, v_new, self.system, self.rep)
 
     def apply_dilation_limit_projector(self) -> "RadialSpinorState":
         """pi_0(k) = (I + alpha.p^)/2: [s, v] -> [(s+v)/2, (s+v)/2]."""
@@ -208,8 +194,8 @@ class RadialSpinorState:
         chi = getattr(sy, "chi", +1)
         kk = self.k[:, None]
         if sy.kind == "dirac":
-            s_new = sy.m * self._beta(self.s) + kk * self.v
-            v_new = kk * self.s - sy.m * self._beta(self.v)
+            s_new = sy.m * np.einsum("ij,nj->ni", al.BETA, self.s) + kk * self.v
+            v_new = kk * self.s - sy.m * np.einsum("ij,nj->ni", al.BETA, self.v)
         else:
             s_new = chi * kk * self.v
             v_new = chi * kk * self.s
@@ -298,18 +284,13 @@ def dilate_radial(state: RadialSpinorState, n: float) -> RadialSpinorState:
     return RadialSpinorState(state.k, resample(state.s), resample(state.v), state.system, "momentum")
 
 
-def point_localized_sequence(
-    phi0: RadialSpinorState,
-    n: float,
-    project: bool = True,
-) -> RadialSpinorState:
+def point_localized_sequence(phi0: RadialSpinorState, n: float) -> RadialSpinorState:
     """phi_n = P+ D_n^{-1} phi0 / ||.||; localized at 0 as n grows."""
     state = dilate_radial(phi0, n)
-    if project:
-        q = state.apply_dilation_limit_projector()
-        if np.sqrt(max(q.norm_sq(), 0.0)) <= 1e-6:
-            raise NullDilationLimit("||pi_0 phi0|| is numerically zero")
-        state = state.apply_projector(+1)
+    q = state.apply_dilation_limit_projector()
+    if np.sqrt(max(q.norm_sq(), 0.0)) <= 1e-6:
+        raise NullDilationLimit("||pi_0 phi0|| is numerically zero")
+    state = state.apply_projector(+1)
     nrm = state.norm_sq()
     if nrm <= 0.0:
         raise NullDilationLimit("P+ D_n^{-1} phi0 vanished")
@@ -327,12 +308,13 @@ def dilated_shell(system, k_nodes: np.ndarray, k_lo: float, k_hi: float, n: floa
     return shell_state(system, k_nodes, n * k_lo, n * k_hi)
 
 
-def energy_growth(phi0: RadialSpinorState, ns, guard_tol: float = 1e-12, factory=None):
+def energy_growth(phi0: RadialSpinorState, ns, factory=None):
     """[(n, <phi_n, H phi_n>/n)] plus the dilation-limit target.
 
     The target is <Q phi0, |P| Q phi0> / ||Q phi0||^2 with Q the pi_0
     projection, evaluated by radial quadrature.  The momentum support of phi0
-    must stay clear of 0 and of the band edge (after the largest dilation).
+    must stay clear of 0 and of the band edge (after the largest dilation):
+    at most 1e-12 of its weight within 4 dk of 0 or 2 dk of k_max / max(ns).
     `factory(n)`, when given, supplies D_n^{-1} phi0 evaluated exactly instead
     of resampling the profile (resampling blurs sharp band edges by a constant
     relative width and biases the large-n limit).
@@ -343,7 +325,7 @@ def energy_growth(phi0: RadialSpinorState, ns, guard_tol: float = 1e-12, factory
     n_max = max(float(n) for n in ns)
     hi_cells = phi0.k > phi0.k[-1] / n_max - 2 * phi0.dk
     hi_frac = float(np.sum((dens0 * phi0.k**2)[hi_cells])) / total
-    if lo_frac > guard_tol or hi_frac > guard_tol:
+    if lo_frac > 1e-12 or hi_frac > 1e-12:
         raise DomainViolation("momentum support touches 0 or the band edge")
     q = phi0.apply_dilation_limit_projector()
     qn = q.norm_sq()
@@ -383,12 +365,12 @@ def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, rad
     return rows
 
 
-def weyl_pol_sequence(phi: RadialSpinorState, n: float, eta: int = +1) -> RadialSpinorState:
-    """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi eta} (no reprojection needed)."""
+def weyl_pol_sequence(phi: RadialSpinorState, n: float) -> RadialSpinorState:
+    """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi +} (no reprojection needed)."""
     if phi.system.kind != "weyl":
         raise NotInRange("weyl_pol_sequence needs a Weyl state")
-    proj = phi.apply_projector(eta)
+    proj = phi.apply_projector(+1)
     diff = RadialSpinorState(phi.k, proj.s - phi.s, proj.v - phi.v, phi.system, phi.rep)
     if diff.norm_sq() > 1e-12 * max(phi.norm_sq(), 1.0):
-        raise NotInRange("state is not in the range of the chosen P^{chi eta}")
+        raise NotInRange("state is not in the range of P^{chi +}")
     return dilate_radial(phi, n).normalized()

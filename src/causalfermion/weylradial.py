@@ -30,7 +30,11 @@ from .algebra import SIGMA, Weyl, sinc
 from .errors import OriginSingular
 from .field import Grid, SpinorField, bessel_rows, bessel_sums, sin_cos_sums
 
+#: profile nodes when none are given, and the interval count of every radial
+#: quadrature of the evolved state (even, as Simpson's rule needs)
 DEFAULT_NODES = 4096
+#: amplitude, relative to the peak, that sets the edge of the sine-transform band
+_BAND_TOL = 1e-13
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -49,16 +53,8 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     Odd nodes get the 5/8/-1 half-panel rule so the cumulative values stay
     consistent with the full composite rule at even nodes.
     """
-    n = f.shape[0]
     out = np.zeros_like(f, dtype=complex if np.iscomplexobj(f) else float)
-    pair = h / 3.0 * (f[0:-2:2] + 4.0 * f[1::2] + f[2::2])
-    even = np.concatenate([[0.0], np.cumsum(pair, axis=0)]) if f.ndim == 1 else None
-    if f.ndim == 1:
-        out[0::2] = even
-        out[1::2] = out[0:-2:2] + h / 12.0 * (5.0 * f[0:-2:2] + 8.0 * f[1::2] - f[2::2])
-        return out
-    even2 = np.concatenate([np.zeros((1,) + f.shape[1:]), np.cumsum(pair, axis=0)], axis=0)
-    out[0::2] = even2
+    out[2::2] = np.cumsum(h / 3.0 * (f[0:-2:2] + 4.0 * f[1::2] + f[2::2]), axis=0)
     out[1::2] = out[0:-2:2] + h / 12.0 * (5.0 * f[0:-2:2] + 8.0 * f[1::2] - f[2::2])
     return out
 
@@ -101,25 +97,23 @@ class RadialProfile:
         n = np.sqrt(self.norm_sq())
         return RadialProfile(self.r, self.g / n, self.G / n)
 
-    def g_at(self, radii: np.ndarray) -> np.ndarray:
-        """Linear interpolation of g at |radii| (zero beyond r_max)."""
+    def _interp(self, table: np.ndarray, radii: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Linear interpolation of the (n, 2) complex table at |radii|, right[c] beyond r_max."""
         rq = np.abs(np.asarray(radii, dtype=float))
         out = np.zeros(rq.shape + (2,), dtype=complex)
         for c in range(2):
-            out[..., c] = np.interp(rq, self.r, self.g[:, c].real, right=0.0) + 1j * np.interp(
-                rq, self.r, self.g[:, c].imag, right=0.0
+            out[..., c] = np.interp(rq, self.r, table[:, c].real, right=right[c].real) + 1j * np.interp(
+                rq, self.r, table[:, c].imag, right=right[c].imag
             )
         return out
 
+    def g_at(self, radii: np.ndarray) -> np.ndarray:
+        """Linear interpolation of g at |radii| (zero beyond r_max)."""
+        return self._interp(self.g, radii, np.zeros(2, dtype=complex))
+
     def G_at(self, radii: np.ndarray) -> np.ndarray:
         """G at |radii|; constant (total moment) beyond r_max."""
-        rq = np.abs(np.asarray(radii, dtype=float))
-        out = np.zeros(rq.shape + (2,), dtype=complex)
-        for c in range(2):
-            out[..., c] = np.interp(
-                rq, self.r, self.G[:, c].real, right=float(self.G[-1, c].real)
-            ) + 1j * np.interp(rq, self.r, self.G[:, c].imag, right=float(self.G[-1, c].imag))
-        return out
+        return self._interp(self.G, radii, self.G[-1])
 
 
 def radial_parts(profile: RadialProfile, t: float, radii: np.ndarray):
@@ -172,13 +166,28 @@ def sample_on_grid(profile: RadialProfile, chi: int, t: float, grid: Grid) -> Sp
 # --- radial quadratures of the evolved state --------------------------------
 
 
-def _uv_on_quad_grid(profile: RadialProfile, t: float, r_max: float, n_nodes: int):
-    n = n_nodes + (n_nodes % 2)  # even interval count
-    r = np.linspace(0.0, r_max, n + 1)
+def _quad_grid(profile: RadialProfile, t: float):
+    """Simpson nodes and weights on [0, r_max + |t|], the origin node moved to dr/2."""
+    r_max = profile.r_max + abs(t)
+    r = np.linspace(0.0, r_max, DEFAULT_NODES + 1)
     r[0] = profile.dr / 2.0  # exclude the removable origin
+    return r, simpson_weights(r.size, r_max / DEFAULT_NODES)
+
+
+def _xi_moments(profile: RadialProfile, chi: int, t: float):
+    """(r, w, a, b): quadrature nodes and weights, and the azimuthal average a + b xi of |psi_t|^2."""
+    r, w = _quad_grid(profile, t)
     u, v = scalar_vector_parts(profile, t, r)
-    w = simpson_weights(r.size, r_max / n)
-    return r, u, v, w
+    a = np.sum(np.abs(u) ** 2 + np.abs(v) ** 2, axis=1)
+    b = 2.0 * chi * np.real(np.einsum("ni,ij,nj->n", np.conj(u), SIGMA[2], v))
+    return r, w, a, b
+
+
+def _xi_integral(r, w, a, b, x0, x1) -> float:
+    """2 pi sum_r w r^2 int_{x0}^{x1} (a + b xi) dxi, exact in xi (empty where x1 <= x0)."""
+    width = np.maximum(x1 - x0, 0.0)
+    second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
+    return float(2.0 * np.pi * np.sum(w * r**2 * (a * width + b * second)))
 
 
 def ball_probability_evolved(
@@ -187,7 +196,6 @@ def ball_probability_evolved(
     t: float,
     center: float = 0.0,
     radius: float | None = None,
-    n_nodes: int = 4096,
 ) -> float:
     """P(psi_t in ball of given radius centered at center*e3), exact in xi.
 
@@ -197,10 +205,7 @@ def ball_probability_evolved(
     r^2 - 2 r c xi + c^2 <= radius^2 clips xi to an exact interval.
     """
     rad = abs(t) if radius is None else radius
-    r_max = profile.r_max + abs(t)
-    r, u, v, w = _uv_on_quad_grid(profile, t, r_max, n_nodes)
-    a = np.sum(np.abs(u) ** 2 + np.abs(v) ** 2, axis=1)
-    b = 2.0 * chi * np.real(np.einsum("ni,ij,nj->n", np.conj(u), SIGMA[2], v))
+    r, w, a, b = _xi_moments(profile, chi, t)
     c = center
     if c == 0.0:
         cum = cumulative_simpson(r**2 * a, float(r[-1] - r[-2]))
@@ -210,57 +215,38 @@ def ball_probability_evolved(
         x0, x1 = np.clip(lo, -1.0, 1.0), np.ones_like(r)
     else:
         x0, x1 = -np.ones_like(r), np.clip(lo, -1.0, 1.0)
-    width = np.maximum(x1 - x0, 0.0)
-    second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
-    return float(2.0 * np.pi * np.sum(w * r**2 * (a * width + b * second)))
+    return _xi_integral(r, w, a, b, x0, x1)
 
 
-def slab_probability_evolved(
-    profile: RadialProfile,
-    chi: int,
-    t: float,
-    beta: float = 0.0,
-    half_width: float | None = None,
-    n_nodes: int = 4096,
-) -> float:
-    """P(psi_t in {|x3 - beta| <= half_width}) by the same (r, xi) quadrature."""
-    hw = abs(t) if half_width is None else half_width
-    r_max = profile.r_max + abs(t)
-    r, u, v, w = _uv_on_quad_grid(profile, t, r_max, n_nodes)
-    a = np.sum(np.abs(u) ** 2 + np.abs(v) ** 2, axis=1)
-    b = 2.0 * chi * np.real(np.einsum("ni,ij,nj->n", np.conj(u), SIGMA[2], v))
-    x0 = np.clip((beta - hw) / r, -1.0, 1.0)
-    x1 = np.clip((beta + hw) / r, -1.0, 1.0)
-    width = np.maximum(x1 - x0, 0.0)
-    second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
-    return float(2.0 * np.pi * np.sum(w * r**2 * (a * width + b * second)))
+def slab_probability_evolved(profile: RadialProfile, chi: int, t: float, beta: float = 0.0) -> float:
+    """P(psi_t in {|x3 - beta| <= |t|}) by the same (r, xi) quadrature."""
+    r, w, a, b = _xi_moments(profile, chi, t)
+    x0 = np.clip((beta - abs(t)) / r, -1.0, 1.0)
+    x1 = np.clip((beta + abs(t)) / r, -1.0, 1.0)
+    return _xi_integral(r, w, a, b, x0, x1)
 
 
-def splitting_norms(profile: RadialProfile, t: float, n_nodes: int = 4096):
-    """(||A^+_t||^2, ||A^-_t||^2, ||R_t||^2) by radial quadrature."""
-    out = []
-    r_max = profile.r_max + abs(t)
-    for s in (+1, -1):
-        n = n_nodes + (n_nodes % 2)
-        rr = np.linspace(0.0, r_max, n + 1)
-        w = simpson_weights(rr.size, r_max / n)
-        shifted = rr + s * t
-        dens = np.sum(np.abs(profile.g_at(shifted)) ** 2, axis=1)
-        out.append(float(2.0 * np.pi * np.sum(w * shifted**2 * dens)))
-    r, u, v, w = _uv_on_quad_grid(profile, t, r_max, n_nodes)
-    _, _, rho = radial_parts(profile, t, r)
-    out.append(float(4.0 * np.pi * np.sum(w * r**2 * np.sum(np.abs(rho) ** 2, axis=1))))
-    return tuple(out)
-
-
-def ball_capture_split(profile: RadialProfile, t: float, s: int, n_nodes: int = 4096) -> float:
-    """||E(B_|t|) A^s_t||^2 = 2 pi int_0^|t| (r + s t)^2 |g(|r + s t|)|^2 dr."""
-    n = n_nodes + (n_nodes % 2)
-    rr = np.linspace(0.0, abs(t), n + 1)
-    w = simpson_weights(rr.size, abs(t) / n)
+def _shifted_norm(profile: RadialProfile, t: float, s: int, extent: float) -> float:
+    """2 pi int_0^extent (r + s t)^2 |g(|r + s t|)|^2 dr by Simpson's rule."""
+    rr = np.linspace(0.0, extent, DEFAULT_NODES + 1)
+    w = simpson_weights(rr.size, extent / DEFAULT_NODES)
     shifted = rr + s * t
     dens = np.sum(np.abs(profile.g_at(shifted)) ** 2, axis=1)
     return float(2.0 * np.pi * np.sum(w * shifted**2 * dens))
+
+
+def splitting_norms(profile: RadialProfile, t: float):
+    """(||A^+_t||^2, ||A^-_t||^2, ||R_t||^2) by radial quadrature."""
+    r, w = _quad_grid(profile, t)
+    _, _, rho = radial_parts(profile, t, r)
+    norm_r = float(4.0 * np.pi * np.sum(w * r**2 * np.sum(np.abs(rho) ** 2, axis=1)))
+    r_max = profile.r_max + abs(t)
+    return _shifted_norm(profile, t, +1, r_max), _shifted_norm(profile, t, -1, r_max), norm_r
+
+
+def ball_capture_split(profile: RadialProfile, t: float, s: int) -> float:
+    """||E(B_|t|) A^s_t||^2 = 2 pi int_0^|t| (r + s t)^2 |g(|r + s t|)|^2 dr."""
+    return _shifted_norm(profile, t, s, abs(t))
 
 
 def ball_probability_static(profile: RadialProfile, radius: float) -> float:
@@ -281,18 +267,18 @@ def _sine_transform_at(profile: RadialProfile, s: np.ndarray) -> np.ndarray:
     return sin_cos_sums(profile.r, s, sine)[0]
 
 
-def sine_transform_profile(profile: RadialProfile, band_tol: float = 1e-13):
+def sine_transform_profile(profile: RadialProfile):
     """(s nodes, u~ = S(j g) samples) over the momentum band the profile fills.
 
     The band edge is probed on [0, Nyquist/2] (the forward quadrature aliases
     near the full node Nyquist) and set where the amplitude last exceeds
-    band_tol of its peak, so the inverse quadratures resolve sin(s r) instead
+    _BAND_TOL of its peak, so the inverse quadratures resolve sin(s r) instead
     of chasing the node Nyquist.  The final grid reuses the profile node count.
     """
     probe_max = 0.5 * np.pi / profile.dr
     probe = np.linspace(0.0, probe_max, 2049)
     amp = np.sum(np.abs(_sine_transform_at(profile, probe)) ** 2, axis=1)
-    above = np.nonzero(amp > band_tol**2 * float(amp.max()))[0]
+    above = np.nonzero(amp > _BAND_TOL**2 * float(amp.max()))[0]
     edge = probe[above[-1]] if above.size else probe[-1]
     s_max = min(1.25 * edge + 1.0, probe_max)
     n = profile.r.size - 1
@@ -324,18 +310,12 @@ def spectral_evolve(profile: RadialProfile, chi: int, t: float, radii: np.ndarra
     return coef * np.vstack([u0, u]), -coef * np.vstack([v0, v])
 
 
-def crosscheck_against_spectral(
-    profile: RadialProfile,
-    chi: int,
-    t: float,
-    n_eval: int = 2048,
-) -> float:
-    """Relative L2 discrepancy between the closed form and the sine route."""
+def crosscheck_against_spectral(profile: RadialProfile, chi: int, t: float) -> float:
+    """Relative L2 discrepancy between the closed form and the sine route on 2048 intervals."""
     r_max = profile.r_max + abs(t) + 1.0
-    n = n_eval + (n_eval % 2)
-    radii = np.linspace(0.0, r_max, n + 1)
+    radii = np.linspace(0.0, r_max, 2049)
     radii[0] = profile.dr / 2.0
-    w = simpson_weights(radii.size, r_max / n)
+    w = simpson_weights(radii.size, r_max / 2048)
     u_cf, v_cf = scalar_vector_parts(profile, t, radii)
     u_sp, v_sp = spectral_evolve(profile, chi, t, radii)
     diff = np.sum(np.abs(u_cf - u_sp) ** 2 + np.abs(v_cf - v_sp) ** 2, axis=1)

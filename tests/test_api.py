@@ -1,0 +1,128 @@
+"""Every optional parameter of the package is set by some caller.
+
+An option that no call in ``src/``, ``tests/`` or ``bench/`` ever sets runs
+with one value only, so it is a constant.  Calls are matched to definitions by
+name (``f(...)`` and ``obj.f(...)`` match every ``def f``; ``C(...)`` matches
+``C.__init__``).  A parameter counts as set when a call passes it by keyword,
+reaches its position, or passes ``*args`` / ``**kwargs``.  A call that only
+forwards the caller's own option (``g(x, tol=tol)``) sets it when that option
+is set somewhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "causalfermion"
+
+
+class _Scan(ast.NodeVisitor):
+    """Defaulted parameters of the definitions, and the arguments of every call."""
+
+    def __init__(self, where: str):
+        self.where = where
+        self.options = []  # (where, name, parameter, position or None for keyword-only)
+        self.calls = []  # (name, positional count or inf, {keyword: source} or None, {position: source})
+        self._classes = []
+        self._defs = []  # enclosing (name, defaulted parameter names)
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        bound = 1 if positional and positional[0].arg in ("self", "cls") and not static else 0
+        name = self._classes[-1] if node.name == "__init__" and self._classes else node.name
+        first = len(positional) - len(args.defaults)
+        mine = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+        mine += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        self.options += [(f"{self.where}:{node.lineno}", name, p, pos) for p, pos in mine]
+        self._defs.append((name, {p for p, _ in mine}))
+        self.generic_visit(node)
+        self._defs.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _source(self, value):
+        """The enclosing definition's option that value forwards, or None for any other value."""
+        if self._defs and isinstance(value, ast.Name) and value.id in self._defs[-1][1]:
+            return (self._defs[-1][0], value.id)
+        return None
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name is not None:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = float("inf") if starred else len(node.args)
+            kws = None if any(k.arg is None for k in node.keywords) else {
+                k.arg: self._source(k.value) for k in node.keywords}
+            pos = {i: self._source(a) for i, a in enumerate(node.args)}
+            self.calls.append((name, n_pos, kws, pos))
+        self.generic_visit(node)
+
+
+def _scan(*dirs):
+    scans = []
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            s = _Scan(path.name)
+            s.visit(ast.parse(path.read_text(), filename=str(path)))
+            scans.append(s)
+    return scans
+
+
+def _options():
+    return [o for s in _scan(PACKAGE) for o in s.options]
+
+
+def _set_options():
+    """The (name, parameter) pairs some call sets, forwarded options resolved to a fixed point.
+
+    Options of test and bench helpers take part, since a helper may forward to the package.
+    """
+    scans = _scan(ROOT / "src", ROOT / "tests", ROOT / "bench")
+    options = [o for s in scans for o in s.options]
+    calls = [c for s in scans for c in s.calls]
+    done = set()
+    while True:
+        before = len(done)
+        for _, func, param, p in options:
+            if (func, param) in done:
+                continue
+            for name, n_pos, kws, pos in calls:
+                if name != func:
+                    continue
+                src = "any" if kws is None else kws.get(param, "unset")
+                if src == "unset" and p is not None and n_pos > p:
+                    src = pos.get(p)  # None when the position is reached through *args
+                if src is None or src == "any" or src in done:
+                    done.add((func, param))
+                    break
+        if len(done) == before:
+            return done
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    done = _set_options()
+    unset = [f"{where} {func}({param})" for where, func, param, _ in _options() if (func, param) not in done]
+    assert unset == [], "options no caller sets (make them constants):\n" + "\n".join(unset)
+
+
+def test_scan_sees_definitions_calls_and_forwarding():
+    code = (
+        "def f(x, a=1, *, b=2):\n    return g(x, c=a)\n"
+        "def g(x, c=0):\n    return x\n"
+        "class K:\n    def __init__(self, y=0):\n        pass\n"
+        "K(1)\nf(0, 5)\n"
+    )
+    s = _Scan("m.py")
+    s.visit(ast.parse(code))
+    assert {(func, p, pos) for _, func, p, pos in s.options} == {
+        ("f", "a", 1), ("f", "b", None), ("g", "c", 1), ("K", "y", 0)}
+    assert ("g", 1, {"c": ("f", "a")}, {0: None}) in s.calls
+    assert ("evolve_causal", "guard") in {(func, p) for _, func, p, _ in _options()}

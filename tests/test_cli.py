@@ -102,6 +102,17 @@ class TestFailFast:
             ["evolve", "--set", "mass=inf"],
             ["cascade", "--set", "seed=1", "--set", "ball_radius=inf"],
             ["evolve", "--set", "bump_width=inf"],
+            ["evolve", "--set", "times="],
+            ["pol", "--set", "ns="],
+            ["pol", "--set", "ns=0.5 64"],
+            ["evolve", "--set", "times=nan"],
+            ["frontier", "--set", "edge_tau=0.5"],
+            ["frontier", "--set", "edge_tau=0"],
+            ["radial", "--set", "chi=0"],
+            ["evolve", "--set", "system=weyl", "--set", "chi=3"],
+            ["contract", "--set", "delta=-0.1"],
+            ["radial", "--set", "width=-1"],
+            ["boost", "--set", "rhos=nan"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
@@ -111,7 +122,10 @@ class TestFailFast:
             "nan_length", "pol_empty_shell", "pol_shell_reversed", "radial_negative_r_max",
             "frontier_one_time", "frontier_four_times", "boost_negative_window",
             "contract_negative_window", "infinite_mass", "cascade_infinite_ball_radius",
-            "infinite_bump_width",
+            "infinite_bump_width", "evolve_empty_times", "pol_empty_ns", "pol_ns_below_1",
+            "evolve_nan_time", "frontier_edge_tau_above_1e-2", "frontier_zero_edge_tau",
+            "radial_chi_0", "weyl_chi_3", "contract_negative_delta", "radial_negative_width",
+            "boost_nan_rho",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):
@@ -121,6 +135,14 @@ class TestFailFast:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_target_t_is_named(self, value, tmp_path, capsys):
+        # a seed fitted from a bad target_t would otherwise be blamed on 'window'
+        rc = cli.main(["boost", "--set", f"target_t={value}", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: key 'target_t'") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["boost", "contract"])
     def test_window_beyond_fitted_t_eb_exit_2(self, command, tmp_path, capsys):

@@ -70,6 +70,26 @@ class TestRadialEngineAlgebra:
         assert np.max(np.abs(hp.s - eps[:, None] * pp.s)) <= 1e-12
         assert np.max(np.abs(hp.v - eps[:, None] * pp.v)) <= 1e-12
 
+    @pytest.mark.parametrize("system", [al.Dirac(1.0), al.Dirac(0.0), al.Weyl(+1), al.Weyl(-1)],
+                             ids=["dirac1", "dirac0", "weyl+", "weyl-"])
+    @pytest.mark.parametrize("eta", [+1, -1])
+    def test_projector_matches_componentwise_formula(self, kgrid, system, eta):
+        # oracle: [s, v] -> [(s + eta ((m/e) beta s + chi (k/e) v))/2, (v + eta (chi (k/e) s - (m/e) beta v))/2]
+        st = pol.gaussian_radial_state(system, kgrid, 1.5, 0.4, seed=4)
+        eps = np.sqrt(kgrid**2 + system.m**2)
+        eps[eps == 0.0] = np.inf
+        ke = (kgrid / eps)[:, None] * getattr(system, "chi", 1)
+        me = (system.m / eps)[:, None]
+        beta = (lambda x: x @ al.BETA.T) if system.kind == "dirac" else (lambda x: 0.0 * x)
+        want_s = 0.5 * (st.s + eta * (me * beta(st.s) + ke * st.v))
+        want_v = 0.5 * (st.v + eta * (ke * st.s - me * beta(st.v)))
+        got = st.apply_projector(eta)
+        scale = max(np.abs(want_s).max(), np.abs(want_v).max())
+        assert np.max(np.abs(got.s - want_s)) <= 1e-15 * scale
+        assert np.max(np.abs(got.v - want_v)) <= 1e-15 * scale
+        if system.m == 0.0:  # the k = 0 node of a massless system keeps weight 1/2
+            assert np.array_equal(got.s[0], 0.5 * st.s[0]) and np.array_equal(got.v[0], 0.5 * st.v[0])
+
     def test_pi0_idempotent_and_shell_invariant(self, kgrid, shell):
         q = shell.apply_dilation_limit_projector()
         assert np.max(np.abs(q.s - shell.s)) == 0.0
