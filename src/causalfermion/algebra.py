@@ -23,7 +23,6 @@ from .errors import (
     ZeroMomentumMassless,
 )
 
-HERMITIAN_TOL = 1e-14
 UNITARY_TOL = 1e-12
 #: |p.p| allowed for a lightlike p, relative to the Euclidean p . p
 LIGHTLIKE_TOL = 1e-9
@@ -44,11 +43,14 @@ BETA = np.block([[np.zeros((2, 2)), I2], [I2, np.zeros((2, 2))]]).astype(complex
 ALPHA = np.array(
     [np.block([[SIGMA[k], np.zeros((2, 2))], [np.zeros((2, 2)), -SIGMA[k]]]) for k in range(3)]
 ).astype(complex)
-GAMMA5 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
+def _unimodular(a) -> np.ndarray:
+    """a as a complex matrix of SL(2,C); NotUnimodular unless det a = 1 to UNITARY_TOL."""
+    a = np.asarray(a, dtype=complex)
+    if abs(np.linalg.det(a) - 1.0) > UNITARY_TOL:
+        raise NotUnimodular(f"det A = {np.linalg.det(a)}")
+    return a
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -170,9 +172,7 @@ def polar_decompose_sl2(a: np.ndarray):
     Obtained from the eigen-decomposition of A^* A; rho = 2 log of the larger
     singular value.  rho = 0 (A already unitary) short-circuits to (A, 0, I2).
     """
-    a = np.asarray(a, dtype=complex)
-    if abs(np.linalg.det(a) - 1.0) > 1e-12:
-        raise NotUnimodular(f"det A = {np.linalg.det(a)}")
+    a = _unimodular(a)
     w, v = np.linalg.eigh(a.conj().T @ a)
     # eigh sorts ascending; want the larger singular value first
     w = w[::-1]
@@ -226,34 +226,6 @@ def wigner_rotation_massless(p4, a: np.ndarray) -> np.ndarray:
     return b_prime @ bp @ np.linalg.inv(bq) @ b
 
 
-def boost_spinor_rep(a: np.ndarray, kind: str = "dirac", chi: int = +1) -> np.ndarray:
-    """s(A) = diag(A, A^{*-1}) on Dirac spinors; s^+(A) = A, s^-(A) = A^{*-1} on Weyl."""
-    a = np.asarray(a, dtype=complex)
-    if abs(np.linalg.det(a) - 1.0) > UNITARY_TOL:
-        raise NotUnimodular(f"det A = {np.linalg.det(a)}")
-    a_star_inv = np.linalg.inv(a.conj().T)
-    if kind == "dirac":
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = a
-        out[2:, 2:] = a_star_inv
-        return out
-    if kind == "weyl":
-        return a.copy() if chi == +1 else a_star_inv
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def time_reversal_matrix(kind: str = "dirac") -> np.ndarray:
-    """Matrix omega with T psi = omega conj(psi): -diag(sigma2, sigma2) / -sigma2."""
-    if kind == "dirac":
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = -SIGMA[1]
-        out[2:, 2:] = -SIGMA[1]
-        return out
-    if kind == "weyl":
-        return -SIGMA[1].copy()
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Dirac:
     """Dirac system of mass m > 0 (m = 0 allowed; it splits into the two Weyl systems)."""
@@ -264,10 +236,18 @@ class Dirac:
     kind = "dirac"
 
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
-        return boost_spinor_rep(a, "dirac")
+        """s(A) = diag(A, A^{*-1}) on Dirac spinors, for A in SL(2,C)."""
+        a = _unimodular(a)
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = a
+        out[2:, 2:] = np.linalg.inv(a.conj().T)
+        return out
 
     def time_reversal(self) -> np.ndarray:
-        return time_reversal_matrix("dirac")
+        """Matrix omega with T psi = omega conj(psi): -diag(sigma2, sigma2)."""
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = out[2:, 2:] = -SIGMA[1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +261,10 @@ class Weyl:
     m = 0.0
 
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
-        return boost_spinor_rep(a, "weyl", self.chi)
+        """s^+(A) = A and s^-(A) = A^{*-1} on Weyl spinors, for A in SL(2,C)."""
+        a = _unimodular(a)
+        return a.copy() if self.chi == +1 else np.linalg.inv(a.conj().T)
 
     def time_reversal(self) -> np.ndarray:
-        return time_reversal_matrix("weyl")
+        """Matrix omega with T psi = omega conj(psi): -sigma2."""
+        return -SIGMA[1]

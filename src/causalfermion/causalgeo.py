@@ -153,10 +153,6 @@ class LightconeRegion:
 
     # --- constructors ----------------------------------------------------
     @staticmethod
-    def empty() -> "LightconeRegion":
-        return LightconeRegion([])
-
-    @staticmethod
     def full() -> "LightconeRegion":
         return LightconeRegion([Rect(Interval.all(), Interval.all())])
 

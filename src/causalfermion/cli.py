@@ -137,6 +137,8 @@ CHECKS = {
     "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
                  "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),
     "strata": (lambda v, cfg: 1 <= v <= cfg["samples"], "between 1 and samples"),
+    # a Philox key (lines) must be < 2**128; default_rng (cascade) takes no negative seed
+    "seed": (lambda v, _: 0 <= v < 2**128, "an integer in [0, 2**128)"),
 }
 
 

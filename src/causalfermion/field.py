@@ -18,13 +18,10 @@ membership is decided at cell centers, so complement identities are exact.
 from __future__ import annotations
 
 import functools
-import io
-import struct
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Dirac, Weyl
 from .errors import (
     BandExceeded,
     NotEvenlySpaced,
@@ -37,8 +34,6 @@ from .errors import (
 #: at most 7.6e-9 from 84 samples up for Dirac and both Weyl chiralities; below, the
 #: leak oscillates with the sampling and reaches 1.1e-8 at 82.1 samples)
 EPS_LEAK = 1e-8
-
-_SUPPORT_RTOL = 1e-13  # relative amplitude below which a sample counts as zero
 
 
 @dataclass(frozen=True)
@@ -124,10 +119,6 @@ class RegionMask:
     @staticmethod
     def full(grid: Grid) -> "RegionMask":
         return RegionMask(grid, np.ones((grid.n,) * grid.dim, dtype=bool))
-
-    @staticmethod
-    def empty(grid: Grid) -> "RegionMask":
-        return RegionMask(grid, np.zeros((grid.n,) * grid.dim, dtype=bool))
 
     @staticmethod
     def half_space(grid: Grid, alpha: float, e: int = +1) -> "RegionMask":
@@ -528,19 +519,6 @@ def make_bump(
     return out.normalized()
 
 
-def make_radial_state(g_of_r, chi: int, grid: Grid) -> SpinorField:
-    """3D Weyl field psi(x) = g(|x|) from a radial 2-spinor profile callable."""
-    if grid.dim != 3:
-        raise ValueError("radial states need a 3D grid")
-    mesh = grid.position_mesh()
-    r = np.sqrt(sum(m**2 for m in mesh))
-    gv = np.asarray(g_of_r(r.ravel()))
-    if gv.shape != (r.size, 2):
-        raise ValueError("profile callable must map radii to shape (n, 2)")
-    vals = gv.reshape(r.shape + (2,)).astype(complex)
-    return SpinorField(grid, Weyl(chi), "position", vals)
-
-
 def band_edge(field: SpinorField) -> float:
     """Largest |p| carrying amplitude above 1e-6 of the peak (momentum support edge)."""
     phi = field if field.rep == "momentum" else field.to_momentum()
@@ -575,59 +553,3 @@ def dilate(field: SpinorField, lam: float) -> SpinorField:
     vals = lam**0.5 * nufft1(theta, strengths, g.n)
     # row m holds p = dp (m - n/2); the grid's FFT order puts p = dp (k - n) at k >= n/2
     return replace(field, values=np.roll(vals, g.n // 2, axis=0))
-
-
-# --- serialization ----------------------------------------------------------
-
-_MAGIC = b"CFSF"
-_KIND_CODE = {"dirac": 0, "weyl": 1}
-_REP_CODE = {"position": 0, "momentum": 1}
-
-
-def to_bytes(field: SpinorField) -> bytes:
-    """Flat binary snapshot: header + little-endian complex64 payload."""
-    g = field.grid
-    s = field.system
-    kind = _KIND_CODE[s.kind]
-    param = s.m if s.kind == "dirac" else float(s.chi)
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<HBBBB", 1, g.dim, _REP_CODE[field.rep], kind, s.components))
-    buf.write(struct.pack("<Id", g.n, g.dx))
-    buf.write(struct.pack(f"<{g.dim}d", *g.origin))
-    buf.write(struct.pack("<d", param))
-    buf.write(np.ascontiguousarray(field.values, dtype="<c8").tobytes())
-    return buf.getvalue()
-
-
-def from_bytes(data: bytes) -> SpinorField:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError("not a spinor-field snapshot")
-    _ver, dim, rep_c, kind_c, d = struct.unpack("<HBBBB", buf.read(6))
-    n, dx = struct.unpack("<Id", buf.read(12))
-    origin = struct.unpack(f"<{dim}d", buf.read(8 * dim))
-    (param,) = struct.unpack("<d", buf.read(8))
-    grid = Grid(dim, n, dx, origin)
-    system = Dirac(param) if kind_c == 0 else Weyl(int(param))
-    count = n**dim * d
-    vals = np.frombuffer(buf.read(8 * count), dtype="<c8").astype(complex)
-    vals = vals.reshape((n,) * dim + (d,))
-    rep = "position" if rep_c == 0 else "momentum"
-    return SpinorField(grid, system, rep, vals)
-
-
-def density_csv(field: SpinorField, out, comments=()) -> None:
-    """CSV export of the |psi(x)|^2 profile along the last axis (x, density)."""
-    if field.rep != "position":
-        raise WrongRepresentation("density profile needs position representation")
-    g = field.grid
-    dens = site_density(field.values)
-    if g.dim == 3:
-        dens = dens.sum(axis=(0, 1)) * g.dx**2
-    x = g.axis(g.dim - 1)
-    for c in comments:
-        out.write(f"# {c}\r\n")
-    out.write("x,density\r\n")
-    for xi, di in zip(x, dens):
-        out.write(f"{xi:.17g},{di:.17g}\r\n")

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, Weyl, sinc
+from .algebra import SIGMA, sinc
 from .errors import OriginSingular
-from .field import Grid, SpinorField, bessel_rows, bessel_sums, sin_cos_sums
+from .field import bessel_rows, bessel_sums, sin_cos_sums
 
 #: profile nodes when none are given, and the interval count of every radial
 #: quadrature of the evolved state (even, as Simpson's rule needs)
@@ -138,29 +138,6 @@ def scalar_vector_parts(profile: RadialProfile, t: float, radii: np.ndarray):
     u = 0.5 * (a_plus + a_minus)
     v = 0.5 * (a_plus - a_minus) + rho
     return u, v
-
-
-def evaluate_closed_form(profile: RadialProfile, chi: int, t: float, points: np.ndarray) -> np.ndarray:
-    """psi_t at 3D points (n, 3) via the closed form."""
-    points = np.asarray(points, dtype=float)
-    r = np.linalg.norm(points, axis=1)
-    u, v = scalar_vector_parts(profile, t, r)
-    nhat = points / r[:, None]
-    h = chi * np.einsum("nk,kij->nij", nhat, SIGMA)
-    return u + np.einsum("nij,nj->ni", h, v)
-
-
-def sample_on_grid(profile: RadialProfile, chi: int, t: float, grid: Grid) -> SpinorField:
-    """Closed-form psi_t sampled on a 3D grid (origin cell set to zero)."""
-    if grid.dim != 3:
-        raise ValueError("radial sampling needs a 3D grid")
-    mesh = np.meshgrid(*(grid.axis(k) for k in range(3)), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    r = np.linalg.norm(pts, axis=1)
-    ok = r >= profile.dr / 2.0
-    vals = np.zeros((pts.shape[0], 2), dtype=complex)
-    vals[ok] = evaluate_closed_form(profile, chi, t, pts[ok])
-    return SpinorField(grid, Weyl(chi), "position", vals.reshape((grid.n,) * 3 + (2,)))
 
 
 # --- radial quadratures of the evolved state --------------------------------
@@ -345,11 +322,3 @@ def asymptotic_ball_probability(profile: RadialProfile, b, chi: int):
     inner = np.interp(np.minimum(bmag * xi, profile.r_max), profile.r, moment)
     corr = 2.0 * np.pi * float(np.sum(w_xi * xi * inner))
     return 0.5 + corr, 0.5 - corr
-
-
-def slab_probability_limit(profile: RadialProfile, chi: int, beta: float, times) -> list:
-    """[(t, P(psi_t in {|x3 - beta| <= |t|}))]: increases toward 1."""
-    return [
-        (float(t), slab_probability_evolved(profile, chi, float(t), beta=beta))
-        for t in times
-    ]

@@ -53,7 +53,8 @@ class TestHamiltonians:
 
     def test_hermitian(self):
         for _ in range(20):
-            assert al.is_hermitian(al.dirac_hamiltonian(rng.normal(size=3), 0.7))
+            h = al.dirac_hamiltonian(rng.normal(size=3), 0.7)
+            assert np.max(np.abs(h - h.conj().T)) <= 1e-14
 
 
 class TestProjectors:
@@ -220,12 +221,17 @@ class TestWignerMassless:
             al.wigner_rotation_massless([1.0, 0, 0, 0.5], al.boost_matrix(0.3))
 
 
+#: the three spinor representations s(A): Dirac, Weyl chi = +1 and chi = -1
+SYSTEMS = (al.Dirac(), al.Weyl(+1), al.Weyl(-1))
+
+
 class TestBoostRepAndTimeReversal:
     def test_identity(self):
-        assert np.allclose(al.boost_spinor_rep(al.I2, "dirac"), al.I4)
+        for system in SYSTEMS:
+            assert np.allclose(system.boost_rep(al.I2), np.eye(system.components))
 
     def test_axis_boost_diagonal(self):
-        s = al.boost_spinor_rep(al.boost_matrix(1.0), "dirac")
+        s = al.Dirac().boost_rep(al.boost_matrix(1.0))
         expect = np.diag([np.exp(0.5), np.exp(-0.5), np.exp(-0.5), np.exp(0.5)])
         assert np.max(np.abs(s - expect)) <= 1e-14
 
@@ -235,37 +241,42 @@ class TestBoostRepAndTimeReversal:
     def test_large_rapidity_axis_boost(self, kind, chi, signs):
         # cosh^2 - sinh^2 of rho/2 would leave det A - 1 = -1.4e-8 at rho = 20, far past UNITARY_TOL
         rho = 20.0
-        s = al.boost_spinor_rep(al.boost_matrix(rho), kind, chi)
+        system = al.Dirac() if kind == "dirac" else al.Weyl(chi)
+        s = system.boost_rep(al.boost_matrix(rho))
         expect = np.exp(0.5 * rho * np.array(signs, dtype=float))
         assert np.max(np.abs(np.diag(s) / expect - 1.0)) <= 1e-14
         assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
 
     def test_group_law(self):
-        for _ in range(20):
-            a1, a2 = rand_sl2(), rand_sl2()
-            lhs = al.boost_spinor_rep(a1) @ al.boost_spinor_rep(a2)
-            assert np.max(np.abs(lhs - al.boost_spinor_rep(a1 @ a2))) <= 1e-12
+        for system in SYSTEMS:
+            for _ in range(20):
+                a1, a2 = rand_sl2(), rand_sl2()
+                lhs = system.boost_rep(a1) @ system.boost_rep(a2)
+                assert np.max(np.abs(lhs - system.boost_rep(a1 @ a2))) <= 1e-12
 
     def test_su2_unitary(self):
-        assert al.is_unitary(al.boost_spinor_rep(rand_su2(), "dirac"))
+        for system in SYSTEMS:
+            assert al.is_unitary(system.boost_rep(rand_su2()))
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            al.boost_spinor_rep(2.0 * al.I2, "dirac")
+        for system in SYSTEMS:
+            with pytest.raises(NotUnimodular):
+                system.boost_rep(2.0 * al.I2)
 
     def test_time_reversal_matrices(self):
-        w = al.time_reversal_matrix("dirac")
+        w = al.Dirac().time_reversal()
         block = np.zeros((4, 4), dtype=complex)
         block[:2, :2] = -al.SIGMA[1]
         block[2:, 2:] = -al.SIGMA[1]
         assert np.allclose(w, block)
-        assert np.allclose(al.time_reversal_matrix("weyl"), -al.SIGMA[1])
+        for chi in (+1, -1):
+            assert np.allclose(al.Weyl(chi).time_reversal(), -al.SIGMA[1])
         assert al.is_unitary(w)
 
     def test_antiunitary_square_is_minus_one(self):
-        # T^2 psi = omega conj(omega) psi = -psi for both kinds
-        for kind in ("dirac", "weyl"):
-            w = al.time_reversal_matrix(kind)
+        # T^2 psi = omega conj(omega) psi = -psi for every system
+        for system in SYSTEMS:
+            w = system.time_reversal()
             assert np.allclose(w @ np.conj(w), -np.eye(w.shape[0]))
 
 

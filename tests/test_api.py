@@ -1,4 +1,4 @@
-"""Every optional parameter of the package is set by some caller.
+"""Every optional parameter of the package is set by some caller, and every name is used.
 
 An option that no call in ``src/``, ``tests/`` or ``bench/`` ever sets runs
 with one value only, so it is a constant.  Calls are matched to definitions by
@@ -7,6 +7,11 @@ name (``f(...)`` and ``obj.f(...)`` match every ``def f``; ``C(...)`` matches
 reaches its position, or passes ``*args`` / ``**kwargs``.  A call that only
 forwards the caller's own option (``g(x, tol=tol)``) sets it when that option
 is set somewhere.
+
+A module-level function, class or constant of the package is used when some
+file in ``src/``, ``tests/`` or ``bench/`` names it outside its definition:
+as a name, an attribute, an imported name, or a string (``bench/spans.py``
+names its targets by string).
 """
 
 import ast
@@ -126,3 +131,55 @@ def test_scan_sees_definitions_calls_and_forwarding():
         ("f", "a", 1), ("f", "b", None), ("g", "c", 1), ("K", "y", 0)}
     assert ("g", 1, {"c": ("f", "a")}, {0: None}) in s.calls
     assert ("evolve_causal", "guard") in {(func, p) for _, func, p, _ in _options()}
+
+
+def _definitions(tree):
+    """Module-level functions, classes and assigned names, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(n.lineno, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _named(tree):
+    """Every name the tree reads: loaded names, attributes, imported names and strings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _unnamed(root):
+    """(module:line, name) of every package definition that no file names."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))}
+    named = set().union(*map(_named, trees.values()))
+    package = root / "src" / "causalfermion"
+    return [f"{p.name}:{line} {name}" for p, tree in trees.items() if p.parent == package
+            for line, name in _definitions(tree) if name not in named]
+
+
+def test_every_module_level_name_is_used():
+    unused = _unnamed(ROOT)
+    assert unused == [], "definitions that nothing names (delete them):\n" + "\n".join(unused)
+
+
+def test_name_scan_reads_loads_attributes_imports_and_strings():
+    tree = ast.parse(
+        "import m\nfrom m import a\nB = 1\nC = 2\nD, E = 3, 4\n__all__ = []\n"
+        "def f():\n    return m.g(B, 'h')\nclass K:\n    pass\n"
+    )
+    assert [n for _, n in _definitions(tree)] == ["B", "C", "D", "E", "f", "K"]
+    assert {"m", "a", "g", "B", "h"} <= _named(tree)
+    assert not {"C", "D", "E", "f", "K", "__all__"} & _named(tree)

@@ -113,6 +113,9 @@ class TestFailFast:
             ["contract", "--set", "delta=-0.1"],
             ["radial", "--set", "width=-1"],
             ["boost", "--set", "rhos=nan"],
+            ["cascade", "--set", "seed=-1"],
+            ["lines", "--set", "seed=-1"],
+            ["lines", "--set", f"seed={2**128}"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
@@ -125,7 +128,7 @@ class TestFailFast:
             "infinite_bump_width", "evolve_empty_times", "pol_empty_ns", "pol_ns_below_1",
             "evolve_nan_time", "frontier_edge_tau_above_1e-2", "frontier_zero_edge_tau",
             "radial_chi_0", "weyl_chi_3", "contract_negative_delta", "radial_negative_width",
-            "boost_nan_rho",
+            "boost_nan_rho", "cascade_negative_seed", "lines_negative_seed", "lines_seed_2_pow_128",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):

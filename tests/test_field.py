@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from causalfermion import algebra as al
 from causalfermion import field as fd
 from causalfermion.errors import BandExceeded, SupportExceedsGuard, WrongRepresentation
-from causalfermion.weylradial import simpson_weights
 
 rng = np.random.default_rng(7)
 
@@ -265,76 +263,6 @@ class TestNufftBound:
             err = np.abs(fd.nufft1(theta, c[:, :d], m) - want[:, :d]).max(axis=0)
             ratio = err / np.abs(c[:, :d]).sum(axis=0)
             assert ratio.max() <= fd.NUFFT_ERR, f"{ratio.max():.3g} of sum |c_k| at d = {d}"
-
-
-class TestRadialState:
-    def test_norm_against_quadrature(self):
-        grid = fd.Grid(3, 64, 7.0 / 64)
-
-        def g(r):
-            prof = np.where(r < 1.4, np.exp(-1.96 / np.maximum(1.96 - r * r, 1e-300)), 0.0)
-            out = np.zeros(r.shape + (2,), dtype=complex)
-            out[..., 0] = prof
-            out[..., 1] = 0.2 * prof
-            return out
-
-        psi = fd.make_radial_state(g, +1, grid)
-        r = np.linspace(0.0, 1.4, 2001)
-        w = simpson_weights(r.size, r[1] - r[0])
-        dens = np.sum(np.abs(g(r)) ** 2, axis=1)
-        oracle = 4.0 * np.pi * np.sum(w * r**2 * dens)
-        assert abs(psi.norm_sq() - oracle) <= 1e-6 * oracle
-
-    def test_lattice_rotation_invariance(self):
-        dx = 6.0 / 32
-        grid = fd.Grid(3, 32, dx, origin=(-3.0 + dx / 2,) * 3)
-
-        def g(r):
-            prof = np.exp(-(r**2))
-            out = np.zeros(r.shape + (2,), dtype=complex)
-            out[..., 0] = prof
-            return out
-
-        psi = fd.make_radial_state(g, +1, grid)
-        dens = np.sum(np.abs(psi.values) ** 2, axis=-1)
-        # quarter-turn around e3 permutes lattice sites
-        assert np.max(np.abs(dens - np.rot90(dens, axes=(0, 1)))) <= 1e-14
-
-    def test_zero_profile(self):
-        grid = fd.Grid(3, 16, 4.0 / 16)
-        psi = fd.make_radial_state(lambda r: np.zeros(r.shape + (2,), dtype=complex), +1, grid)
-        assert np.all(psi.values == 0.0)
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        grid = fd.Grid(1, 128, 8.0 / 128)
-        psi = fd.make_bump(grid, 0.4, 1.0, [1, 1j, 0.5, 0], al.Dirac(0.7))
-        back = fd.from_bytes(fd.to_bytes(psi))
-        assert back.grid == psi.grid
-        assert back.system == psi.system
-        assert back.rep == psi.rep
-        # payload is complex64
-        assert np.max(np.abs(back.values - psi.values)) <= 1e-6
-
-    def test_roundtrip_3d_weyl(self):
-        grid = fd.Grid(3, 8, 4.0 / 8)
-        vals = (rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2))).astype(complex)
-        psi = fd.SpinorField(grid, al.Weyl(-1), "momentum", vals)
-        back = fd.from_bytes(fd.to_bytes(psi))
-        assert back.system == al.Weyl(-1)
-        assert back.rep == "momentum"
-        assert np.max(np.abs(back.values - psi.values)) <= 1e-5
-
-    def test_density_csv(self):
-        grid = fd.Grid(1, 64, 4.0 / 64)
-        psi = fd.make_bump(grid, 0.0, 1.0, [1, 0], al.Weyl(+1))
-        buf = io.StringIO()
-        fd.density_csv(psi, buf, comments=["demo"])
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# demo"
-        assert lines[1] == "x,density"
-        assert len(lines) == 2 + grid.n
 
 
 def test_translate_exact_roll():

@@ -212,8 +212,7 @@ class TestAsymptotics:
         assert abs(sim - plus) <= 0.02
 
     def test_slab_probability_increases_to_one(self, profile):
-        table = wr.slab_probability_limit(profile, +1, 0.7, [5.0, 10.0, 40.0, 80.0])
-        vals = [p for _, p in table]
+        vals = [wr.slab_probability_evolved(profile, +1, t, beta=0.7) for t in (5.0, 10.0, 40.0, 80.0)]
         assert all(b >= a - 1e-3 for a, b in zip(vals, vals[1:]))
         assert vals[0] < 1.0
         assert vals[-1] >= 0.99  # |t| = 40 x (support radius 2)
@@ -244,14 +243,3 @@ class TestQuadratureHelpers:
         cum = wr.cumulative_simpson(f, x[1] - x[0])
         w = wr.simpson_weights(101, x[1] - x[0])
         assert abs(cum[-1] - np.sum(w * f)) <= 1e-12
-
-    def test_sample_on_grid_matches_pointwise(self, profile):
-        from causalfermion.field import Grid
-
-        grid = Grid(3, 16, 6.0 / 16, origin=(-3.0 + 6.0 / 32,) * 3)
-        fld = wr.sample_on_grid(profile, +1, 0.6, grid)
-        mesh = np.meshgrid(*(grid.axis(k) for k in range(3)), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        pick = 777
-        val = wr.evaluate_closed_form(profile, +1, 0.6, pts[pick : pick + 1])
-        assert np.max(np.abs(fld.values.reshape(-1, 2)[pick] - val[0])) <= 1e-14
