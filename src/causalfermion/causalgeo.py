@@ -17,6 +17,8 @@ the set of lines meeting a region carries the Lebesgue measure of R^3 x O_1.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,6 +452,11 @@ class MonteCarloResult:
         return (self.estimate - target) / self.stderr
 
 
+#: rows per block of the direction normalization and the predicate, so that a
+#: worker's temporaries stay block-sized whatever the shard size
+MC_BLOCK_ROWS = 8192
+
+
 def monte_carlo_line_measure(
     predicate,
     box_lo,
@@ -462,31 +469,80 @@ def monte_carlo_line_measure(
 
     Stratified over equal shards with per-shard counter-based Philox streams
     (key = seed, counter offset = shard), so results are reproducible and
-    shards are independent.  predicate(x_batch, v_batch) -> bool array.
+    shards are independent.  predicate(x_batch, v_batch) -> bool array; it is
+    called on row blocks of at most ``MC_BLOCK_ROWS`` lines, from several
+    threads at once.
+
+    The shards run on min(strata, usable CPUs) workers: the calling thread is
+    worker 0, and worker w takes shards w, w + workers, ...  The Philox fills
+    and numpy's loops release the GIL, so the workers overlap.  The calling
+    thread allocates one (x, d, r) buffer set per worker, which the worker
+    refills in place for each of its shards; a worker allocates only
+    block-sized temporaries.  Per-shard hit counts are summed in shard order,
+    so every field of the result is bit-identical for any worker count.  An
+    exception raised in a worker is raised from this call once every worker
+    has stopped.
     """
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
     vol = float(np.prod(box_hi - box_lo)) * (4.0 * np.pi / 3.0)
     per = n_samples // strata
-    means = []
-    total_hits = 0
-    for shard in range(strata):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shard]))
-        x = box_lo + (box_hi - box_lo) * rng.random((per, 3))
-        # uniform in the open unit ball: direction times radius^(1/3)
-        d = rng.normal(size=(per, 3))
-        d /= _row_norms(d)[:, None]
-        v = d * rng.random(per)[:, None] ** (1.0 / 3.0)
-        hit = predicate(x, v)
-        total_hits += int(np.sum(hit))
-        means.append(float(np.mean(hit)))
-    means = np.array(means)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(strata, cpus)
+    buffers = [(np.empty((per, 3)), np.empty((per, 3)), np.empty(per)) for _ in range(workers)]
+    hits = [0] * strata
+    errors = [None] * workers
+
+    def work(w: int) -> None:
+        x, d, r = buffers[w]
+        try:
+            for shard in range(w, strata, workers):
+                if any(errors):
+                    return
+                _fill_shard(seed, shard, box_lo, box_hi - box_lo, x, d, r)
+                hits[shard] = _shard_hits(predicate, x, d, r)
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    means = np.array([h / per for h in hits])
     p = float(np.mean(means))
     var_of_mean = float(np.var(means, ddof=1) / strata) if strata > 1 else p * (1 - p) / per
     return MonteCarloResult(
         estimate=vol * p,
         stderr=vol * float(np.sqrt(var_of_mean)),
-        hits=total_hits,
+        hits=sum(hits),
         samples=per * strata,
         volume=vol,
     )
+
+
+def _fill_shard(seed: int, shard: int, box_lo, span, x, d, r) -> None:
+    """Draw one shard in place: positions x in the box, normal d, radii r^(1/3)."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shard]))
+    rng.random(out=x)
+    x *= span
+    x += box_lo
+    # uniform in the open unit ball: direction d/|d| times radius r^(1/3)
+    rng.standard_normal(out=d)
+    rng.random(out=r)
+    np.power(r, 1.0 / 3.0, out=r)
+
+
+def _shard_hits(predicate, x, d, r) -> int:
+    """Hits of one shard; turns d into the velocities v in place, block by block."""
+    hits = 0
+    for lo in range(0, r.size, MC_BLOCK_ROWS):
+        v = d[lo:lo + MC_BLOCK_ROWS]
+        v /= _row_norms(v)[:, None]
+        v *= r[lo:lo + MC_BLOCK_ROWS, None]
+        hits += int(np.count_nonzero(predicate(x[lo:lo + MC_BLOCK_ROWS], v)))
+    return hits

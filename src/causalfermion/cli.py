@@ -111,11 +111,13 @@ SCHEMAS = {
 REQUIRED = {"cascade": ("seed",), "lines": ("seed",)}
 
 _POSITIVE = (lambda v, _: 0 < v < np.inf, "finite and > 0")
+_FINITE = (lambda v, _: -np.inf < v < np.inf, "finite")
 # Simpson's rule on nodes + 1 points needs an even node count
 _EVEN_NODES = (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2")
 _FINITE_LIST = (lambda v, _: len(v) > 0 and all(-np.inf < x < np.inf for x in v), "a non-empty list of finite numbers")
 
-#: value checks applied to every command that has the key: (test(value, cfg), what it must be)
+#: value checks applied to every command that has the key: (test(value, cfg), what it must be);
+#: a check that reads another key comes after that key's own check, so the error names the bad key
 CHECKS = {
     "n": (lambda v, _: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
     "system": (lambda v, _: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
@@ -124,7 +126,9 @@ CHECKS = {
     "nodes": _EVEN_NODES,
     "k_nodes": _EVEN_NODES,
     "mass": (lambda v, _: 0 <= v < np.inf, "finite and >= 0"),
-    **{key: _POSITIVE for key in ("bump_width", "length", "r_max", "ball_radius", "delta", "width", "target_t")},
+    **{key: _POSITIVE for key in ("bump_width", "length", "r_max", "ball_radius", "delta", "width", "target_t",
+                                  "k_max")},
+    **{key: _FINITE for key in ("bump_center", "half_space_edge")},
     # fit_tent needs at least five samples of the frontier profile
     "n_times": (lambda v, _: v >= 5, ">= 5"),
     "window": (lambda v, _: v > 0, "> 0"),
@@ -136,6 +140,7 @@ CHECKS = {
     # energy_growth divides by the shell's weight, so a node k > 0 must lie in the shell
     "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
                  "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),
+    "samples": (lambda v, _: v >= 1, ">= 1"),
     "strata": (lambda v, cfg: 1 <= v <= cfg["samples"], "between 1 and samples"),
     # a Philox key (lines) must be < 2**128; default_rng (cascade) takes no negative seed
     "seed": (lambda v, _: 0 <= v < 2**128, "an integer in [0, 2**128)"),

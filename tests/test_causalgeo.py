@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -297,6 +301,88 @@ class TestMonteCarlo:
         # quadrupling samples roughly halves the standard error
         assert 1.4 <= errs[0] / errs[1] <= 2.9
         assert 1.4 <= errs[1] / errs[2] <= 2.9
+
+
+def serial_line_measure(predicate, box_lo, box_hi, n_samples, seed, strata):
+    """The one-shard-at-a-time loop the threaded shards replaced: their oracle."""
+    box_lo = np.asarray(box_lo, dtype=float)
+    box_hi = np.asarray(box_hi, dtype=float)
+    vol = float(np.prod(box_hi - box_lo)) * (4.0 * np.pi / 3.0)
+    per = n_samples // strata
+    means = []
+    total_hits = 0
+    for shard in range(strata):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shard]))
+        x = box_lo + (box_hi - box_lo) * rng.random((per, 3))
+        d = rng.normal(size=(per, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        v = d * rng.random(per)[:, None] ** (1.0 / 3.0)
+        hit = predicate(x, v)
+        total_hits += int(np.sum(hit))
+        means.append(float(np.mean(hit)))
+    means = np.array(means)
+    p = float(np.mean(means))
+    var_of_mean = float(np.var(means, ddof=1) / strata) if strata > 1 else p * (1 - p) / per
+    return cg.MonteCarloResult(
+        estimate=vol * p,
+        stderr=vol * float(np.sqrt(var_of_mean)),
+        hits=total_hits,
+        samples=per * strata,
+        volume=vol,
+    )
+
+
+class TestThreadedShards:
+    # 263_147 is odd, 2 mod 3 and 11 mod 16, and no shard size it gives is a
+    # multiple of the row block; 1_003 leaves every shard below one block
+    @pytest.mark.parametrize("n_samples", [263_147, 1_003])
+    @pytest.mark.parametrize("strata", [1, 2, 3, 16])
+    @pytest.mark.parametrize("predicate", [cg.shrinking_ball_predicate, cg.diamond_pair_predicate])
+    def test_equals_serial_oracle_for_any_worker_count(self, predicate, strata, n_samples, monkeypatch):
+        assert (n_samples // strata) % cg.MC_BLOCK_ROWS != 0
+        box = ((-1.0, -0.5, -1.0), (1.0, 1.5, 0.75))
+        want = serial_line_measure(predicate, *box, n_samples, seed=41, strata=strata)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+            threads = set()
+
+            def counted(x, v):
+                threads.add(threading.current_thread())
+                return predicate(x, v)
+
+            got = cg.monte_carlo_line_measure(counted, *box, n_samples, seed=41, strata=strata)
+            assert got == want, (workers, got, want)
+            assert len(threads) == min(strata, workers)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # each worker writes only its own shards' hit counts; a lost or crossed
+        # write would change hits and the shard-order statistics
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        want = serial_line_measure(cg.diamond_pair_predicate, (-1, -1, -1), (1, 1, 1), 200_003, seed=43, strata=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = cg.monte_carlo_line_measure(
+                cg.diamond_pair_predicate, (-1, -1, -1), (1, 1, 1), 200_003, seed=43, strata=16
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_predicate_exception_reaches_the_caller(self, where, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller = threading.get_ident()
+        before = threading.active_count()
+
+        def failing(x, v):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise ZeroDivisionError("predicate failed")
+            return cg.shrinking_ball_predicate(x, v)
+
+        with pytest.raises(ZeroDivisionError, match="predicate failed"):
+            cg.monte_carlo_line_measure(failing, (-1, -1, -1), (1, 1, 1), 40_000, seed=3, strata=4)
+        assert threading.active_count() == before
 
 
 def test_row_norms_bit_identical_to_linalg_norm():

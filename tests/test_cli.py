@@ -147,6 +147,26 @@ class TestFailFast:
         assert rc == cli.EXIT_CONFIG
         assert err.startswith("config error: key 'target_t'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["evolve", "--set", "bump_center=nan"], "bump_center"),
+            (["cascade", "--set", "seed=1", "--set", "region=half_space", "--set", "half_space_edge=nan"],
+             "half_space_edge"),
+            (["pol", "--set", "k_max=-1"], "k_max"),
+            (["pol", "--set", "k_max=nan"], "k_max"),
+            (["lines", "--set", "samples=0", "--set", "seed=1"], "samples"),
+        ],
+        ids=["bump_center", "half_space_edge", "negative_k_max", "nan_k_max", "zero_samples"],
+    )
+    def test_bad_value_names_its_key(self, argv, key, tmp_path, capsys):
+        # k_max and samples are read by the shell_hi and strata checks, which must not take the blame
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: key {key!r}") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["boost", "contract"])
     def test_window_beyond_fitted_t_eb_exit_2(self, command, tmp_path, capsys):
         # t_eb is fitted from the seed (about target_t = 1.5), so window = 2 passes CHECKS
