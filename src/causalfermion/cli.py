@@ -30,120 +30,118 @@ EXIT_GUARD = 3
 
 # --- config handling ----------------------------------------------------------
 
-SCHEMAS = {
-    "evolve": {
-        "n": (int, 2048),
-        "length": (float, 16.0),
-        "system": (str, "dirac"),
-        "mass": (float, 1.0),
-        "chi": (int, 1),
-        "bump_center": (float, 0.0),
-        "bump_width": (float, 1.0),
-        "times": (list, [0.5, 1.0, 2.0]),
-        "edge_tau": (float, 1e-6),
-    },
-    "frontier": {
-        "n": (int, 4096),
-        "length": (float, 24.0),
-        "system": (str, "dirac"),
-        "mass": (float, 1.0),
-        "chi": (int, 1),
-        "bump_center": (float, 0.0),
-        "bump_width": (float, 1.0),
-        "n_times": (int, 17),
-        "edge_tau": (float, 1e-6),
-    },
-    "boost": {
-        "n": (int, 8192),
-        "length": (float, 14.0),
-        "mass": (float, 1.0),
-        "rhos": (list, [0.5, 1.0, 2.0]),
-        "target_t": (float, 1.5),
-        "window": (float, 0.3),
-        "edge_tau": (float, 1e-6),
-    },
-    "contract": {
-        "n": (int, 8192),
-        "length": (float, 14.0),
-        "mass": (float, 1.0),
-        "delta": (float, 0.1),
-        "rhos": (list, [0.0, 1.0, 2.0, 3.0]),
-        "target_t": (float, 1.5),
-        "window": (float, 0.3),
-    },
-    "radial": {
-        "nodes": (int, 4096),
-        "r_max": (float, 2.0),
-        "chi": (int, 1),
-        "width": (float, 1.5),
-        "times": (list, [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]),
-    },
-    "pol": {
-        "k_max": (float, 140.0),
-        "k_nodes": (int, 8192),
-        "mass": (float, 1.0),
-        "shell_lo": (float, 1.0),
-        "shell_hi": (float, 2.0),
-        "ns": (list, [1, 2, 4, 8, 16, 32, 64]),
-        "ball_radius": (float, 1.0),
-    },
-    "cascade": {
-        "n": (int, 32),
-        "length": (float, 8.0),
-        "mass": (float, 1.0),
-        "depth": (int, 8),
-        "region": (str, "ball"),
-        "ball_radius": (float, 1.0),
-        "half_space_edge": (float, 0.0),
-        "seed": (int, None),
-    },
-    "lattice": {},
-    "lines": {
-        "samples": (int, 10_000_000),
-        "seed": (int, None),
-        "target": (str, "4pi2over45"),
-        "strata": (int, 16),
-    },
-    "selftest": {},
+#: width of the bump that seeds the late-change state of boost and contract
+_SEED_WIDTH = 0.7
+#: cap on grid sites (n**dim), radial and k nodes, frontier times and Monte Carlo rows per shard
+_MAX_SIZE = 2**20
+
+#: lines target -> (measure, predicate, region description)
+_TARGETS = {
+    "4pi2over45": (cg.SHRINKING_BALL_MEASURE, cg.shrinking_ball_predicate,
+                   "lines with |v| <= 1 - |x| (unit-speed budget family)"),
+    "2pi2over9": (cg.DIAMOND_PAIR_MEASURE, cg.diamond_pair_predicate,
+                  "lines meeting both unit diamonds at x0 = -1 and x0 = +1"),
 }
 
-#: keys whose absence is a config error (stochastic experiments need a seed)
-REQUIRED = {"cascade": ("seed",), "lines": ("seed",)}
+
+def _dim(cfg) -> int:
+    return 3 if "region" in cfg else 1  # cascade is the one command on a 3D grid
+
+
+def _band_edge(cfg) -> float:
+    """Largest momentum the command resolves: pi n / length on a grid, k_max for pol."""
+    return cfg["k_max"] if "k_max" in cfg else np.pi * cfg["n"] / cfg["length"]
+
+
+def _resolves_state(dx: float, cfg) -> bool:
+    """Whether cells dx resolve the initial state: narrower than its bump, or on cascade's 3D grid with the
+    peak of pol.random_positive_state's |p| envelope below the band edge pi / dx."""
+    if _dim(cfg) == 3:
+        return np.pi / dx > pol.RANDOM_STATE_PEAK
+    return dx < cfg.get("bump_width", _SEED_WIDTH)
+
+
+def _finite_list(v) -> bool:
+    return len(v) > 0 and all(-np.inf < x < np.inf for x in v)
+
 
 _POSITIVE = (lambda v, _: 0 < v < np.inf, "finite and > 0")
 _FINITE = (lambda v, _: -np.inf < v < np.inf, "finite")
 # Simpson's rule on nodes + 1 points needs an even node count
-_EVEN_NODES = (lambda v, _: v >= 2 and v % 2 == 0, "an even number >= 2")
-_FINITE_LIST = (lambda v, _: len(v) > 0 and all(-np.inf < x < np.inf for x in v), "a non-empty list of finite numbers")
+_EVEN_NODES = (lambda v, _: 2 <= v <= _MAX_SIZE and v % 2 == 0, f"an even number in [2, {_MAX_SIZE}]")
+_LANE = ("evolve", "frontier")
+_LATE = ("boost", "contract")
 
-#: value checks applied to every command that has the key: (test(value, cfg), what it must be);
-#: a check that reads another key comes after that key's own check, so the error names the bad key
-CHECKS = {
-    "n": (lambda v, _: v >= 4 and v & (v - 1) == 0, "a power of two >= 4"),
-    "system": (lambda v, _: v in ("dirac", "weyl"), "'dirac' or 'weyl'"),
-    "chi": (lambda v, _: v in (-1, 1), "-1 or 1"),
-    "depth": (lambda v, _: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}"),
-    "nodes": _EVEN_NODES,
-    "k_nodes": _EVEN_NODES,
-    "mass": (lambda v, _: 0 <= v < np.inf, "finite and >= 0"),
-    **{key: _POSITIVE for key in ("bump_width", "length", "r_max", "ball_radius", "delta", "width", "target_t",
-                                  "k_max")},
-    **{key: _FINITE for key in ("bump_center", "half_space_edge")},
-    # fit_tent needs at least five samples of the frontier profile
-    "n_times": (lambda v, _: v >= 5, ">= 5"),
-    "window": (lambda v, _: v > 0, "> 0"),
-    # support_edge takes a mass-fraction tolerance in (0, 1e-2] only
-    "edge_tau": (lambda v, _: 0 < v <= 1e-2, "in (0, 1e-2]"),
-    "times": _FINITE_LIST,
-    "rhos": _FINITE_LIST,
-    "ns": (lambda v, _: len(v) > 0 and all(1 <= x < np.inf for x in v), "a non-empty list of finite numbers >= 1"),
-    # energy_growth divides by the shell's weight, so a node k > 0 must lie in the shell
-    "shell_hi": (lambda v, cfg: cfg["shell_lo"] < v and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg) if k > 0),
-                 "> shell_lo, with a k node > 0 in [shell_lo, shell_hi]"),
-    "samples": (lambda v, _: v >= 1, ">= 1"),
-    "strata": (lambda v, cfg: 1 <= v <= cfg["samples"], "between 1 and samples"),
+#: every config key once: key -> (type, check(value, cfg), what the value must be, {command: default}).
+#: A default of None makes the key required (the stochastic experiments need a seed).  resolve_config
+#: runs the checks in this order, and a check reads only keys above its own row: a bad value fails its own
+#: check before any check that reads it.
+KEYS = {
+    "system": (str, lambda v, _: v in ("dirac", "weyl"), "'dirac' or 'weyl'", dict.fromkeys(_LANE, "dirac")),
+    "chi": (int, lambda v, _: v in (-1, 1), "-1 or 1", dict.fromkeys(_LANE + ("radial",), 1)),
+    "region": (str, lambda v, _: v in ("ball", "half_space"), "'ball' or 'half_space'", {"cascade": "ball"}),
+    "target": (str, lambda v, _: v in _TARGETS, " or ".join(map(repr, _TARGETS)), {"lines": "4pi2over45"}),
     # a Philox key (lines) must be < 2**128; default_rng (cascade) takes no negative seed
-    "seed": (lambda v, _: 0 <= v < 2**128, "an integer in [0, 2**128)"),
+    "seed": (int, lambda v, _: 0 <= v < 2**128, "an integer in [0, 2**128)", {"cascade": None, "lines": None}),
+    "depth": (int, lambda v, _: 1 <= v <= pol.MAX_CASCADE_DEPTH, f"between 1 and {pol.MAX_CASCADE_DEPTH}",
+              {"cascade": 8}),
+    "n": (int, lambda v, cfg: v >= 4 and v & (v - 1) == 0 and v ** _dim(cfg) <= _MAX_SIZE,
+          f"a power of two >= 4 with n**dim <= {_MAX_SIZE} grid sites (dim 3 for cascade)",
+          {"evolve": 2048, "frontier": 4096, "boost": 8192, "contract": 8192, "cascade": 32}),
+    "bump_width": (float, *_POSITIVE, dict.fromkeys(_LANE, 1.0)),
+    "bump_center": (float, *_FINITE, dict.fromkeys(_LANE, 0.0)),
+    "length": (float, lambda v, cfg: 0 < v < np.inf and _resolves_state(v / cfg["n"], cfg),
+               f"finite and > 0, with cells length / n narrower than the bump ({_SEED_WIDTH} for boost and "
+               f"contract), or for cascade pi n / length above |p| = {pol.RANDOM_STATE_PEAK}",
+               {"evolve": 16.0, "frontier": 24.0, "boost": 14.0, "contract": 14.0, "cascade": 8.0}),
+    "k_max": (float, *_POSITIVE, {"pol": 140.0}),
+    "mass": (float, lambda v, cfg: 0 <= v <= _band_edge(cfg),
+             "finite, >= 0 and at most the band edge (pi n / length, or k_max for pol)",
+             dict.fromkeys(_LANE + _LATE + ("pol", "cascade"), 1.0)),
+    # support_edge takes a mass-fraction tolerance in (0, 1e-2] only
+    "edge_tau": (float, lambda v, _: 0 < v <= 1e-2, "in (0, 1e-2]", dict.fromkeys(_LANE + ("boost",), 1e-6)),
+    # fit_tent needs at least five samples of the frontier profile
+    "n_times": (int, lambda v, _: 5 <= v <= _MAX_SIZE, f"in [5, {_MAX_SIZE}]", {"frontier": 17}),
+    "target_t": (float, *_POSITIVE, dict.fromkeys(_LATE, 1.5)),
+    "window": (float, lambda v, _: v > 0, "> 0", dict.fromkeys(_LATE, 0.3)),
+    # the boosted momenta cosh(rho) p + sinh(rho) eps(p) stay below 2 e^|rho| times the band edge
+    "rhos": (list, lambda v, cfg: _finite_list(v)
+             and max(map(abs, v)) < np.log(np.finfo(float).max / 2 / _band_edge(cfg)),
+             "a non-empty list of finite numbers with 2 e^|rho| pi n / length a finite float",
+             {"boost": [0.5, 1.0, 2.0], "contract": [0.0, 1.0, 2.0, 3.0]}),
+    "delta": (float, *_POSITIVE, {"contract": 0.1}),
+    "nodes": (int, *_EVEN_NODES, {"radial": 4096}),
+    "r_max": (float, *_POSITIVE, {"radial": 2.0}),
+    "width": (float, lambda v, cfg: cfg["r_max"] / cfg["nodes"] < v <= cfg["r_max"],
+              "in (r_max / nodes, r_max]: the profile spans more than one node and ends inside r_max",
+              {"radial": 1.5}),
+    # radial's quadrature of the evolved state spans [0, r_max + |t|] in wr.DEFAULT_NODES intervals
+    "times": (list, lambda v, cfg: _finite_list(v)
+              and ("width" not in cfg or (cfg["r_max"] + max(map(abs, v))) / wr.DEFAULT_NODES < cfg["width"]),
+              f"a non-empty list of finite numbers, for radial with (r_max + |t|) / {wr.DEFAULT_NODES} < width",
+              {"evolve": [0.5, 1.0, 2.0], "radial": [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]}),
+    "k_nodes": (int, *_EVEN_NODES, {"pol": 8192}),
+    "shell_lo": (float, *_POSITIVE, {"pol": 1.0}),
+    # energy_growth divides by the shell's weight, so a k node must lie in the shell
+    "shell_hi": (float, lambda v, cfg: cfg["shell_lo"] < v < cfg["k_max"]
+                 and any(cfg["shell_lo"] <= k <= v for k in _pol_k(cfg)),
+                 "in (shell_lo, k_max), with a k node in [shell_lo, shell_hi]", {"pol": 2.0}),
+    # the largest dilation n moves the shell up to n shell_hi, which must stay below k_max
+    "ns": (list, lambda v, cfg: len(v) > 0 and all(1 <= x < np.inf for x in v)
+           and max(v) * cfg["shell_hi"] < cfg["k_max"],
+           "a non-empty list of numbers >= 1 with max(ns) shell_hi < k_max", {"pol": [1, 2, 4, 8, 16, 32, 64]}),
+    # a cascade region and its complement must each hold a site; a ball always holds the origin site
+    "ball_radius": (float, lambda v, cfg: 0 < v < np.inf
+                    and (cfg.get("region") != "ball" or v < np.sqrt(3) * cfg["length"] / 2),
+                    "finite and > 0, and for a cascade ball below the corner distance sqrt(3) length / 2",
+                    {"pol": 1.0, "cascade": 1.0}),
+    "half_space_edge": (float, lambda v, cfg: -np.inf < v < np.inf and (cfg["region"] != "half_space"
+                        or -cfg["length"] / 2 <= v < cfg["length"] / 2 - cfg["length"] / cfg["n"]),
+                        "finite, and for a half space between the first and the last site along e3",
+                        {"cascade": 0.0}),
+    "samples": (int, lambda v, _: 1 <= v <= 2**30, "in [1, 2**30]", {"lines": 10_000_000}),
+    "strata": (int, lambda v, cfg: 1 <= v <= cfg["samples"] and cfg["samples"] // v <= _MAX_SIZE,
+               f"between 1 and samples, with samples // strata <= {_MAX_SIZE} rows per shard", {"lines": 16}),
 }
 
 
@@ -190,12 +188,10 @@ def resolve_config(command: str, path: str | None, overrides) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for {command!r}")
         cfg[key] = _coerce(key, val, schema[key][0])
-    for key, (typ, default) in schema.items():
-        cfg.setdefault(key, default)
-    for key in REQUIRED.get(command, ()):
-        if cfg.get(key) is None:
+    for key, (_, default) in schema.items():
+        if cfg.setdefault(key, default) is None:
             raise ConfigError(f"{command!r} requires key {key!r}")
-    for key, (ok, want) in CHECKS.items():
+    for key, (_, ok, want, _) in KEYS.items():
         if key in cfg and not ok(cfg[key], cfg):
             raise ConfigError(f"key {key!r} = {cfg[key]!r}: must be {want}")
     return cfg
@@ -222,6 +218,7 @@ class CsvWriter:
         cells = []
         for v in vals:
             if isinstance(v, float):
+                _require(np.isfinite(v), f"non-finite value {v} in {self.path.name}")
                 cells.append(f"{v:.17g}")
             else:
                 cells.append(str(v))
@@ -239,9 +236,9 @@ def _require(cond: bool, message: str):
 
 
 def _system(cfg):
-    if cfg.get("system", "dirac") == "dirac":
-        return al.Dirac(cfg.get("mass", 1.0))
-    return al.Weyl(int(cfg.get("chi", 1)))
+    if cfg["system"] == "dirac":
+        return al.Dirac(cfg["mass"])
+    return al.Weyl(cfg["chi"])
 
 
 def _pol_k(cfg) -> np.ndarray:
@@ -312,11 +309,11 @@ def run_frontier(cfg, out: Path) -> int:
 def _build_late_change(cfg):
     grid = fd.Grid(1, cfg["n"], cfg["length"] / cfg["n"])
     system = al.Dirac(cfg["mass"])
-    psi0 = fd.make_bump(grid, 0.0, 0.7, _spinor(system), system, guard=3.3)
+    psi0 = fd.make_bump(grid, 0.0, _SEED_WIDTH, _spinor(system), system, guard=3.3)
     eta = fr.make_seed_with_dates(psi0, cfg["target_t"], +1)
     try:
         psi = fr.make_late_change_state(eta, cfg["window"], +1)
-    except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so CHECKS cannot bound window
+    except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so no check in KEYS can bound window
         raise ConfigError(f"key 'window' = {cfg['window']!r} does not fit the seed: {exc}") from exc
     psi = fr.recenter_lower_edge(psi)
     alpha = (-fr.support_edge(psi, -1, 1e-6) - fr.support_edge(psi, +1, 1e-6)) / 2
@@ -414,10 +411,8 @@ def run_cascade(cfg, out: Path) -> int:
     phi = pol.random_positive_state(grid, system, seed=cfg["seed"])
     if cfg["region"] == "ball":
         mask = fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), cfg["ball_radius"])
-    elif cfg["region"] == "half_space":
-        mask = fd.RegionMask.half_space(grid, cfg["half_space_edge"])
     else:
-        raise ConfigError(f"unknown region {cfg['region']!r}")
+        mask = fd.RegionMask.half_space(grid, cfg["half_space_edge"])
     stats = pol.measurement_cascade(phi, mask, depth=cfg["depth"])
     g_csv = CsvWriter(out / "cascade_gamma.csv", cfg)
     g_csv.header("k", "gamma_k")
@@ -479,15 +474,7 @@ def run_lattice(cfg, out: Path) -> int:
 
 
 def run_lines(cfg, out: Path) -> int:
-    targets = {
-        "4pi2over45": (cg.SHRINKING_BALL_MEASURE, cg.shrinking_ball_predicate,
-                       "lines with |v| <= 1 - |x| (unit-speed budget family)"),
-        "2pi2over9": (cg.DIAMOND_PAIR_MEASURE, cg.diamond_pair_predicate,
-                      "lines meeting both unit diamonds at x0 = -1 and x0 = +1"),
-    }
-    if cfg["target"] not in targets:
-        raise ConfigError(f"unknown target {cfg['target']!r}")
-    target, predicate, desc = targets[cfg["target"]]
+    target, predicate, desc = _TARGETS[cfg["target"]]
     res = cg.monte_carlo_line_measure(
         predicate, (-1, -1, -1), (1, 1, 1), cfg["samples"], seed=cfg["seed"], strata=cfg["strata"]
     )
@@ -571,6 +558,9 @@ RUNNERS = {
     "lines": run_lines,
     "selftest": run_selftest,
 }
+
+#: {command: {key: (type, default)}}: the view of KEYS that resolve_config and bench/gate.py read
+SCHEMAS = {cmd: {key: (row[0], row[3][cmd]) for key, row in KEYS.items() if cmd in row[3]} for cmd in RUNNERS}
 
 
 def main(argv=None) -> int:

@@ -63,10 +63,14 @@ def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> Spino
     return positive_energy_project(masked)
 
 
+#: |p| at the peak of random_positive_state's envelope
+RANDOM_STATE_PEAK = 1.2
+
+
 def random_positive_state(grid: Grid, system, seed: int) -> SpinorField:
-    """Gaussian envelope in |p| (center 1.2, width 0.6) times a random spinor, P+-projected, normalized."""
+    """Gaussian envelope in |p| (peak RANDOM_STATE_PEAK, width 0.6) times a random spinor, P+-projected, normalized."""
     rng = np.random.default_rng(seed)
-    env = np.exp(-0.5 * ((grid.abs_p() - 1.2) / 0.6) ** 2)
+    env = np.exp(-0.5 * ((grid.abs_p() - RANDOM_STATE_PEAK) / 0.6) ** 2)
     d = system.components
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))

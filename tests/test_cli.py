@@ -2,7 +2,48 @@ import numpy as np
 import pytest
 
 from causalfermion import cli
-from causalfermion.errors import ConfigError
+from causalfermion.errors import ConfigError, InvariantFailure
+
+#: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
+#: and the config hash, so the table must reproduce each one with the same type and repr
+FROZEN_SCHEMAS = {
+    "evolve": {
+        "n": (int, 2048), "length": (float, 16.0), "system": (str, "dirac"), "mass": (float, 1.0),
+        "chi": (int, 1), "bump_center": (float, 0.0), "bump_width": (float, 1.0),
+        "times": (list, [0.5, 1.0, 2.0]), "edge_tau": (float, 1e-6),
+    },
+    "frontier": {
+        "n": (int, 4096), "length": (float, 24.0), "system": (str, "dirac"), "mass": (float, 1.0),
+        "chi": (int, 1), "bump_center": (float, 0.0), "bump_width": (float, 1.0), "n_times": (int, 17),
+        "edge_tau": (float, 1e-6),
+    },
+    "boost": {
+        "n": (int, 8192), "length": (float, 14.0), "mass": (float, 1.0), "rhos": (list, [0.5, 1.0, 2.0]),
+        "target_t": (float, 1.5), "window": (float, 0.3), "edge_tau": (float, 1e-6),
+    },
+    "contract": {
+        "n": (int, 8192), "length": (float, 14.0), "mass": (float, 1.0), "delta": (float, 0.1),
+        "rhos": (list, [0.0, 1.0, 2.0, 3.0]), "target_t": (float, 1.5), "window": (float, 0.3),
+    },
+    "radial": {
+        "nodes": (int, 4096), "r_max": (float, 2.0), "chi": (int, 1), "width": (float, 1.5),
+        "times": (list, [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]),
+    },
+    "pol": {
+        "k_max": (float, 140.0), "k_nodes": (int, 8192), "mass": (float, 1.0), "shell_lo": (float, 1.0),
+        "shell_hi": (float, 2.0), "ns": (list, [1, 2, 4, 8, 16, 32, 64]), "ball_radius": (float, 1.0),
+    },
+    "cascade": {
+        "n": (int, 32), "length": (float, 8.0), "mass": (float, 1.0), "depth": (int, 8),
+        "region": (str, "ball"), "ball_radius": (float, 1.0), "half_space_edge": (float, 0.0),
+        "seed": (int, None),
+    },
+    "lattice": {},
+    "lines": {
+        "samples": (int, 10_000_000), "seed": (int, None), "target": (str, "4pi2over45"), "strata": (int, 16),
+    },
+    "selftest": {},
+}
 
 
 class TestConfigParsing:
@@ -35,6 +76,62 @@ class TestConfigParsing:
         a = cli.resolve_config("frontier", None, ["n=512"])
         b = cli.resolve_config("frontier", None, ["n=512"])
         assert cli.config_hash(a) == cli.config_hash(b)
+
+    def test_schemas_view_matches_frozen_literal(self):
+        assert cli.SCHEMAS == FROZEN_SCHEMAS
+        for command, schema in FROZEN_SCHEMAS.items():
+            for key, (typ, default) in schema.items():
+                got_typ, got_default = cli.SCHEMAS[command][key]
+                assert got_typ is typ and repr(got_default) == repr(default), (command, key)
+
+    def test_required_keys_are_the_seeds(self):
+        required = {(cmd, key) for cmd, schema in cli.SCHEMAS.items() for key, (_, d) in schema.items() if d is None}
+        assert required == {("cascade", "seed"), ("lines", "seed")}
+
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+    def test_checks_read_only_keys_above_their_own(self, command):
+        # the defaults pass every check, and each check gives the same verdict when it sees only the
+        # keys whose rows come before its own: a check that read a later key would fail here
+        cfg = cli.resolve_config(command, None, ["seed=1"] if "seed" in cli.SCHEMAS[command] else None)
+        seen = {}
+        for key, (_, ok, _, defaults) in cli.KEYS.items():
+            if command in defaults:
+                seen[key] = cfg[key]
+                assert ok(cfg[key], dict(seen)), key
+
+    @pytest.mark.parametrize(
+        "command, sets",
+        [
+            ("evolve", ["n=1048576"]),
+            ("cascade", ["n=64", "seed=1"]),
+            ("radial", ["nodes=1048576"]),
+            ("pol", ["k_nodes=1048576"]),
+            ("frontier", ["n_times=1048576"]),
+            ("lines", ["samples=1073741824", "strata=1024", "seed=1"]),
+        ],
+        ids=["n_1d", "n_3d", "nodes", "k_nodes", "n_times", "samples"],
+    )
+    def test_size_at_cap_accepted(self, command, sets):
+        # checked through resolve_config only: no run allocates a size this large
+        cli.resolve_config(command, None, sets)
+
+    @pytest.mark.parametrize(
+        "command, sets, key",
+        [
+            ("evolve", ["n=2097152"], "n"),
+            ("boost", [f"n={2**30}"], "n"),
+            ("cascade", ["n=128", "seed=1"], "n"),
+            ("radial", ["nodes=1048578"], "nodes"),
+            ("pol", ["k_nodes=1048578"], "k_nodes"),
+            ("frontier", ["n_times=1048577"], "n_times"),
+            ("lines", ["samples=1073741825", "strata=1025", "seed=1"], "samples"),
+            ("lines", ["samples=2097152", "strata=1", "seed=1"], "strata"),
+        ],
+        ids=["n_1d", "n_2_pow_30", "n_3d", "nodes", "k_nodes", "n_times", "samples", "rows_per_shard"],
+    )
+    def test_size_above_cap_rejected(self, command, sets, key):
+        with pytest.raises(ConfigError, match=f"^key {key!r}"):
+            cli.resolve_config(command, None, sets)
 
 
 class TestExitCodes:
@@ -116,6 +213,16 @@ class TestFailFast:
             ["cascade", "--set", "seed=-1"],
             ["lines", "--set", "seed=-1"],
             ["lines", "--set", f"seed={2**128}"],
+            ["cascade", "--set", "seed=1", "--set", "region=cube"],
+            ["lines", "--set", "seed=1", "--set", "target=pi"],
+            ["radial", "--set", "times=1e300"],
+            ["radial", "--set", "r_max=1e300"],
+            ["pol", "--set", "shell_lo=0"],
+            ["pol", "--set", "ns=1e300"],
+            ["cascade", "--set", "seed=1", "--set", "ball_radius=7"],
+            ["cascade", "--set", "seed=1", "--set", "region=half_space", "--set", "half_space_edge=3.75"],
+            ["cascade", "--set", "seed=1", "--set", "mass=13"],
+            ["contract", "--set", "rhos=1e300"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
@@ -129,6 +236,9 @@ class TestFailFast:
             "evolve_nan_time", "frontier_edge_tau_above_1e-2", "frontier_zero_edge_tau",
             "radial_chi_0", "weyl_chi_3", "contract_negative_delta", "radial_negative_width",
             "boost_nan_rho", "cascade_negative_seed", "lines_negative_seed", "lines_seed_2_pow_128",
+            "cascade_unknown_region", "lines_unknown_target", "radial_huge_time", "radial_huge_r_max",
+            "pol_zero_shell_lo", "pol_huge_ns", "cascade_ball_holds_every_site",
+            "cascade_half_space_past_last_site", "cascade_mass_above_band_edge", "contract_huge_rho",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):
@@ -156,11 +266,17 @@ class TestFailFast:
             (["pol", "--set", "k_max=-1"], "k_max"),
             (["pol", "--set", "k_max=nan"], "k_max"),
             (["lines", "--set", "samples=0", "--set", "seed=1"], "samples"),
+            (["pol", "--set", "shell_lo=nan"], "shell_lo"),
+            (["pol", "--set", "shell_hi=inf"], "shell_hi"),
+            (["evolve", "--set", "length=1e300"], "length"),
+            (["cascade", "--set", "seed=1", "--set", "length=1e300"], "length"),
+            (["frontier", "--set", "mass=1e300"], "mass"),
         ],
-        ids=["bump_center", "half_space_edge", "negative_k_max", "nan_k_max", "zero_samples"],
+        ids=["bump_center", "half_space_edge", "negative_k_max", "nan_k_max", "zero_samples", "nan_shell_lo",
+             "infinite_shell_hi", "evolve_huge_length", "cascade_huge_length", "frontier_huge_mass"],
     )
     def test_bad_value_names_its_key(self, argv, key, tmp_path, capsys):
-        # k_max and samples are read by the shell_hi and strata checks, which must not take the blame
+        # k_max, samples, shell_lo and length are read by later checks, which must not take the blame
         rc = cli.main(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_CONFIG
@@ -169,13 +285,69 @@ class TestFailFast:
 
     @pytest.mark.parametrize("command", ["boost", "contract"])
     def test_window_beyond_fitted_t_eb_exit_2(self, command, tmp_path, capsys):
-        # t_eb is fitted from the seed (about target_t = 1.5), so window = 2 passes CHECKS
+        # t_eb is fitted from the seed (about target_t = 1.5), so window = 2 passes the window check
         rc = cli.main([command, "--set", "window=2", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_CONFIG
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "'window'" in err and "t_eb" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+
+#: a small config per command that exits 0 by itself; cascade once per region
+SWEEP_BASES = [
+    ["evolve", "n=1024"],
+    ["frontier", "n=1024", "length=16.0", "bump_width=0.8", "n_times=9"],
+    ["boost", "n=4096"],
+    ["contract", "n=2048"],
+    ["radial", "nodes=2048", "times=0.5 1.0"],
+    ["pol", "k_nodes=1024", "ns=32 64"],
+    ["cascade", "n=16", "depth=3", "seed=7"],
+    ["cascade", "n=16", "depth=3", "seed=7", "region=half_space"],
+    ["lines", "samples=20000", "seed=1"],
+]
+
+
+def _run_sets(base, sets, out):
+    """cli.main on base[0] with --set for each key=value, plus the exit code and any non-finite CSV cell."""
+    rc = cli.main([base[0], *[a for kv in sets for a in ("--set", kv)], "--out", str(out)])
+    bad = []
+    for path in sorted(out.glob("*.csv")) if out.exists() else ():
+        for line in path.read_text().splitlines():
+            if not line.startswith("#"):
+                for cell in line.split(","):
+                    try:
+                        if not np.isfinite(float(cell)):
+                            bad.append(f"{path.name}: {line}")
+                    except ValueError:
+                        pass
+    return rc, bad
+
+
+class TestSweep:
+    """One key at a time set to nan, +-inf, -1, 0 or 1e300 on a small base config.
+
+    This is a robustness sweep, not an accuracy test: the base configs are smaller than the defaults
+    that the acceptance tests pin.  An int key does not parse 1e300, so no huge size is ever run.
+    """
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=[" ".join(b) for b in SWEEP_BASES])
+    def test_base_exits_0(self, base, tmp_path):
+        assert _run_sets(base, base[1:], tmp_path) == (cli.EXIT_OK, [])
+
+    @pytest.mark.parametrize(
+        "base, key",
+        [(b, key) for b in SWEEP_BASES for key in cli.SCHEMAS[b[0]]],
+        ids=[f"{' '.join(b)}: {key}" for b in SWEEP_BASES for key in cli.SCHEMAS[b[0]]],
+    )
+    def test_extreme_values_exit_0_2_or_3(self, base, key, tmp_path, capsys):
+        # an exception escaping cli.main fails the test as an error
+        for value in ("nan", "inf", "-inf", "-1", "0", "1e300"):
+            sets = [kv for kv in base[1:] if kv.split("=")[0] != key] + [f"{key}={value}"]
+            rc, bad = _run_sets(base, sets, tmp_path / value)
+            err = capsys.readouterr().err
+            assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_GUARD), (value, err)
+            assert rc != cli.EXIT_OK or not bad, (value, bad)
 
 
 class TestArtifacts:
@@ -258,6 +430,13 @@ class TestArtifacts:
         assert rc == cli.EXIT_OK
         for name in ("cascade_gamma.csv", "cascade_levels.csv", "cascade_summary.csv"):
             assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_csv_rejects_non_finite_floats(self, value, tmp_path):
+        writer = cli.CsvWriter(tmp_path / "x.csv", {"a": 1})
+        writer.header("v")
+        with pytest.raises(InvariantFailure, match="non-finite"):
+            writer.row(1.0, value)
 
     def test_csv_17_digit_floats(self, tmp_path):
         writer = cli.CsvWriter(tmp_path / "x.csv", {"a": 1})
