@@ -55,9 +55,13 @@ def _band_edge(cfg) -> float:
 
 def _resolves_state(dx: float, cfg) -> bool:
     """Whether cells dx resolve the initial state: narrower than its bump, or on cascade's 3D grid with the
-    peak of pol.random_positive_state's |p| envelope below the band edge pi / dx."""
+    peak of pol.random_positive_state's |p| envelope below the band edge pi / dx.  evolve (the command
+    with a bump and a times list) checks its causal leak against EPS_LEAK, which holds from
+    fd.LEAK_SAMPLES samples across the bump."""
     if _dim(cfg) == 3:
         return np.pi / dx > pol.RANDOM_STATE_PEAK
+    if "times" in cfg:
+        return 2 * cfg["bump_width"] / dx >= fd.LEAK_SAMPLES
     return dx < cfg.get("bump_width", _SEED_WIDTH)
 
 
@@ -92,7 +96,8 @@ KEYS = {
     "bump_center": (float, *_FINITE, dict.fromkeys(_LANE, 0.0)),
     "length": (float, lambda v, cfg: 0 < v < np.inf and _resolves_state(v / cfg["n"], cfg),
                f"finite and > 0, with cells length / n narrower than the bump ({_SEED_WIDTH} for boost and "
-               f"contract), or for cascade pi n / length above |p| = {pol.RANDOM_STATE_PEAK}",
+               f"contract), for evolve 2 bump_width n / length >= {fd.LEAK_SAMPLES} samples across the bump, "
+               f"or for cascade pi n / length above |p| = {pol.RANDOM_STATE_PEAK}",
                {"evolve": 16.0, "frontier": 24.0, "boost": 14.0, "contract": 14.0, "cascade": 8.0}),
     "k_max": (float, *_POSITIVE, {"pol": 140.0}),
     "mass": (float, lambda v, cfg: 0 <= v <= _band_edge(cfg),
@@ -262,8 +267,7 @@ def run_evolve(cfg, out: Path) -> int:
     csv = CsvWriter(out / "evolve.csv", cfg)
     csv.header("t", "norm_dev", "causal_leak", "nw_leak", "edge_plus", "edge_minus")
     for t in cfg["times"]:
-        causal_leak, nw_leak = dyn.newton_wigner_leak(psi, t)
-        evolved = dyn.evolve_causal(psi, t)
+        causal_leak, nw_leak, evolved = dyn.newton_wigner_leak(psi, t)
         csv.row(
             t,
             abs(evolved.norm() - 1.0),
@@ -365,15 +369,8 @@ def run_radial(cfg, out: Path) -> int:
     csv = CsvWriter(out / "radial.csv", cfg)
     csv.header("t", "ball_prob", "slab_prob", "normA_plus", "normA_minus", "normR")
     for t in cfg["times"]:
-        na, nb, nr = wr.splitting_norms(profile, t)
-        csv.row(
-            float(t),
-            wr.ball_probability_evolved(profile, chi, float(t)),
-            wr.slab_probability_evolved(profile, chi, float(t)),
-            na,
-            nb,
-            nr,
-        )
+        quad = wr.evolved_quadrature(profile, chi, t)
+        csv.row(t, wr.ball_probability_evolved(quad), wr.slab_probability_evolved(quad), *wr.splitting_norms(quad))
     print(csv.write())
     err = wr.crosscheck_against_spectral(profile, chi, 1.0)
     _require(err <= 1e-5, f"closed-form vs spectral discrepancy {err}")
@@ -519,7 +516,7 @@ def run_selftest(cfg, out: Path) -> int:
     check("unitary_evolution", abs(ev.norm() - 1.0) <= 1e-12)
     both = dyn.evolve_causal(dyn.evolve_causal(psi, 0.6), 0.4)
     check("group_law", (both - ev).norm() <= 1e-12)
-    cleak, nwleak = dyn.newton_wigner_leak(psi, 1.0)
+    cleak, nwleak, _ = dyn.newton_wigner_leak(psi, 1.0)
     check("causal_leak_budget", cleak <= fd.EPS_LEAK)
     check("newton_wigner_leaks", nwleak >= 100 * fd.EPS_LEAK)
     tr = dyn.time_reverse(dyn.time_reverse(psi))

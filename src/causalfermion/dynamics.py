@@ -61,13 +61,15 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
     Component i of a term c M vals is (c phase_i) vals[..., perm_i], written from
     strided component views through one scratch plane: bit for bit the dense
-    product, whose other entries add exact zeros.
+    product, whose other entries add exact zeros, except that at p = 0 a zero
+    may differ in sign.
     """
     g, s = field.grid, field.system
     mesh = g.momentum_mesh()
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     if s.kind == "dirac":
-        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, _BETA)]
+        # a massless system skips the beta term, whose product would be all zeros
+        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + ([(s.m, _BETA)] if s.m else [])
     else:
         terms = [(s.chi * pk, _SIGMA[k]) for pk, k in zip(mesh, axes)]
     out = np.empty(vals.shape, dtype=complex)
@@ -246,10 +248,11 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
 
 
 def newton_wigner_leak(field: SpinorField, t: float):
-    """(causal leak, positive-energy Newton-Wigner leak) outside the light cone of supp at time t."""
+    """(causal leak, positive-energy Newton-Wigner leak) outside the light cone of supp at time t, and
+    the causal psi_t that the first is read from, so that a caller need not evolve again."""
     g = field.grid
     lo, hi = field.support_bounds()
     cone = RegionMask.strip(g, lo - abs(t), hi + abs(t))
     causal = evolve_causal(field, t)
     foil = evolve_newton_wigner(field, t)
-    return causal.probability(~cone), foil.probability(~cone)
+    return causal.probability(~cone), foil.probability(~cone), causal

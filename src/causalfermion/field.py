@@ -30,10 +30,12 @@ from .errors import (
 )
 
 #: fraction of total probability allowed to leak outside causal bounds for
-#: smooth compact states with >= 84 samples across the bump, 2 width / dx (measured:
-#: at most 7.6e-9 from 84 samples up for Dirac and both Weyl chiralities; below, the
-#: leak oscillates with the sampling and reaches 1.1e-8 at 82.1 samples)
+#: smooth compact states with >= LEAK_SAMPLES samples across the bump, 2 width / dx
+#: (measured: at most 7.6e-9 from 84 samples up for Dirac and both Weyl chiralities;
+#: below, the leak oscillates with the sampling and reaches 1.1e-8 at 82.1 samples)
 EPS_LEAK = 1e-8
+#: samples across a bump, 2 width / dx, from which EPS_LEAK holds
+LEAK_SAMPLES = 84
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ state splits into outgoing/ingoing projections plus a remainder:
 Everything reduces to radial quadrature: writing psi_t(x) = u(r) + h^chi(x^) v(r)
 with u = (a_+ + a_-)/2 and v = (a_+ - a_-)/2 + rho_t, the solid-angle integral
 of any ball or slab probability collapses to an (r, xi) integral whose xi part
-is exact (the integrand is affine in xi = cos(theta)).
+is exact (the integrand is affine in xi = cos(theta)).  ``evolved_quadrature``
+evaluates the closed form once per (profile, chi, t) on the Simpson nodes of
+[0, r_max + |t|] and keeps the xi moments of |psi_t|^2 and the density of R_t;
+the ball, slab and splitting outputs at that t all read this one value.
 
 The independent spectral route uses the Fourier-sine pair j f = S(j g) of the
 radial momentum profile: the forward sine transform is one ``field.nufft1``
@@ -100,11 +103,9 @@ class RadialProfile:
     def _interp(self, table: np.ndarray, radii: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Linear interpolation of the (n, 2) complex table at |radii|, right[c] beyond r_max."""
         rq = np.abs(np.asarray(radii, dtype=float))
-        out = np.zeros(rq.shape + (2,), dtype=complex)
+        out = np.empty(rq.shape + (2,), dtype=complex)
         for c in range(2):
-            out[..., c] = np.interp(rq, self.r, table[:, c].real, right=right[c].real) + 1j * np.interp(
-                rq, self.r, table[:, c].imag, right=right[c].imag
-            )
+            out[..., c] = np.interp(rq, self.r, table[:, c], right=right[c])
         return out
 
     def g_at(self, radii: np.ndarray) -> np.ndarray:
@@ -132,48 +133,58 @@ def radial_parts(profile: RadialProfile, t: float, radii: np.ndarray):
     return a_plus, a_minus, rho
 
 
+def _scalar_vector(a_plus, a_minus, rho):
+    """(u, v) from the radial factors: u = (a_+ + a_-)/2, v = (a_+ - a_-)/2 + rho_t."""
+    return 0.5 * (a_plus + a_minus), 0.5 * (a_plus - a_minus) + rho
+
+
 def scalar_vector_parts(profile: RadialProfile, t: float, radii: np.ndarray):
     """psi_t(x) = u(|x|) + h^chi(x^) v(|x|): returns (u, v) on the radii."""
-    a_plus, a_minus, rho = radial_parts(profile, t, radii)
-    u = 0.5 * (a_plus + a_minus)
-    v = 0.5 * (a_plus - a_minus) + rho
-    return u, v
+    return _scalar_vector(*radial_parts(profile, t, radii))
 
 
 # --- radial quadratures of the evolved state --------------------------------
 
 
-def _quad_grid(profile: RadialProfile, t: float):
-    """Simpson nodes and weights on [0, r_max + |t|], the origin node moved to dr/2."""
+@dataclass(frozen=True)
+class EvolvedQuadrature:
+    """psi_t of one (profile, chi, t) on the Simpson nodes r, weights w of [0, r_max + |t|].
+
+    a + b xi is the azimuthal average of |psi_t|^2 at xi = cos(theta) and
+    rho_sq = |rho_t|^2 the remainder's radial density: all that the ball, slab
+    and splitting quadratures read.
+    """
+
+    profile: RadialProfile
+    t: float
+    r: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    rho_sq: np.ndarray
+
+
+def evolved_quadrature(profile: RadialProfile, chi: int, t: float) -> EvolvedQuadrature:
+    """One radial_parts call on [0, r_max + |t|], the origin node moved to dr/2."""
     r_max = profile.r_max + abs(t)
     r = np.linspace(0.0, r_max, DEFAULT_NODES + 1)
     r[0] = profile.dr / 2.0  # exclude the removable origin
-    return r, simpson_weights(r.size, r_max / DEFAULT_NODES)
-
-
-def _xi_moments(profile: RadialProfile, chi: int, t: float):
-    """(r, w, a, b): quadrature nodes and weights, and the azimuthal average a + b xi of |psi_t|^2."""
-    r, w = _quad_grid(profile, t)
-    u, v = scalar_vector_parts(profile, t, r)
+    w = simpson_weights(r.size, r_max / DEFAULT_NODES)
+    a_plus, a_minus, rho = radial_parts(profile, t, r)
+    u, v = _scalar_vector(a_plus, a_minus, rho)
     a = np.sum(np.abs(u) ** 2 + np.abs(v) ** 2, axis=1)
     b = 2.0 * chi * np.real(np.einsum("ni,ij,nj->n", np.conj(u), SIGMA[2], v))
-    return r, w, a, b
+    return EvolvedQuadrature(profile, t, r, w, a, b, np.sum(np.abs(rho) ** 2, axis=1))
 
 
-def _xi_integral(r, w, a, b, x0, x1) -> float:
+def _xi_integral(q: EvolvedQuadrature, x0, x1) -> float:
     """2 pi sum_r w r^2 int_{x0}^{x1} (a + b xi) dxi, exact in xi (empty where x1 <= x0)."""
     width = np.maximum(x1 - x0, 0.0)
     second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
-    return float(2.0 * np.pi * np.sum(w * r**2 * (a * width + b * second)))
+    return float(2.0 * np.pi * np.sum(q.w * q.r**2 * (q.a * width + q.b * second)))
 
 
-def ball_probability_evolved(
-    profile: RadialProfile,
-    chi: int,
-    t: float,
-    center: float = 0.0,
-    radius: float | None = None,
-) -> float:
+def ball_probability_evolved(q: EvolvedQuadrature, center: float = 0.0, radius: float | None = None) -> float:
     """P(psi_t in ball of given radius centered at center*e3), exact in xi.
 
     The angular integrand is affine in xi = cos(theta): with u, v the scalar
@@ -181,26 +192,24 @@ def ball_probability_evolved(
     |u|^2 + |v|^2 + 2 chi xi Re<u, sigma3 v>, and the hit condition
     r^2 - 2 r c xi + c^2 <= radius^2 clips xi to an exact interval.
     """
-    rad = abs(t) if radius is None else radius
-    r, w, a, b = _xi_moments(profile, chi, t)
-    c = center
+    rad = abs(q.t) if radius is None else radius
+    r, c = q.r, center
     if c == 0.0:
-        cum = cumulative_simpson(r**2 * a, float(r[-1] - r[-2]))
+        cum = cumulative_simpson(r**2 * q.a, float(r[-1] - r[-2]))
         return float(4.0 * np.pi * np.interp(rad, r, cum))
     lo = (r**2 + c**2 - rad**2) / (2.0 * r * c)
     if c > 0:
         x0, x1 = np.clip(lo, -1.0, 1.0), np.ones_like(r)
     else:
         x0, x1 = -np.ones_like(r), np.clip(lo, -1.0, 1.0)
-    return _xi_integral(r, w, a, b, x0, x1)
+    return _xi_integral(q, x0, x1)
 
 
-def slab_probability_evolved(profile: RadialProfile, chi: int, t: float, beta: float = 0.0) -> float:
+def slab_probability_evolved(q: EvolvedQuadrature, beta: float = 0.0) -> float:
     """P(psi_t in {|x3 - beta| <= |t|}) by the same (r, xi) quadrature."""
-    r, w, a, b = _xi_moments(profile, chi, t)
-    x0 = np.clip((beta - abs(t)) / r, -1.0, 1.0)
-    x1 = np.clip((beta + abs(t)) / r, -1.0, 1.0)
-    return _xi_integral(r, w, a, b, x0, x1)
+    x0 = np.clip((beta - abs(q.t)) / q.r, -1.0, 1.0)
+    x1 = np.clip((beta + abs(q.t)) / q.r, -1.0, 1.0)
+    return _xi_integral(q, x0, x1)
 
 
 def _shifted_norm(profile: RadialProfile, t: float, s: int, extent: float) -> float:
@@ -212,13 +221,11 @@ def _shifted_norm(profile: RadialProfile, t: float, s: int, extent: float) -> fl
     return float(2.0 * np.pi * np.sum(w * shifted**2 * dens))
 
 
-def splitting_norms(profile: RadialProfile, t: float):
+def splitting_norms(q: EvolvedQuadrature):
     """(||A^+_t||^2, ||A^-_t||^2, ||R_t||^2) by radial quadrature."""
-    r, w = _quad_grid(profile, t)
-    _, _, rho = radial_parts(profile, t, r)
-    norm_r = float(4.0 * np.pi * np.sum(w * r**2 * np.sum(np.abs(rho) ** 2, axis=1)))
-    r_max = profile.r_max + abs(t)
-    return _shifted_norm(profile, t, +1, r_max), _shifted_norm(profile, t, -1, r_max), norm_r
+    norm_r = float(4.0 * np.pi * np.sum(q.w * q.r**2 * q.rho_sq))
+    r_max = q.profile.r_max + abs(q.t)
+    return _shifted_norm(q.profile, q.t, +1, r_max), _shifted_norm(q.profile, q.t, -1, r_max), norm_r
 
 
 def ball_capture_split(profile: RadialProfile, t: float, s: int) -> float:

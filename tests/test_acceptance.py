@@ -141,7 +141,7 @@ def test_criterion_03_weyl_radial_oracle(weyl_profile):
         worst_orth = max(worst_orth, abs(np.vdot(ap, am)))
     worst_b = 0.0
     for t in (0.5, 1.0, 2.0):
-        na, nb, _ = wr.splitting_norms(profile, t)
+        na, nb, _ = wr.splitting_norms(wr.evolved_quadrature(profile, +1, t))
         ball = wr.ball_probability_static(profile, abs(t))
         worst_b = max(worst_b, abs(2 * na - (1 - ball)), abs(2 * nb - (1 + ball)))
     ok = worst_cross <= 1e-5 and worst_orth <= 1e-13 and worst_b <= 1e-6
@@ -169,9 +169,9 @@ def test_criterion_04_asymptotic_ball(weyl_profile):
         bounds_ok &= 0.25 - 1e-9 <= minus <= 0.75 + 1e-9
     c = 1.1
     plus_c, _ = wr.asymptotic_ball_probability(profile, (0.0, 0.0, -c), +1)
-    sim = wr.ball_probability_evolved(profile, +1, 40.0, center=c)
+    sim = wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, 40.0), center=c)
     sim_ok = abs(sim - plus_c) <= 0.02
-    slab = wr.slab_probability_evolved(profile, +1, 80.0, beta=0.7)
+    slab = wr.slab_probability_evolved(wr.evolved_quadrature(profile, +1, 80.0), beta=0.7)
     slab_ok = slab >= 0.99
     ok = centered_ok and bounds_ok and sim_ok and slab_ok
     _report(
@@ -193,8 +193,8 @@ def test_criterion_05_long_term_contrast(weyl_profile):
     dirac_outer = ev.probability(~fd.RegionMask.strip(grid, -t_big, t_big))
     dirac_inner = dyn.evolve_causal(psi, 60.0).probability(fd.RegionMask.strip(grid, -1.0, 1.0))
     profile = weyl_profile
-    weyl_outer = [1.0 - wr.ball_probability_evolved(profile, +1, t) for t in (20.0, 40.0, 80.0)]
-    weyl_inner = wr.ball_probability_evolved(profile, +1, 40.0, radius=0.5 * 40.0)
+    weyl_outer = [1.0 - wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, t)) for t in (20.0, 40.0, 80.0)]
+    weyl_inner = wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, 40.0), radius=0.5 * 40.0)
     ok = (
         dirac_outer <= 0.01
         and dirac_inner <= 0.01
@@ -346,7 +346,7 @@ def test_criterion_10_exact_geometry():
 def test_criterion_11_acausal_foil():
     grid = fd.Grid(1, 2048, 16.0 / 2048)
     psi = fd.make_bump(grid, 0.0, 1.0, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.0)
-    causal_leak, nw_leak = dyn.newton_wigner_leak(psi, 1.0)
+    causal_leak, nw_leak, _ = dyn.newton_wigner_leak(psi, 1.0)
     ok = causal_leak <= EPS_LEAK and nw_leak >= 100 * EPS_LEAK
     _report(
         11,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalfermion import cli
+from causalfermion import cli, dynamics as dyn
 from causalfermion.errors import ConfigError, InvariantFailure
 
 #: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
@@ -161,7 +161,7 @@ class TestExitCodes:
                 "evolve",
                 "--out",
                 str(tmp_path),
-                "--set", "n=256",
+                "--set", "n=512",
                 "--set", "length=8.0",
                 "--set", "times=10.0",
             ]
@@ -271,9 +271,13 @@ class TestFailFast:
             (["evolve", "--set", "length=1e300"], "length"),
             (["cascade", "--set", "seed=1", "--set", "length=1e300"], "length"),
             (["frontier", "--set", "mass=1e300"], "mass"),
+            # EPS_LEAK holds from 84 samples across the bump: 2 bump_width n / length = 2.048 and 83.2
+            (["evolve", "--set", "n=1024", "--set", "length=1000"], "length"),
+            (["evolve", "--set", "n=512", "--set", "bump_width=1.3"], "length"),
         ],
         ids=["bump_center", "half_space_edge", "negative_k_max", "nan_k_max", "zero_samples", "nan_shell_lo",
-             "infinite_shell_hi", "evolve_huge_length", "cascade_huge_length", "frontier_huge_mass"],
+             "infinite_shell_hi", "evolve_huge_length", "cascade_huge_length", "frontier_huge_mass",
+             "evolve_undersampled_bump", "evolve_83_samples_across_bump"],
     )
     def test_bad_value_names_its_key(self, argv, key, tmp_path, capsys):
         # k_max, samples, shell_lo and length are read by later checks, which must not take the blame
@@ -405,6 +409,14 @@ class TestArtifacts:
         )
         assert rc == cli.EXIT_OK
         assert (tmp_path / "evolve.csv").exists()
+
+    def test_default_evolve_evolves_once_per_time(self, tmp_path, monkeypatch):
+        # newton_wigner_leak returns the causal evolution it reads the leak from, and evolve reuses it
+        calls = []
+        evolve = dyn.evolve_causal
+        monkeypatch.setattr(dyn, "evolve_causal", lambda field, t: calls.append(t) or evolve(field, t))
+        assert cli.main(["evolve", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert calls == cli.SCHEMAS["evolve"]["times"][1]
 
     @pytest.mark.parametrize("system", [["system=dirac"], ["system=weyl", "chi=1"], ["system=weyl", "chi=-1"]],
                              ids=["dirac", "weyl+", "weyl-"])

@@ -97,9 +97,11 @@ class TestNewtonWigner:
     def test_acausal_foil(self):
         # m = 1 bump in [-1, 1]: instantaneous spreading beyond the light cone
         psi = dirac_bump()
-        causal_leak, nw_leak = dyn.newton_wigner_leak(psi, 1.0)
+        causal_leak, nw_leak, evolved = dyn.newton_wigner_leak(psi, 1.0)
         assert causal_leak <= fd.EPS_LEAK
         assert nw_leak >= 100 * fd.EPS_LEAK
+        # the returned causal evolution is the one evolve_causal gives
+        assert np.array_equal(evolved.values, dyn.evolve_causal(psi, 1.0).values)
 
 
 class TestTimeReversal:
@@ -341,6 +343,12 @@ class TestSignedPermutationKernel:
         want = dense_h_apply(phi, phi.values)
         assert got.shape == want.shape
         assert np.array_equal(got.view(float), want.view(float))
+        # bit for bit away from p = 0; there h(0) vals is zero (massless) or beta m vals, and the dense
+        # product's zero terms, such as the beta 0 vals that h_apply skips, may flip the sign of a zero
+        differ = (got.view(np.uint64) != want.view(np.uint64)).reshape(got.shape + (2,))
+        assert np.all(got.view(float).reshape(differ.shape)[differ] == 0.0)
+        differ[(0,) * grid.dim] = False
+        assert not differ.any()
 
     def test_matrices_are_signed_permutations(self):
         # the kernel's assumption: one nonzero, +-1 or +-i, per row

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from causalfermion import field as fd
+from causalfermion import cli, field as fd
 from causalfermion import weylradial as wr
 from causalfermion.algebra import SIGMA, sinc, weyl_projector
 from causalfermion.errors import NotEvenlySpaced, OriginSingular
@@ -103,7 +103,7 @@ class TestClosedFormStructure:
 
     def test_norm_identity_b(self, profile):
         for t in (0.5, 1.0, 3.0):
-            na, nb, _ = wr.splitting_norms(profile, t)
+            na, nb, _ = wr.splitting_norms(wr.evolved_quadrature(profile, +1, t))
             ball = wr.ball_probability_static(profile, abs(t))
             assert abs(2 * na - (1.0 - ball)) <= 1e-6
             assert abs(2 * nb - (1.0 + ball)) <= 1e-6
@@ -114,14 +114,111 @@ class TestClosedFormStructure:
             assert abs(lhs - 0.5 * wr.ball_probability_static(profile, t)) <= 1e-6
 
     def test_remainder_decays(self, profile):
-        norms = [wr.splitting_norms(profile, t)[2] for t in (10.0, 20.0, 40.0)]
+        norms = [wr.splitting_norms(wr.evolved_quadrature(profile, +1, t))[2] for t in (10.0, 20.0, 40.0)]
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] <= 0.05
 
     def test_ball_probability_approaches_half(self, profile):
-        vals = [wr.ball_probability_evolved(profile, +1, t) for t in (5.0, 10.0, 20.0)]
+        vals = [wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, t)) for t in (5.0, 10.0, 20.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert abs(vals[-1] - 0.5) <= 0.02
+
+
+def split_interp(profile, table, radii, right):
+    """Oracle: the (n, 2) complex table at |radii| by separate real and imaginary np.interp calls."""
+    rq = np.abs(radii)
+    out = np.zeros(rq.shape + (2,), dtype=complex)
+    for c in range(2):
+        re = np.interp(rq, profile.r, table[:, c].real, right=right[c].real)
+        out[..., c] = re + 1j * np.interp(rq, profile.r, table[:, c].imag, right=right[c].imag)
+    return out
+
+
+def per_call_moments(profile, chi, t):
+    """Oracle: (r, w, a, b) rebuilt by each caller, as every ball and slab probability once did."""
+    r_max = profile.r_max + abs(t)
+    r = np.linspace(0.0, r_max, wr.DEFAULT_NODES + 1)
+    r[0] = profile.dr / 2.0
+    w = wr.simpson_weights(r.size, r_max / wr.DEFAULT_NODES)
+    u, v = wr.scalar_vector_parts(profile, t, r)
+    a = np.sum(np.abs(u) ** 2 + np.abs(v) ** 2, axis=1)
+    b = 2.0 * chi * np.real(np.einsum("ni,ij,nj->n", np.conj(u), SIGMA[2], v))
+    return r, w, a, b
+
+
+def per_call_xi_integral(r, w, a, b, x0, x1):
+    width = np.maximum(x1 - x0, 0.0)
+    second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
+    return float(2.0 * np.pi * np.sum(w * r**2 * (a * width + b * second)))
+
+
+def per_call_ball(profile, chi, t, center=0.0, radius=None):
+    rad = abs(t) if radius is None else radius
+    r, w, a, b = per_call_moments(profile, chi, t)
+    if center == 0.0:
+        cum = wr.cumulative_simpson(r**2 * a, float(r[-1] - r[-2]))
+        return float(4.0 * np.pi * np.interp(rad, r, cum))
+    lo = np.clip((r**2 + center**2 - rad**2) / (2.0 * r * center), -1.0, 1.0)
+    ones = np.ones_like(r)
+    x0, x1 = (lo, ones) if center > 0 else (-ones, lo)
+    return per_call_xi_integral(r, w, a, b, x0, x1)
+
+
+def per_call_slab(profile, chi, t, beta=0.0):
+    r, w, a, b = per_call_moments(profile, chi, t)
+    x0 = np.clip((beta - abs(t)) / r, -1.0, 1.0)
+    x1 = np.clip((beta + abs(t)) / r, -1.0, 1.0)
+    return per_call_xi_integral(r, w, a, b, x0, x1)
+
+
+def per_call_splitting(profile, t):
+    r_max = profile.r_max + abs(t)
+    r = np.linspace(0.0, r_max, wr.DEFAULT_NODES + 1)
+    r[0] = profile.dr / 2.0
+    w = wr.simpson_weights(r.size, r_max / wr.DEFAULT_NODES)
+    rho = wr.radial_parts(profile, t, r)[2]
+    norm_r = float(4.0 * np.pi * np.sum(w * r**2 * np.sum(np.abs(rho) ** 2, axis=1)))
+    rr = np.linspace(0.0, r_max, wr.DEFAULT_NODES + 1)
+    w_rr = wr.simpson_weights(rr.size, r_max / wr.DEFAULT_NODES)
+    shifted = [rr + s * t for s in (+1, -1)]
+    dens = [np.sum(np.abs(profile.g_at(x)) ** 2, axis=1) for x in shifted]
+    na, nb = (float(2.0 * np.pi * np.sum(w_rr * x**2 * d)) for x, d in zip(shifted, dens))
+    return na, nb, norm_r
+
+
+class TestSharedQuadrature:
+    """One evolved_quadrature per (profile, chi, t) gives what each output once rebuilt for itself."""
+
+    def test_complex_interp_equals_split_interp(self, profile):
+        # profile nodes, points between them, and points beyond r_max (g = 0, G = its total there)
+        radii = np.concatenate([profile.r, -profile.r[::7], rng.uniform(0.0, 6.0, 5000), [2.0, 2.5, 40.0]])
+        for got, table, right in ((profile.g_at(radii), profile.g, np.zeros(2, complex)),
+                                  (profile.G_at(radii), profile.G, profile.G[-1])):
+            want = split_interp(profile, table, radii, right)
+            assert np.array_equal(got, want)
+            # bits differ only where the split form's re + 1j im turns a -0.0 real part into +0.0
+            differ = got.view(np.uint64) != want.view(np.uint64)
+            assert np.all(got.view(float)[differ] == 0.0)
+
+    @pytest.mark.parametrize("chi", [+1, -1])
+    @pytest.mark.parametrize("t", [0.0, 0.5, -1.0, 2.0, 20.0])
+    def test_outputs_equal_per_call_values(self, profile, chi, t):
+        q = wr.evolved_quadrature(profile, chi, t)
+        assert wr.splitting_norms(q) == per_call_splitting(profile, t)
+        assert wr.ball_probability_evolved(q) == per_call_ball(profile, chi, t)
+        for center, radius in ((0.0, 0.7), (1.1, None), (-0.6, 1.3), (0.4, 2.5)):
+            want = per_call_ball(profile, chi, t, center=center, radius=radius)
+            assert wr.ball_probability_evolved(q, center=center, radius=radius) == want
+        for beta in (0.0, 0.7, -1.2):
+            assert wr.slab_probability_evolved(q, beta=beta) == per_call_slab(profile, chi, t, beta=beta)
+
+    def test_default_radial_run_evaluates_the_closed_form_once_per_time(self, monkeypatch, tmp_path):
+        # 6 default times, plus one evaluation in the spectral crosscheck
+        calls = []
+        parts = wr.radial_parts
+        monkeypatch.setattr(wr, "radial_parts", lambda *a: calls.append(a[1]) or parts(*a))
+        assert cli.main(["radial", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert calls == [*cli.SCHEMAS["radial"]["times"][1], 1.0]
 
 
 class TestSpectralCrosscheck:
@@ -208,11 +305,12 @@ class TestAsymptotics:
         # state centered at b = -c e3 corresponds to the evolved ball at c e3
         c = 1.1
         plus, _ = wr.asymptotic_ball_probability(profile, (0.0, 0.0, -c), +1)
-        sim = wr.ball_probability_evolved(profile, +1, 40.0, center=c)
+        sim = wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, 40.0), center=c)
         assert abs(sim - plus) <= 0.02
 
     def test_slab_probability_increases_to_one(self, profile):
-        vals = [wr.slab_probability_evolved(profile, +1, t, beta=0.7) for t in (5.0, 10.0, 40.0, 80.0)]
+        quads = [wr.evolved_quadrature(profile, +1, t) for t in (5.0, 10.0, 40.0, 80.0)]
+        vals = [wr.slab_probability_evolved(q, beta=0.7) for q in quads]
         assert all(b >= a - 1e-3 for a, b in zip(vals, vals[1:]))
         assert vals[0] < 1.0
         assert vals[-1] >= 0.99  # |t| = 40 x (support radius 2)
@@ -221,12 +319,12 @@ class TestAsymptotics:
 class TestContrastInvariants:
     def test_outer_probability_stays_up(self, profile):
         for t in (20.0, 40.0, 80.0):
-            ball = wr.ball_probability_evolved(profile, +1, t)
+            ball = wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, t))
             assert 1.0 - ball >= 0.25 - 0.02
 
     def test_inner_ball_decays(self, profile):
         vals = [
-            wr.ball_probability_evolved(profile, +1, t, radius=0.5 * t) for t in (20.0, 40.0)
+            wr.ball_probability_evolved(wr.evolved_quadrature(profile, +1, t), radius=0.5 * t) for t in (20.0, 40.0)
         ]
         assert all(v <= 0.01 for v in vals)
 
