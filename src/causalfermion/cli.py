@@ -53,14 +53,20 @@ def _band_edge(cfg) -> float:
     return cfg["k_max"] if "k_max" in cfg else np.pi * cfg["n"] / cfg["length"]
 
 
+def _checks_leak(cfg) -> bool:
+    """Whether the command compares its causal leak against fd.EPS_LEAK: evolve, the one command with a
+    bump and a times list (tests/test_cli.py pins that).  It reads which keys the command has, not their
+    values, and resolve_config has set every key before the first check runs."""
+    return "bump_width" in cfg and "times" in cfg
+
+
 def _resolves_state(dx: float, cfg) -> bool:
-    """Whether cells dx resolve the initial state: narrower than its bump, or on cascade's 3D grid with the
-    peak of pol.random_positive_state's |p| envelope below the band edge pi / dx.  evolve (the command
-    with a bump and a times list) checks its causal leak against EPS_LEAK, which holds from
-    fd.LEAK_SAMPLES samples across the bump."""
+    """Whether cells dx resolve the initial state: narrower than its bump, with fd.LEAK_SAMPLES samples
+    across it where the leak budget is checked, or on cascade's 3D grid with the peak of
+    pol.random_positive_state's |p| envelope below the band edge pi / dx."""
     if _dim(cfg) == 3:
         return np.pi / dx > pol.RANDOM_STATE_PEAK
-    if "times" in cfg:
+    if _checks_leak(cfg):
         return 2 * cfg["bump_width"] / dx >= fd.LEAK_SAMPLES
     return dx < cfg.get("bump_width", _SEED_WIDTH)
 

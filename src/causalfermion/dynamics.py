@@ -61,15 +61,13 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
     Component i of a term c M vals is (c phase_i) vals[..., perm_i], written from
     strided component views through one scratch plane: bit for bit the dense
-    product, whose other entries add exact zeros, except that at p = 0 a zero
-    may differ in sign.
+    product, whose other entries add exact zeros.
     """
     g, s = field.grid, field.system
     mesh = g.momentum_mesh()
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     if s.kind == "dirac":
-        # a massless system skips the beta term, whose product would be all zeros
-        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + ([(s.m, _BETA)] if s.m else [])
+        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, _BETA)]
     else:
         terms = [(s.chi * pk, _SIGMA[k]) for pk, k in zip(mesh, axes)]
     out = np.empty(vals.shape, dtype=complex)

@@ -88,6 +88,11 @@ class TestConfigParsing:
         required = {(cmd, key) for cmd, schema in cli.SCHEMAS.items() for key, (_, d) in schema.items() if d is None}
         assert required == {("cascade", "seed"), ("lines", "seed")}
 
+    def test_leak_sampling_rule_is_evolves_alone(self):
+        # run_evolve is the runner that compares its causal leak against EPS_LEAK, so only evolve's length
+        # must give fd.LEAK_SAMPLES samples across the bump; a command that gains a bump and times fails here
+        assert [c for c, schema in cli.SCHEMAS.items() if cli._checks_leak(schema)] == ["evolve"]
+
     @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
     def test_checks_read_only_keys_above_their_own(self, command):
         # the defaults pass every check, and each check gives the same verdict when it sees only the
