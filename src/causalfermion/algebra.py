@@ -28,7 +28,6 @@ UNITARY_TOL = 1e-12
 LIGHTLIKE_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
 SIGMA = np.array(
     [
@@ -77,38 +76,6 @@ def energy(p, m: float) -> float:
     if p.shape != (3,):
         raise ValueError(f"energy takes a 3-vector p, got shape {p.shape}")
     return float(np.sqrt(np.sum(p * p) + m * m))
-
-
-def dirac_hamiltonian(p, m: float) -> np.ndarray:
-    """h(p) = sum_k alpha_k p_k + beta m; Hermitian, h(p)^2 = eps(p)^2 I4."""
-    if m < 0:
-        raise ValueError("mass must be >= 0")
-    p = np.asarray(p, dtype=float)
-    return np.einsum("k,kij->ij", p, ALPHA) + m * BETA
-
-
-def weyl_hamiltonian(p, chi: int) -> np.ndarray:
-    """h^chi(p) = chi * sigma . p; Hermitian, h^chi(p)^2 = |p|^2 I2."""
-    p = np.asarray(p, dtype=float)
-    return chi * np.einsum("k,kij->ij", p, SIGMA)
-
-
-def dirac_projector(p, m: float, eta: int) -> np.ndarray:
-    """Energy projector pi^eta(p) = (I4 + (eta/eps) h(p)) / 2."""
-    p = np.asarray(p, dtype=float)
-    eps = energy(p, m)
-    if eps == 0.0:
-        raise ZeroMomentumMassless("projector singular at p = 0 for m = 0")
-    return 0.5 * (I4 + (eta / eps) * dirac_hamiltonian(p, m))
-
-
-def weyl_projector(p, chi: int, eta: int) -> np.ndarray:
-    """pi^{chi eta}(p) = (I2 + (eta/|p|) h^chi(p)) / 2; dilation invariant."""
-    p = np.asarray(p, dtype=float)
-    ap = float(np.linalg.norm(p))
-    if ap == 0.0:
-        raise ZeroMomentumMassless("massless projector singular at p = 0")
-    return 0.5 * (I2 + (eta / ap) * weyl_hamiltonian(p, chi))
 
 
 def canonical_cross_section(k) -> np.ndarray:
@@ -226,14 +193,41 @@ def wigner_rotation_massless(p4, a: np.ndarray) -> np.ndarray:
     return b_prime @ bp @ np.linalg.inv(bq) @ b
 
 
+class _System:
+    """h(p) = c sum_k M_k p_k + m B and pi^eta(p) from the facts a system declares: its coupling c,
+    per-axis momentum matrices M_k and mass matrix B (None for Weyl).  ``dynamics.h_apply`` (grid)
+    and ``pol.RadialSpinorState.apply_h`` (radial) read the same facts."""
+
+    def hamiltonian(self, p) -> np.ndarray:
+        """h(p) at a 3-momentum p; Hermitian, h(p)^2 = eps(p)^2 I."""
+        p = np.asarray(p, dtype=float)
+        h = self.coupling * np.einsum("k,kij->ij", p, self.momentum_matrices)
+        if self.mass_matrix is not None:
+            h += self.m * self.mass_matrix
+        return h
+
+    def projector(self, p, eta: int) -> np.ndarray:
+        """Energy projector pi^eta(p) = (I + (eta/eps) h(p)) / 2 (for Weyl, pi^{chi eta}; dilation invariant)."""
+        eps = energy(p, self.m)
+        if eps == 0.0:
+            raise ZeroMomentumMassless("energy projector singular at p = 0 for m = 0")
+        return 0.5 * (np.eye(self.components) + (eta / eps) * self.hamiltonian(p))
+
+
 @dataclass(frozen=True)
-class Dirac:
-    """Dirac system of mass m > 0 (m = 0 allowed; it splits into the two Weyl systems)."""
+class Dirac(_System):
+    """Dirac system of mass m > 0 (m = 0 allowed; it splits into the two Weyl systems): h(p) = alpha . p + beta m."""
 
     m: float = 1.0
 
     components = 4
-    kind = "dirac"
+    coupling = 1
+    momentum_matrices = ALPHA
+    mass_matrix = BETA
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("mass must be >= 0")
 
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
         """s(A) = diag(A, A^{*-1}) on Dirac spinors, for A in SL(2,C)."""
@@ -251,14 +245,19 @@ class Dirac:
 
 
 @dataclass(frozen=True)
-class Weyl:
-    """Weyl system of chirality chi in {+1, -1}."""
+class Weyl(_System):
+    """Weyl system of chirality chi in {+1, -1}: h^chi(p) = chi sigma . p."""
 
     chi: int = +1
 
     components = 2
-    kind = "weyl"
     m = 0.0
+    momentum_matrices = SIGMA
+    mass_matrix = None
+
+    @property
+    def coupling(self) -> int:
+        return self.chi
 
     def boost_rep(self, a: np.ndarray) -> np.ndarray:
         """s^+(A) = A and s^-(A) = A^{*-1} on Weyl spinors, for A in SL(2,C)."""

@@ -287,11 +287,14 @@ def influence_boosted_point(y, rho: float) -> BallDescriptor:
 
 
 def influence_strip(a: float, b: float, rho: float):
-    """{a <= x e <= b} (0 <= a < b) boosted: [a e^{-|rho|}, b e^{|rho|}]."""
-    if not 0.0 <= a < b:
-        raise ValueError("strip needs 0 <= a < b")
+    """{a <= x e <= b} (a <= b) boosted: a moves down and b up, each by a factor e^{+-|rho|}.
+
+    [a e^{-|rho|}, b e^{|rho|}] when 0 <= a; an end below 0 takes the other factor.
+    """
+    if not a <= b:
+        raise ValueError("strip needs a <= b")
     r = abs(rho)
-    return a * np.exp(-r), b * np.exp(r)
+    return a * np.exp(-r if a >= 0 else r), b * np.exp(r if b >= 0 else -r)
 
 
 def influence_cylinder(c: float, a: float, b: float, rho: float):

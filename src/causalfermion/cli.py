@@ -502,8 +502,7 @@ def run_selftest(cfg, out: Path) -> int:
     for _ in range(100):
         p = rng.normal(size=3)
         m = abs(rng.normal()) + 0.1
-        pp = al.dirac_projector(p, m, +1)
-        pm = al.dirac_projector(p, m, -1)
+        pp, pm = (al.Dirac(m).projector(p, eta) for eta in (+1, -1))
         if max(
             np.max(np.abs(pp + pm - np.eye(4))),
             np.max(np.abs(pp @ pp - pp)),

@@ -1,9 +1,10 @@
 """Exact-in-momentum propagators and boosts, and the momentum-space operator they share.
 
-The grid operator of a system lives here and nowhere else: ``h_apply`` applies
-h(p) (alpha.p + beta m or chi sigma.p; alpha_3 / sigma_3 on the 1D lane along
-e3; each matrix a signed component permutation), ``_energy`` gives eps(p),
-and ``energy_projector_apply`` applies pi^eta(p) = (1 + eta h(p)/eps(p))/2
+The grid operator of a system lives here: ``h_apply`` applies h(p)
+(alpha.p + beta m or chi sigma.p, read from the matrices the system class
+declares; alpha_3 / sigma_3 on the 1D lane along e3; each matrix a signed
+component permutation), ``_energy`` gives eps(p), and
+``energy_projector_apply`` applies pi^eta(p) = (1 + eta h(p)/eps(p))/2
 with h/eps = 0 where eps = 0.  The propagators, the boost and the POL
 projector in ``pol`` are all built on them.
 
@@ -40,6 +41,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import algebra as al
+from .causalgeo import influence_strip
 from .errors import GuardViolation, WrongRepresentation
 from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1
 
@@ -50,26 +52,28 @@ def _signed_permutation(mat: np.ndarray) -> tuple:
     return perm, mat[np.arange(mat.shape[0]), perm]
 
 
-_ALPHA = [_signed_permutation(a) for a in al.ALPHA]
-_BETA = _signed_permutation(al.BETA)
-_SIGMA = [_signed_permutation(s) for s in al.SIGMA]
+@functools.cache
+def _h_tables(system_type) -> tuple:
+    """Signed permutations of a system class's momentum matrices, and of its mass matrix (None if it has none)."""
+    mass = system_type.mass_matrix
+    return ([_signed_permutation(a) for a in system_type.momentum_matrices],
+            None if mass is None else _signed_permutation(mass))
 
 
 def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
-    """h(p) vals on the momentum mesh: alpha.p + beta m (Dirac) or chi sigma.p (Weyl).
+    """h(p) vals on the momentum mesh, c sum_k M_k p_k + m B from the system's declared matrices.
 
-    The 1D lane runs along e3, so there h(p) = alpha_3 p + beta m or chi sigma_3 p.
+    The 1D lane runs along e3, so there h(p) = c M_3 p + m B.
     Component i of a term c M vals is (c phase_i) vals[..., perm_i], written from
     strided component views through one scratch plane: bit for bit the dense
     product, whose other entries add exact zeros.
     """
     g, s = field.grid, field.system
-    mesh = g.momentum_mesh()
     axes = (2,) if g.dim == 1 else (0, 1, 2)
-    if s.kind == "dirac":
-        terms = [(pk, _ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, _BETA)]
-    else:
-        terms = [(s.chi * pk, _SIGMA[k]) for pk, k in zip(mesh, axes)]
+    momentum, mass = _h_tables(type(s))
+    terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(g.momentum_mesh(), axes)]
+    if mass is not None:
+        terms.append((s.m, mass))
     out = np.empty(vals.shape, dtype=complex)
     plane = np.empty(vals.shape[:-1], dtype=complex)
     for i in range(vals.shape[-1]):
@@ -167,14 +171,6 @@ def time_reverse(field: SpinorField) -> SpinorField:
     return replace(field, values=vals)
 
 
-def influence_interval(lo: float, hi: float, rho: float):
-    """Region of influence of the strip {lo <= x3 <= hi} under a boost of rapidity rho."""
-    r = abs(rho)
-    new_lo = lo * np.exp(-r) if lo >= 0 else lo * np.exp(r)
-    new_hi = hi * np.exp(r) if hi >= 0 else hi * np.exp(-r)
-    return new_lo, new_hi
-
-
 def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarray:
     """Boosted field at evenly spaced output points x_j = x_0 + j delta (1D along e3).
 
@@ -232,7 +228,7 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
     # support resolved deep below the leak budget so the zeroed exterior cuts
     # only roundoff-level amplitude (matters when composing boosts)
     lo, hi = field.support_bounds(mass_tol=1e-16)
-    new_lo, new_hi = influence_interval(lo, hi, rho)
+    new_lo, new_hi = influence_strip(lo, hi, rho)
     a0, a1 = g.axis(0)[0], g.axis(0)[-1]
     if new_lo < a0 + g.dx or new_hi > a1 - g.dx:
         raise GuardViolation(

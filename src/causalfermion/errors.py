@@ -17,7 +17,7 @@ class GuardViolation(CausalFermionError):
     """An anti-wraparound or region-of-influence guard was violated."""
 
 
-class WrongRepresentation(CausalFermionError):
+class WrongRepresentation(CausalFermionError, ValueError):
     """Operation applied to a field in the wrong representation."""
 
 

@@ -54,7 +54,9 @@ class FrontierProfile:
 
 
 def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL) -> float:
-    """sup{alpha : mass in {x e <= alpha} <= tau}, reported at a cell boundary."""
+    """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary.
+
+    Each cell adds |psi|^2 dx^dim / dx (in 1D no dx enters): tau bounds a mass of tau dx, a unit state totals 1/dx."""
     if not 0.0 < tau <= 1e-2:
         raise ValueError("tau must lie in (0, 1e-2]")
     g = field.grid
@@ -62,7 +64,7 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     dens = site_density(field.values)
     if g.dim == 3:
         dens = dens.sum(axis=(0, 1))
-    dens = dens * g.cell_measure("position") / g.dx  # per-cell 1D mass
+    dens = dens * g.cell_measure("position") / g.dx  # per-cell mass / dx, summed against tau
     total = float(dens.sum())
     if total <= tau:
         raise AllMassBelowTolerance(f"total mass {total} <= tau = {tau}")

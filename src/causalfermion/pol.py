@@ -35,6 +35,7 @@ from .errors import (
     NotInRange,
     NotPositiveEnergy,
     NullDilationLimit,
+    WrongRepresentation,
 )
 from .field import Grid, RegionMask, SpinorField, bessel_sums
 from .weylradial import cumulative_simpson, simpson_weights
@@ -45,7 +46,7 @@ from .weylradial import cumulative_simpson, simpson_weights
 def positive_energy_project(field: SpinorField, eta: int = +1) -> SpinorField:
     """P^eta phi in momentum representation; idempotent, commutes with e^{ith}."""
     if field.rep != "momentum":
-        raise ValueError("positive_energy_project acts in momentum representation")
+        raise WrongRepresentation("positive_energy_project acts in momentum representation")
     return replace(field, values=energy_projector_apply(field, eta))
 
 
@@ -56,7 +57,7 @@ def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> Spino
     projection; tol = inf skips it.
     """
     if field.rep != "momentum":
-        raise ValueError("pol_apply acts in momentum representation")
+        raise WrongRepresentation("pol_apply acts in momentum representation")
     if np.isfinite(tol) and (field - positive_energy_project(field)).norm() > tol * max(field.norm(), 1.0):
         raise NotPositiveEnergy("state is not in the positive-energy subspace")
     masked = field.to_position().apply_mask(mask).to_momentum()
@@ -116,7 +117,7 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
     MAX_CASCADE_DEPTH raise ValueError instead of being cut.
     """
     if field.rep != "momentum":
-        raise ValueError("measurement_cascade acts in momentum representation")
+        raise WrongRepresentation("measurement_cascade acts in momentum representation")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
     pos = field.to_position()
@@ -176,7 +177,7 @@ class RadialSpinorState:
     def apply_projector(self, eta: int) -> "RadialSpinorState":
         """pi^eta(k) = (1 + eta h(k) / eps(k)) / 2; h / eps = 0 at the k = 0 node of a massless system."""
         if self.rep != "momentum":
-            raise ValueError("projector acts in momentum representation")
+            raise WrongRepresentation("projector acts in momentum representation")
         m = self.system.m
         eps = np.sqrt(self.k**2 + m * m)
         eps[eps == 0.0] = np.inf  # k = 0 node of a massless system: weight 1/2
@@ -188,21 +189,18 @@ class RadialSpinorState:
     def apply_dilation_limit_projector(self) -> "RadialSpinorState":
         """pi_0(k) = (I + alpha.p^)/2: [s, v] -> [(s+v)/2, (s+v)/2]."""
         if self.rep != "momentum":
-            raise ValueError("pi_0 acts in momentum representation")
+            raise WrongRepresentation("pi_0 acts in momentum representation")
         half = 0.5 * (self.s + self.v)
         return RadialSpinorState(self.k, half.copy(), half.copy(), self.system, self.rep)
 
     def apply_h(self) -> "RadialSpinorState":
-        """h(k): [s, v] -> [m beta s + k v, k s - m beta v] (times chi for Weyl)."""
+        """h(k): [s, v] -> [m B s + c k v, c k s - m B v], from the system's coupling c and mass matrix B."""
         sy = self.system
-        chi = getattr(sy, "chi", +1)
-        kk = self.k[:, None]
-        if sy.kind == "dirac":
-            s_new = sy.m * np.einsum("ij,nj->ni", al.BETA, self.s) + kk * self.v
-            v_new = kk * self.s - sy.m * np.einsum("ij,nj->ni", al.BETA, self.v)
-        else:
-            s_new = chi * kk * self.v
-            v_new = chi * kk * self.s
+        ck = sy.coupling * self.k[:, None]
+        s_new, v_new = ck * self.v, ck * self.s
+        if sy.mass_matrix is not None:
+            s_new = sy.m * np.einsum("ij,nj->ni", sy.mass_matrix, self.s) + s_new
+            v_new = v_new - sy.m * np.einsum("ij,nj->ni", sy.mass_matrix, self.v)
         return RadialSpinorState(self.k, s_new, v_new, sy, self.rep)
 
     def energy_expectation(self) -> float:
@@ -232,20 +230,20 @@ def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
 def radial_to_position(state: RadialSpinorState, radii: np.ndarray) -> RadialSpinorState:
     """(S, V) on the radii; psi(x) = S(|x|) + i (alpha.x^) V(|x|)."""
     if state.rep != "momentum":
-        raise ValueError("state already in position representation")
+        raise WrongRepresentation("state already in position representation")
     return RadialSpinorState(radii, *_bessel_transform(state, radii), state.system, "position")
 
 
 def radial_to_momentum(state: RadialSpinorState, k_nodes: np.ndarray) -> RadialSpinorState:
     if state.rep != "position":
-        raise ValueError("state already in momentum representation")
+        raise WrongRepresentation("state already in momentum representation")
     return RadialSpinorState(k_nodes, *_bessel_transform(state, k_nodes), state.system, "momentum")
 
 
 def radial_ball_mass(state: RadialSpinorState, radius: float) -> float:
     """||E(B_radius) psi||^2 from the position-representation pair."""
     if state.rep != "position":
-        raise ValueError("ball mass needs position representation")
+        raise WrongRepresentation("ball mass needs position representation")
     dens = np.sum(np.abs(state.s) ** 2 + np.abs(state.v) ** 2, axis=1)
     cum = cumulative_simpson(state.k**2 * dens, state.dk)
     return float(4.0 * np.pi * np.interp(radius, state.k, cum))
@@ -278,7 +276,7 @@ def gaussian_radial_state(system, k_nodes: np.ndarray, center: float, width: flo
 def dilate_radial(state: RadialSpinorState, n: float) -> RadialSpinorState:
     """D_n^{-1}: phi(k) -> n^{-3/2} phi(k/n) by resampling the radial profile."""
     if state.rep != "momentum":
-        raise ValueError("dilation acts in momentum representation")
+        raise WrongRepresentation("dilation acts in momentum representation")
     kq = state.k / n
 
     def resample(x):
@@ -371,7 +369,7 @@ def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, rad
 
 def weyl_pol_sequence(phi: RadialSpinorState, n: float) -> RadialSpinorState:
     """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi +} (no reprojection needed)."""
-    if phi.system.kind != "weyl":
+    if not isinstance(phi.system, al.Weyl):
         raise NotInRange("weyl_pol_sequence needs a Weyl state")
     proj = phi.apply_projector(+1)
     diff = RadialSpinorState(phi.k, proj.s - phi.s, proj.v - phi.v, phi.system, phi.rep)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA, sinc
+from .algebra import SIGMA, Weyl, sinc
 from .errors import OriginSingular
 from .field import bessel_rows, bessel_sums, sin_cos_sums
 
@@ -320,7 +320,7 @@ def asymptotic_ball_probability(profile: RadialProfile, b, chi: int):
     bmag = float(np.linalg.norm(b))
     if bmag == 0.0:
         return 0.5, 0.5
-    h = chi * np.einsum("k,kij->ij", b / bmag, SIGMA)
+    h = Weyl(chi).hamiltonian(b / bmag)
     q = np.real(np.einsum("ni,ij,nj->n", np.conj(profile.g), h, profile.g))
     moment = cumulative_simpson(profile.r**2 * q, profile.dr)  # int_0^y r^2 q dr
     n_xi = 513

@@ -136,8 +136,8 @@ def test_criterion_03_weyl_radial_oracle(weyl_profile):
     worst_orth = 0.0
     for i in range(len(pts)):
         nhat = pts[i] / r[i]
-        ap = al.weyl_projector(nhat, +1, +1) @ a_plus[i]
-        am = al.weyl_projector(nhat, +1, -1) @ a_minus[i]
+        ap = al.Weyl(+1).projector(nhat, +1) @ a_plus[i]
+        am = al.Weyl(+1).projector(nhat, -1) @ a_minus[i]
         worst_orth = max(worst_orth, abs(np.vdot(ap, am)))
     worst_b = 0.0
     for t in (0.5, 1.0, 2.0):

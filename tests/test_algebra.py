@@ -28,32 +28,36 @@ def rand_su2():
 
 class TestHamiltonians:
     def test_rest_mass_is_beta(self):
-        h = al.dirac_hamiltonian([0, 0, 0], 1.0)
+        h = al.Dirac(1.0).hamiltonian([0, 0, 0])
         assert np.allclose(h, al.BETA)
         assert np.allclose(sorted(np.linalg.eigvalsh(h)), [-1, -1, 1, 1])
 
     def test_massless_axis_is_alpha3(self):
-        h = al.dirac_hamiltonian([0, 0, 1], 0.0)
+        h = al.Dirac(0.0).hamiltonian([0, 0, 1])
         assert np.allclose(h, al.ALPHA[2])
         assert np.allclose(sorted(np.linalg.eigvalsh(h)), [-1, -1, 1, 1])
 
     def test_square_identity(self):
-        h = al.dirac_hamiltonian([3, 4, 0], 0.0)
-        assert np.max(np.abs(h @ h - 25.0 * al.I4)) < 1e-12
+        h = al.Dirac(0.0).hamiltonian([3, 4, 0])
+        assert np.max(np.abs(h @ h - 25.0 * np.eye(4))) < 1e-12
 
     def test_weyl_axis(self):
-        assert np.allclose(al.weyl_hamiltonian([0, 0, 1], +1), al.SIGMA[2])
-        assert np.allclose(al.weyl_hamiltonian([0, 0, 1], -1), -al.SIGMA[2])
+        assert np.allclose(al.Weyl(+1).hamiltonian([0, 0, 1]), al.SIGMA[2])
+        assert np.allclose(al.Weyl(-1).hamiltonian([0, 0, 1]), -al.SIGMA[2])
 
     def test_weyl_spectrum(self):
         for _ in range(20):
             p = rng.normal(size=3)
-            ev = np.linalg.eigvalsh(al.weyl_hamiltonian(p, +1))
+            ev = np.linalg.eigvalsh(al.Weyl(+1).hamiltonian(p))
             assert np.allclose(sorted(ev), [-np.linalg.norm(p), np.linalg.norm(p)])
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError):
+            al.Dirac(-1.0)
 
     def test_hermitian(self):
         for _ in range(20):
-            h = al.dirac_hamiltonian(rng.normal(size=3), 0.7)
+            h = al.Dirac(0.7).hamiltonian(rng.normal(size=3))
             assert np.max(np.abs(h - h.conj().T)) <= 1e-14
 
 
@@ -65,7 +69,7 @@ class TestProjectors:
                 al.energy(bad, 1.0)
 
     def test_rest_projector(self):
-        assert np.allclose(al.dirac_projector([0, 0, 0], 1.0, +1), 0.5 * (al.I4 + al.BETA))
+        assert np.allclose(al.Dirac(1.0).projector([0, 0, 0], +1), 0.5 * (np.eye(4) + al.BETA))
 
     def test_identities_random(self):
         # 1000 random (p, m): completeness, orthogonality, eigen-relation
@@ -74,10 +78,10 @@ class TestProjectors:
             p = rng.normal(size=3) * 3
             m = abs(rng.normal()) + 0.05
             eps = al.energy(p, m)
-            pp = al.dirac_projector(p, m, +1)
-            pm = al.dirac_projector(p, m, -1)
-            h = al.dirac_hamiltonian(p, m)
-            worst_comp = max(worst_comp, np.max(np.abs(pp + pm - al.I4)))
+            pp = al.Dirac(m).projector(p, +1)
+            pm = al.Dirac(m).projector(p, -1)
+            h = al.Dirac(m).hamiltonian(p)
+            worst_comp = max(worst_comp, np.max(np.abs(pp + pm - np.eye(4))))
             worst_orth = max(worst_orth, np.max(np.abs(pp @ pm)))
             worst_idem = max(worst_idem, np.max(np.abs(pp @ pp - pp)))
             worst_eig = max(worst_eig, np.max(np.abs(h @ pp - eps * pp)) / eps)
@@ -88,13 +92,13 @@ class TestProjectors:
 
     def test_massless_origin_raises(self):
         with pytest.raises(ZeroMomentumMassless):
-            al.dirac_projector([0, 0, 0], 0.0, +1)
+            al.Dirac(0.0).projector([0, 0, 0], +1)
         with pytest.raises(ZeroMomentumMassless):
-            al.weyl_projector([0, 0, 0], +1, +1)
+            al.Weyl(+1).projector([0, 0, 0], +1)
 
     def test_weyl_dilation_invariance(self):
         p = rng.normal(size=3)
-        assert np.allclose(al.weyl_projector(p, +1, -1), al.weyl_projector(7.0 * p, +1, -1))
+        assert np.allclose(al.Weyl(+1).projector(p, -1), al.Weyl(+1).projector(7.0 * p, -1))
 
 
 class TestCanonicalCrossSection:

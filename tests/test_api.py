@@ -183,3 +183,36 @@ def test_name_scan_reads_loads_attributes_imports_and_strings():
     assert [n for _, n in _definitions(tree)] == ["B", "C", "D", "E", "f", "K"]
     assert {"m", "a", "g", "B", "h"} <= _named(tree)
     assert not {"C", "D", "E", "f", "K", "__all__"} & _named(tree)
+
+
+def _system_dispatch(tree):
+    """(line, enclosing function, what) of every read of a ``kind`` attribute and every getattr(_, "chi", ...)."""
+    funcs = [(n.lineno, n.end_lineno, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "kind" and isinstance(node.ctx, ast.Load):
+            what = ".kind"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) and node.args[1].value == "chi"):
+            what = 'getattr(_, "chi")'
+        else:
+            continue
+        inner = max((f for f in funcs if f[0] <= node.lineno <= f[1]), default=(0, 0, "<module>"))
+        hits.append((node.lineno, inner[2], what))
+    return hits
+
+
+def test_no_module_asks_which_system_it_holds():
+    # Dirac and Weyl declare h(p) (coupling, momentum matrices, mass matrix); every form reads those
+    found = [f"{p.name}:{line} {func}: {what}" for p in sorted(PACKAGE.glob("*.py"))
+             for line, func, what in _system_dispatch(ast.parse(p.read_text(), filename=str(p)))]
+    assert found == [], "system dispatch outside the system classes:\n" + "\n".join(found)
+
+
+def test_dispatch_scan_reads_kind_and_getattr_chi():
+    tree = ast.parse(
+        "def f(s):\n    return s.kind == 'weyl'\n"
+        "def g(s):\n    return getattr(s, 'chi', 1) * getattr(s, 'm')\n"
+        "class K:\n    kind = 'x'\n"
+    )
+    assert _system_dispatch(tree) == [(2, "f", ".kind"), (4, "g", 'getattr(_, "chi")')]

@@ -140,6 +140,14 @@ class TestInfluenceClosedForms:
         lo1, hi1 = cg.influence_strip(0.5, 1.0, 0.5)
         lo2, hi2 = cg.influence_strip(0.5, 1.0, 1.0)
         assert lo2 <= lo1 and hi1 <= hi2  # nesting
+        # an end below 0 moves away from 0, for either sign of rho
+        lo, hi = cg.influence_strip(0.0, 2.0, 1.0)
+        assert lo == 0.0 and abs(hi - 2.0 * np.e) <= 1e-14
+        lo, hi = cg.influence_strip(-1.0, 2.0, -1.0)
+        assert abs(lo + np.e) <= 1e-14 and abs(hi - 2.0 * np.e) <= 1e-14
+        assert np.allclose(cg.influence_strip(-2.0, -1.0, 1.0), (-2.0 * np.e, -1.0 / np.e), rtol=1e-15, atol=0)
+        with pytest.raises(ValueError):
+            cg.influence_strip(1.0, 0.5, 1.0)
 
     def test_cylinder_corners(self):
         c, a, b, rho = 1.0, 1.0, 2.0, 1.0

@@ -174,23 +174,10 @@ class TestBoost:
         )
         assert np.max(np.abs(boosted.values[sel, 0] - np.exp(rho / 2) * scaled)) <= 1e-8
 
-    def test_influence_interval(self):
-        lo, hi = dyn.influence_interval(0.0, 2.0, 1.0)
-        assert lo == 0.0 and abs(hi - 2.0 * np.e) <= 1e-14
-        lo, hi = dyn.influence_interval(-1.0, 2.0, -1.0)
-        assert abs(lo + np.e) <= 1e-14
-
     def test_guard(self):
         psi = dirac_bump(n=1024, length=8.0, width=1.0, guard=0.5)
         with pytest.raises(GuardViolation):
             dyn.boost_e3(psi, 2.0)
-
-
-def pointwise_h(system, p):
-    """h(p) at one 3-momentum, straight from the algebra module."""
-    if system.kind == "dirac":
-        return al.dirac_hamiltonian(p, system.m)
-    return al.weyl_hamiltonian(p, system.chi)
 
 
 def dense_boost_values(field, rho, x_out):
@@ -199,7 +186,7 @@ def dense_boost_values(field, rho, x_out):
     phi = field.to_momentum()
     p = g.paxis()
     eps = np.sqrt(p**2 + field.system.m**2)
-    hphi = np.array([pointwise_h(field.system, (0.0, 0.0, pk)) @ v for pk, v in zip(p, phi.values)])
+    hphi = np.array([field.system.hamiltonian((0.0, 0.0, pk)) @ v for pk, v in zip(p, phi.values)])
     y0 = -np.sinh(rho) * x_out
     y3 = np.cosh(rho) * x_out
     carrier = np.exp(1j * np.outer(y3, p))
@@ -289,7 +276,7 @@ class TestMomentumOperator:
         else:
             momenta = np.stack(np.meshgrid(*(grid.paxis(),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
         flat = phi.values.reshape(-1, system.components)
-        want = np.array([pointwise_h(system, p) @ v for p, v in zip(momenta, flat)])
+        want = np.array([system.hamiltonian(p) @ v for p, v in zip(momenta, flat)])
         assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.2), fd.Grid(3, 8, 0.5)], ids=["1d", "3d"])
@@ -317,7 +304,7 @@ def dense_h_apply(field, vals):
     g, s = field.grid, field.system
     mesh = [pk[..., None] for pk in g.momentum_mesh()]
     axes = (2,) if g.dim == 1 else (0, 1, 2)
-    if s.kind == "dirac":
+    if isinstance(s, al.Dirac):
         terms = [(pk, al.ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, al.BETA)]
     else:
         terms = [(s.chi * pk, al.SIGMA[k]) for pk, k in zip(mesh, axes)]
@@ -345,8 +332,8 @@ class TestSignedPermutationKernel:
         assert np.array_equal(got.view(float), want.view(float))
 
     def test_matrices_are_signed_permutations(self):
-        # the kernel's assumption: one nonzero, +-1 or +-i, per row
-        for mat in [*al.ALPHA, al.BETA, *al.SIGMA]:
+        # the kernel's assumption, for every matrix a system class declares: one nonzero, +-1 or +-i, per row
+        for mat in [*al.Dirac.momentum_matrices, al.Dirac.mass_matrix, *al.Weyl.momentum_matrices]:
             nonzero = mat != 0
             assert np.all(nonzero.sum(axis=1) == 1)
             assert np.all(np.isin(mat[nonzero], (1, -1, 1j, -1j)))
@@ -381,7 +368,7 @@ def oracle_evolve(field, t, eta=None):
     else:
         momenta = np.stack(np.meshgrid(p, p, p, indexing="ij"), axis=-1).reshape(-1, 3)
     if eta is None:
-        w, v = np.linalg.eigh(np.array([pointwise_h(system, pk) for pk in momenta]))
+        w, v = np.linalg.eigh(np.array([system.hamiltonian(pk) for pk in momenta]))
         u = np.einsum("sij,sj,skj->sik", v, np.exp(1j * t * w), v.conj())
     else:
         phase = np.exp(1j * t * eta * np.array([al.energy(np.asarray(pk), system.m) for pk in momenta]))

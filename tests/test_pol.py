@@ -8,7 +8,13 @@ from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import pol
-from causalfermion.errors import DomainViolation, NotEvenlySpaced, NotInRange, NotPositiveEnergy
+from causalfermion.errors import (
+    DomainViolation,
+    NotEvenlySpaced,
+    NotInRange,
+    NotPositiveEnergy,
+    WrongRepresentation,
+)
 from causalfermion.weylradial import simpson_weights
 
 rng = np.random.default_rng(59)
@@ -78,9 +84,10 @@ class TestRadialEngineAlgebra:
         st = pol.gaussian_radial_state(system, kgrid, 1.5, 0.4, seed=4)
         eps = np.sqrt(kgrid**2 + system.m**2)
         eps[eps == 0.0] = np.inf
-        ke = (kgrid / eps)[:, None] * getattr(system, "chi", 1)
+        dirac = isinstance(system, al.Dirac)
+        ke = (kgrid / eps)[:, None] * (1 if dirac else system.chi)
         me = (system.m / eps)[:, None]
-        beta = (lambda x: x @ al.BETA.T) if system.kind == "dirac" else (lambda x: 0.0 * x)
+        beta = (lambda x: x @ al.BETA.T) if dirac else (lambda x: 0.0 * x)
         want_s = 0.5 * (st.s + eta * (me * beta(st.s) + ke * st.v))
         want_v = 0.5 * (st.v + eta * (ke * st.s - me * beta(st.v)))
         got = st.apply_projector(eta)
@@ -329,6 +336,38 @@ class TestWeylSequence:
         st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=6)
         with pytest.raises(NotInRange):
             pol.weyl_pol_sequence(st.normalized(), 4.0)
+        dirac = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=6).apply_projector(+1)
+        with pytest.raises(NotInRange):
+            pol.weyl_pol_sequence(dirac.normalized(), 4.0)
+
+
+class TestWrongRepresentation:
+    """Each of pol's nine representation checks raises WrongRepresentation, which is a ValueError."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        grid = fd.Grid(3, 8, 0.5)
+        pos = pol.random_positive_state(grid, al.Dirac(1.0), seed=3).to_position()
+        mom = pol.gaussian_radial_state(al.Dirac(1.0), np.linspace(0.0, 4.0, 65), 1.5, 0.4)
+        return pos, fd.RegionMask.half_space(grid, 0.0), mom, dataclasses.replace(mom, rep="position")
+
+    CALLS = {
+        "positive_energy_project": lambda pos, mask, mom, rpos: pol.positive_energy_project(pos),
+        "pol_apply": lambda pos, mask, mom, rpos: pol.pol_apply(pos, mask),
+        "measurement_cascade": lambda pos, mask, mom, rpos: pol.measurement_cascade(pos, mask),
+        "apply_projector": lambda pos, mask, mom, rpos: rpos.apply_projector(+1),
+        "apply_dilation_limit_projector": lambda pos, mask, mom, rpos: rpos.apply_dilation_limit_projector(),
+        "radial_to_position": lambda pos, mask, mom, rpos: pol.radial_to_position(rpos, mom.k),
+        "radial_to_momentum": lambda pos, mask, mom, rpos: pol.radial_to_momentum(mom, mom.k),
+        "radial_ball_mass": lambda pos, mask, mom, rpos: pol.radial_ball_mass(mom, 1.0),
+        "dilate_radial": lambda pos, mask, mom, rpos: pol.dilate_radial(rpos, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_raises_wrong_representation(self, inputs, name):
+        assert issubclass(WrongRepresentation, ValueError)
+        with pytest.raises(WrongRepresentation):
+            self.CALLS[name](*inputs)
 
 
 class TestGridEngine:

@@ -5,7 +5,7 @@ import pytest
 
 from causalfermion import cli, field as fd
 from causalfermion import weylradial as wr
-from causalfermion.algebra import SIGMA, sinc, weyl_projector
+from causalfermion.algebra import SIGMA, Weyl, sinc
 from causalfermion.errors import NotEvenlySpaced, OriginSingular
 
 rng = np.random.default_rng(41)
@@ -93,8 +93,8 @@ class TestClosedFormStructure:
         a_plus, a_minus, _ = wr.radial_parts(profile, 0.7, r)
         for i in range(len(pts)):
             nhat = pts[i] / r[i]
-            ap = weyl_projector(nhat, +1, +1) @ a_plus[i]
-            am = weyl_projector(nhat, +1, -1) @ a_minus[i]
+            ap = Weyl(+1).projector(nhat, +1) @ a_plus[i]
+            am = Weyl(+1).projector(nhat, -1) @ a_minus[i]
             assert abs(np.vdot(ap, am)) <= 1e-13
 
     def test_origin_excluded(self, profile):
