@@ -255,6 +255,10 @@ class Weyl(_System):
     momentum_matrices = SIGMA
     mass_matrix = None
 
+    def __post_init__(self):
+        if self.chi not in (1, -1):
+            raise ValueError(f"chirality must be +1 or -1, got {self.chi!r}")
+
     @property
     def coupling(self) -> int:
         return self.chi

@@ -215,16 +215,17 @@ class SpinorField:
         if self.rep != "position":
             raise WrongRepresentation("to_momentum needs a position-representation field")
         g = self.grid
-        vals = np.fft.fftn(self.values, axes=tuple(range(g.dim)))
+        vals = _fft_sites(np.fft.fft, self.values, g.dim, np.empty(self.values.shape, dtype=complex))
         vals *= _fourier_factor(g, sign=-1)
         return replace(self, rep="momentum", values=vals)
 
-    def to_position(self) -> "SpinorField":
+    def to_position(self, out: np.ndarray | None = None) -> "SpinorField":
+        """Position field, written into out (which may be self.values) or into one new array."""
         if self.rep != "momentum":
             raise WrongRepresentation("to_position needs a momentum-representation field")
         g = self.grid
-        vals = np.fft.ifftn(self.values * _fourier_factor(g, sign=+1), axes=tuple(range(g.dim)))
-        return replace(self, rep="position", values=vals)
+        vals = np.multiply(self.values, _fourier_factor(g, sign=+1), out=out)
+        return replace(self, rep="position", values=_fft_sites(np.fft.ifft, vals, g.dim, vals))
 
     # --- localization -------------------------------------------------------
     def apply_mask(self, mask: RegionMask) -> "SpinorField":
@@ -241,29 +242,33 @@ class SpinorField:
         return float(w * np.vdot(inside, inside).real)
 
     # --- support helpers ------------------------------------------------------
-    def support_bounds(self, axis: int = -1, mass_tol: float = 1e-12):
-        """Smallest cell-center interval outside which the relative mass is <= mass_tol.
+    def support_bounds(self, mass_tol: float = 1e-12):
+        """Smallest cell-center interval on the last axis (e3 in 3D) outside which the relative mass is <= mass_tol.
 
         Robust against the FFT roundoff floor, which carries ~1e-28 of the
         total probability but nonzero amplitude everywhere.
         """
+        return self.support_box(mass_tol)[-1]
+
+    def support_box(self, mass_tol: float) -> list:
+        """support_bounds along every axis, [(lo, hi), ...], from one site-density pass."""
         if self.rep != "position":
             raise WrongRepresentation("support is a position-space notion")
         g = self.grid
-        ax = (g.dim - 1) if axis == -1 else axis
         dens = site_density(self.values)
-        if g.dim == 3:
-            other = tuple(k for k in range(3) if k != ax)
-            dens = dens.sum(axis=other)
-        total = float(dens.sum())
-        if total == 0.0:
-            raise ValueError("field is identically zero")
-        cum_l = np.cumsum(dens) / total
-        cum_r = np.cumsum(dens[::-1]) / total
-        i0 = int(np.searchsorted(cum_l, mass_tol / 2.0, side="right"))
-        i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
-        x = g.axis(ax)
-        return float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])
+        box = []
+        for ax in range(g.dim):
+            line = dens.sum(axis=tuple(k for k in range(3) if k != ax)) if g.dim == 3 else dens
+            total = float(line.sum())
+            if total == 0.0:
+                raise ValueError("field is identically zero")
+            cum_l = np.cumsum(line) / total
+            cum_r = np.cumsum(line[::-1]) / total
+            i0 = int(np.searchsorted(cum_l, mass_tol / 2.0, side="right"))
+            i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
+            x = g.axis(ax)
+            box.append((float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])))
+        return box
 
 
 def site_density(values: np.ndarray) -> np.ndarray:
@@ -287,6 +292,17 @@ def _axis_factors(g: Grid, sign: int) -> tuple:
         f.setflags(write=False)
         out.append(f)
     return tuple(out)
+
+
+def _fft_sites(transform, vals: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """transform (np.fft.fft or ifft) along each site axis, last first as fftn does, into out.
+
+    The passes after the first run in place, so an n-d transform allocates nothing
+    (out= needs numpy >= 2.0); the bits are fftn's / ifftn's.
+    """
+    for ax in reversed(range(dim)):
+        vals = transform(vals, axis=ax, out=out)
+    return vals
 
 
 def _fourier_factor(g: Grid, sign: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import boost_values, evolve_causal, time_reverse
+from .dynamics import boost_values, check_guard, evolve_causal, time_reverse
 from .errors import (
     AllMassBelowTolerance,
     CaseMismatch,
@@ -85,11 +85,15 @@ def frontier_profile(
     e: int = +1,
     tau: float = DEFAULT_EDGE_TOL,
 ) -> FrontierProfile:
-    """Edges of the evolved state at each time; evolutions are independent."""
+    """Edges of the evolved state at each time; evolutions are independent.
+
+    The guard grows with |t|, so one check at max |t| covers every time.
+    """
     times = np.asarray(times, dtype=float)
     edges = np.empty_like(times)
+    check_guard(field, float(np.max(np.abs(times), initial=0.0)))
     for i, t in enumerate(times):
-        edges[i] = support_edge(evolve_causal(field, float(t)), e=e, tau=tau)
+        edges[i] = support_edge(evolve_causal(field, float(t), guard=False), e=e, tau=tau)
     return FrontierProfile(e, times, edges, tau)
 
 

@@ -55,6 +55,11 @@ class TestHamiltonians:
         with pytest.raises(ValueError):
             al.Dirac(-1.0)
 
+    @pytest.mark.parametrize("chi", [0, 2])
+    def test_chirality_other_than_plus_minus_one_rejected(self, chi):
+        with pytest.raises(ValueError):
+            al.Weyl(chi)
+
     def test_hermitian(self):
         for _ in range(20):
             h = al.Dirac(0.7).hamiltonian(rng.normal(size=3))

@@ -87,6 +87,13 @@ class TestCausalEvolution:
         with pytest.raises(GuardViolation):
             dyn.evolve_causal(psi, 5.0)
 
+    def test_evolutions_leave_their_input_as_it_was(self):
+        psi = dirac_bump()
+        kept = psi.values.copy()
+        dyn.evolve_causal(psi, 0.7)
+        dyn.evolve_newton_wigner(psi, 0.7)
+        assert np.array_equal(psi.values, kept)
+
 
 class TestNewtonWigner:
     def test_identity_and_norm(self):
@@ -447,3 +454,21 @@ class TestSpectralKernel:
                 assert [f.shape for f in factors] == [(grid.n,)] * grid.dim
                 with pytest.raises(ValueError):
                     factors[0][0] = 0.0
+
+
+class TestMultiplierInPlace:
+    @pytest.mark.parametrize("grid", TestSpectralKernel.GRIDS, ids=["1d", "3d"])
+    @pytest.mark.parametrize("system", TestSpectralKernel.SYSTEMS, ids=TestSpectralKernel.IDS)
+    def test_into_its_input_gives_the_bits_of_a_new_array(self, grid, system):
+        phi = random_position_field(grid, system, 5).to_momentum()
+        kept = phi.values.copy()
+        t = 0.7
+        fresh = dyn.evolution_multiplier_apply(phi, t)
+        assert np.array_equal(phi.values, kept)  # out=None mutates nothing
+        # the multiplier as written before out=: (h phi)(i sinc) + cos phi; addition commutes
+        eps = dyn._energy(grid, system.m)
+        s = np.divide(np.sin(t * eps), eps, out=np.full_like(eps, t), where=eps > 0)
+        sum_first = dyn.h_apply(phi, kept) * (1j * s)[..., None] + np.cos(t * eps)[..., None] * kept
+        assert np.array_equal(fresh, sum_first)
+        same = dyn.evolution_multiplier_apply(phi, t, out=phi.values)
+        assert same is phi.values and np.array_equal(same, fresh)

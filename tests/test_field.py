@@ -61,6 +61,53 @@ class TestFourierDuality:
         with pytest.raises(WrongRepresentation):
             psi.to_position()
 
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 256, 10.0 / 256), fd.Grid(3, 32, 6.0 / 32, (-3.1, -2.9, -3.0))],
+                             ids=["1d", "32^3"])
+    def test_transforms_are_fftn_times_the_factor_bit_for_bit(self, grid):
+        psi = random_field(grid, al.Dirac(1.0), 3)
+        axes = tuple(range(grid.dim))
+        kept = psi.values.copy()
+        phi = psi.to_momentum()
+        assert np.array_equal(phi.values, np.fft.fftn(psi.values, axes=axes) * fd._fourier_factor(grid, -1))
+        want = np.fft.ifftn(phi.values * fd._fourier_factor(grid, +1), axes=axes)
+        mom = phi.values.copy()
+        assert np.array_equal(phi.to_position().values, want)
+        # out=None and to_momentum leave their input as it was
+        assert np.array_equal(psi.values, kept) and np.array_equal(phi.values, mom)
+        # into the momentum array itself: the same bits, and that array is the result
+        back = phi.to_position(out=phi.values)
+        assert back.values is phi.values and np.array_equal(back.values, want)
+
+
+def old_support_bounds(field, ax, mass_tol):
+    """support_bounds along axis ax as it was computed per axis: its own site-density pass."""
+    g = field.grid
+    dens = fd.site_density(field.values)
+    if g.dim == 3:
+        dens = dens.sum(axis=tuple(k for k in range(3) if k != ax))
+    total = float(dens.sum())
+    cum_l = np.cumsum(dens) / total
+    cum_r = np.cumsum(dens[::-1]) / total
+    i0 = int(np.searchsorted(cum_l, mass_tol / 2.0, side="right"))
+    i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
+    x = g.axis(ax)
+    return float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])
+
+
+@pytest.mark.parametrize("grid, center", [(fd.Grid(1, 512, 12.0 / 512), 0.4),
+                                          (fd.Grid(3, 32, 0.3, (-4.5, -4.9, -4.7)), (0.4, -0.3, 0.7))],
+                         ids=["1d", "32^3"])
+def test_support_box_is_the_per_axis_support_bounds_bit_for_bit(grid, center):
+    bump = fd.make_bump(grid, center, 2.0, [1, 0.3, 1j, 0], al.Dirac(1.0))
+    # a rough profile, so that every axis reduction sums unequal terms
+    psi = fd.SpinorField(grid, bump.system, "position", bump.values * random_field(grid, bump.system, 4).values)
+    for tol in (1e-16, fd.EPS_LEAK, 1e-3):
+        box = psi.support_box(tol)
+        assert box == [old_support_bounds(psi, ax, tol) for ax in range(grid.dim)]
+        assert box[-1] == psi.support_bounds(mass_tol=tol)
+    with pytest.raises(WrongRepresentation):
+        psi.to_momentum().support_box(fd.EPS_LEAK)
+
 
 @pytest.mark.parametrize("dx", [-0.1, 0.0, np.nan, np.inf])
 def test_grid_rejects_bad_spacing(dx):

@@ -8,6 +8,7 @@ from causalfermion import frontier as fr
 from causalfermion.errors import (
     AllMassBelowTolerance,
     CaseMismatch,
+    GuardViolation,
     InsufficientSamples,
     NoLateChangeSeed,
 )
@@ -77,6 +78,23 @@ class TestFrontierProfile:
     def test_single_time(self, bump):
         prof = fr.frontier_profile(bump, [0.0], e=+1, tau=TAU)
         assert prof.edges[0] == fr.support_edge(bump, +1, TAU)
+
+    def test_one_guard_per_profile_and_the_guarded_edges(self, bump, bump_times, monkeypatch):
+        guards = []
+        check = dyn.check_guard
+        monkeypatch.setattr(fr, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
+        prof = fr.frontier_profile(bump, bump_times, e=-1, tau=TAU)
+        assert guards == [4.0]
+        want = [fr.support_edge(dyn.evolve_causal(bump, float(t)), -1, TAU) for t in bump_times]
+        assert np.array_equal(prof.edges, want)
+
+    def test_guard_raises_before_any_evolution(self, bump, monkeypatch):
+        evolved = []
+        monkeypatch.setattr(fr, "evolve_causal", lambda *args, **kw: evolved.append(args[1]))
+        # the times up to 4 are within the guard; 20 is not
+        with pytest.raises(GuardViolation):
+            fr.frontier_profile(bump, [0.0, 1.0, 4.0, -20.0], e=+1, tau=TAU)
+        assert evolved == []
 
     def test_causal_slope_bound(self, bump, bump_times):
         prof = fr.frontier_profile(bump, bump_times, e=+1, tau=TAU)
