@@ -15,14 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotLightlike,
-    NotTimelike,
-    NotUnimodular,
-    ZeroMomentum,
-    ZeroMomentumMassless,
-)
-
 UNITARY_TOL = 1e-12
 #: |p.p| allowed for a lightlike p, relative to the Euclidean p . p
 LIGHTLIKE_TOL = 1e-9
@@ -45,10 +37,10 @@ ALPHA = np.array(
 
 
 def _unimodular(a) -> np.ndarray:
-    """a as a complex matrix of SL(2,C); NotUnimodular unless det a = 1 to UNITARY_TOL."""
+    """a as a complex matrix of SL(2,C); ValueError unless det a = 1 to UNITARY_TOL."""
     a = np.asarray(a, dtype=complex)
     if abs(np.linalg.det(a) - 1.0) > UNITARY_TOL:
-        raise NotUnimodular(f"det A = {np.linalg.det(a)}")
+        raise ValueError(f"det A = {np.linalg.det(a)}")
     return a
 
 
@@ -87,7 +79,7 @@ def canonical_cross_section(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     ksq = minkowski_square(k)
     if ksq <= 0.0:
-        raise NotTimelike(f"k.k = {ksq} is not positive")
+        raise ValueError(f"k.k = {ksq} is not positive")
     m = np.sqrt(ksq)
     eta = 1.0 if k[0] >= 0 else -1.0
     ksig = k[0] * I2 + np.einsum("k,kij->ij", k[1:], SIGMA)
@@ -103,7 +95,7 @@ def helicity_cross_section(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     ap = float(np.linalg.norm(p))
     if ap == 0.0:
-        raise ZeroMomentum("helicity cross section undefined at p = 0")
+        raise ValueError("helicity cross section undefined at p = 0")
     if p[0] == 0.0 and p[1] == 0.0:
         return I2.copy() if p[2] > 0 else (-1j * SIGMA[1])
     a_plus = np.sqrt((ap + p[2]) / (2.0 * ap))
@@ -182,7 +174,7 @@ def wigner_rotation_massless(p4, a: np.ndarray) -> np.ndarray:
     """
     p4 = np.asarray(p4, dtype=float)
     if np.linalg.norm(p4[1:]) == 0.0 or abs(minkowski_square(p4)) > LIGHTLIKE_TOL * float(np.dot(p4, p4)):
-        raise NotLightlike(f"p.p = {minkowski_square(p4)} for p = {p4}")
+        raise ValueError(f"p.p = {minkowski_square(p4)} for p = {p4}")
     b_prime, rho, b = polar_decompose_sl2(np.asarray(a, dtype=complex))
     if rho == 0.0:
         return np.asarray(a, dtype=complex).copy()
@@ -210,7 +202,7 @@ class _System:
         """Energy projector pi^eta(p) = (I + (eta/eps) h(p)) / 2 (for Weyl, pi^{chi eta}; dilation invariant)."""
         eps = energy(p, self.m)
         if eps == 0.0:
-            raise ZeroMomentumMassless("energy projector singular at p = 0 for m = 0")
+            raise ValueError("energy projector singular at p = 0 for m = 0")
         return 0.5 * (np.eye(self.components) + (eta / eps) * self.hamiltonian(p))
 
 

@@ -34,6 +34,8 @@ EXIT_GUARD = 3
 _SEED_WIDTH = 0.7
 #: cap on grid sites (n**dim), radial and k nodes, frontier times and Monte Carlo rows per shard
 _MAX_SIZE = 2**20
+#: the radii on which pol reads each phi_n in position representation
+_POL_RADII = np.linspace(0.0, 10.0, 4097)
 
 #: lines target -> (measure, predicate, region description)
 _TARGETS = {
@@ -141,10 +143,13 @@ KEYS = {
     "ns": (list, lambda v, cfg: len(v) > 0 and all(1 <= x < np.inf for x in v)
            and max(v) * cfg["shell_hi"] < cfg["k_max"],
            "a non-empty list of numbers >= 1 with max(ns) shell_hi < k_max", {"pol": [1, 2, 4, 8, 16, 32, 64]}),
-    # a cascade region and its complement must each hold a site; a ball always holds the origin site
-    "ball_radius": (float, lambda v, cfg: 0 < v < np.inf
-                    and (cfg.get("region") != "ball" or v < np.sqrt(3) * cfg["length"] / 2),
-                    "finite and > 0, and for a cascade ball below the corner distance sqrt(3) length / 2",
+    # a cascade region and its complement must each hold a site; a ball always holds the origin site.
+    # pol reads the ball on _POL_RADII: below its first node past 0 the ball holds no mass to normalize
+    "ball_radius": (float, lambda v, cfg: 0 < v < np.inf and (
+                        v < np.sqrt(3) * cfg["length"] / 2 if cfg.get("region") == "ball"
+                        else "region" in cfg or _POL_RADII[1] <= v <= _POL_RADII[-1]),
+                    f"finite and > 0, for a cascade ball below the corner distance sqrt(3) length / 2, "
+                    f"and for pol in [{_POL_RADII[1]}, {_POL_RADII[-1]}], the radii it evaluates on",
                     {"pol": 1.0, "cascade": 1.0}),
     "half_space_edge": (float, lambda v, cfg: -np.inf < v < np.inf and (cfg["region"] != "half_space"
                         or -cfg["length"] / 2 <= v < cfg["length"] / 2 - cfg["length"] / cfg["n"]),
@@ -387,7 +392,6 @@ def run_pol(cfg, out: Path) -> int:
     system = al.Dirac(cfg["mass"])
     k = _pol_k(cfg)
     shell = pol.shell_state(system, k, cfg["shell_lo"], cfg["shell_hi"])
-    radii = np.linspace(0.0, 10.0, 4097)
     rows, target = pol.energy_growth(
         shell,
         cfg["ns"],
@@ -398,7 +402,7 @@ def run_pol(cfg, out: Path) -> int:
     vals = []
     for n, en in rows:
         # one transform of phi_n serves both the ball expectation and the truncation
-        pos = pol.radial_to_position(pol.point_localized_sequence(shell, n), radii)
+        pos = pol.radial_to_position(pol.point_localized_sequence(shell, n), _POL_RADII)
         ball = pol.radial_ball_mass(pos, cfg["ball_radius"])
         vals.append(ball)
         csv.row(n, ball, en, pol.truncated_negative_fraction(pos, cfg["ball_radius"], k))

@@ -24,14 +24,7 @@ axis; the 3D product is formed per call and not kept).
 One evolution keeps one (sites, d) array from the FFT to the returned
 position values: ``to_momentum`` writes into a new array, the multiplier
 writes back into it (``out=``) and ``to_position(out=)`` runs the inverse
-FFT in place; h(p) phi is the only other (sites, d) temporary.  Every
-output is bit for bit what the allocating form gave.  Before, a 1D call
-allocated five such arrays, which glibc returned to the OS between calls:
-minor page faults per call went 288 -> 128 at N = 2^12 and 2,144 -> 0 at
-2^15 (Dirac, d = 4; getrusage over 50 calls).  Bench medians, lane1d
-workload, ten 25 s runs each (seeds 201-210, 2-core Xeon, Python 3.11,
-numpy 2.4): op_s_p50 0.043 -> 0.037 s, op_s_tail 0.185 -> 0.151 s,
-ops_per_s 15.5 -> 19.2, peak RSS 56.4 -> 52.6 MB.
+FFT in place; h(p) phi is the only other (sites, d) temporary.
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -54,7 +47,7 @@ import numpy as np
 
 from . import algebra as al
 from .causalgeo import influence_strip
-from .errors import GuardViolation, WrongRepresentation
+from .errors import GuardViolation
 from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1
 
 
@@ -157,7 +150,7 @@ def check_guard(field: SpinorField, horizon: float) -> None:
 def evolve_causal(field: SpinorField, t: float, guard: bool = True) -> SpinorField:
     """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact."""
     if field.rep != "position":
-        raise WrongRepresentation("evolve_causal takes a position-representation field")
+        raise ValueError("evolve_causal takes a position-representation field")
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
@@ -168,7 +161,7 @@ def evolve_causal(field: SpinorField, t: float, guard: bool = True) -> SpinorFie
 def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: bool = True) -> SpinorField:
     """Acausal foil: scalar multiplier exp(i t eta eps(p)) (sign-definite energy)."""
     if field.rep != "position":
-        raise WrongRepresentation("evolve_newton_wigner takes a position-representation field")
+        raise ValueError("evolve_newton_wigner takes a position-representation field")
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
@@ -179,7 +172,7 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
 def time_reverse(field: SpinorField) -> SpinorField:
     """Antiunitary T psi = omega conj(psi) in position representation."""
     if field.rep != "position":
-        raise WrongRepresentation("time reversal acts in position representation")
+        raise ValueError("time reversal acts in position representation")
     omega = field.system.time_reversal()
     vals = np.einsum("ij,...j->...i", omega, np.conj(field.values))
     return replace(field, values=vals)
@@ -202,14 +195,14 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
     NUFFT_ERR = 5e-14 of sum |strengths| (tested against a long-double sum).
 
     Outputs that are not evenly spaced (to 1e-12 relative) raise
-    NotEvenlySpaced.  Accuracy requires the light cone of supp(psi) at time
+    ValueError.  Accuracy requires the light cone of supp(psi) at time
     y0(x) = -sinh(rho) x to stay inside the grid for every requested x
     (checked, GuardViolation otherwise).
     """
     if field.grid.dim != 1:
         raise NotImplementedError("boosts are implemented for the 1D lane only")
     if field.rep != "position":
-        raise WrongRepresentation("boost acts on position-representation fields")
+        raise ValueError("boost acts on position-representation fields")
     g = field.grid
     x_out = np.asarray(x_out, dtype=float)
     lo, hi = field.support_bounds()

@@ -22,12 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BandExceeded,
-    NotEvenlySpaced,
-    SupportExceedsGuard,
-    WrongRepresentation,
-)
+from .errors import GuardViolation
 
 #: fraction of total probability allowed to leak outside causal bounds for
 #: smooth compact states with >= LEAK_SAMPLES samples across the bump, 2 width / dx
@@ -189,7 +184,7 @@ class SpinorField:
 
     def _compatible(self, other: "SpinorField"):
         if self.grid != other.grid or self.rep != other.rep or self.system != other.system:
-            raise WrongRepresentation("fields live on different grids/representations/systems")
+            raise ValueError("fields live on different grids/representations/systems")
 
     # --- metric -----------------------------------------------------------
     def inner(self, other: "SpinorField") -> complex:
@@ -213,7 +208,7 @@ class SpinorField:
     # --- Fourier duality ----------------------------------------------------
     def to_momentum(self) -> "SpinorField":
         if self.rep != "position":
-            raise WrongRepresentation("to_momentum needs a position-representation field")
+            raise ValueError("to_momentum needs a position-representation field")
         g = self.grid
         vals = _fft_sites(np.fft.fft, self.values, g.dim, np.empty(self.values.shape, dtype=complex))
         vals *= _fourier_factor(g, sign=-1)
@@ -222,7 +217,7 @@ class SpinorField:
     def to_position(self, out: np.ndarray | None = None) -> "SpinorField":
         """Position field, written into out (which may be self.values) or into one new array."""
         if self.rep != "momentum":
-            raise WrongRepresentation("to_position needs a momentum-representation field")
+            raise ValueError("to_position needs a momentum-representation field")
         g = self.grid
         vals = np.multiply(self.values, _fourier_factor(g, sign=+1), out=out)
         return replace(self, rep="position", values=_fft_sites(np.fft.ifft, vals, g.dim, vals))
@@ -230,13 +225,13 @@ class SpinorField:
     # --- localization -------------------------------------------------------
     def apply_mask(self, mask: RegionMask) -> "SpinorField":
         if self.rep != "position":
-            raise WrongRepresentation("masks act in position representation")
+            raise ValueError("masks act in position representation")
         return replace(self, values=self.values * mask.sites[..., None])
 
     def probability(self, mask: RegionMask) -> float:
         """||1_Delta psi||^2 for a normalized field: localization probability."""
         if self.rep != "position":
-            raise WrongRepresentation("masks act in position representation")
+            raise ValueError("masks act in position representation")
         w = self.grid.cell_measure(self.rep)
         inside = self.values[mask.sites, :]
         return float(w * np.vdot(inside, inside).real)
@@ -253,7 +248,7 @@ class SpinorField:
     def support_box(self, mass_tol: float) -> list:
         """support_bounds along every axis, [(lo, hi), ...], from one site-density pass."""
         if self.rep != "position":
-            raise WrongRepresentation("support is a position-space notion")
+            raise ValueError("support is a position-space notion")
         g = self.grid
         dens = site_density(self.values)
         box = []
@@ -484,18 +479,18 @@ def bessel_rows(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray)
 
 
 def even_step(x: np.ndarray) -> float:
-    """delta of evenly spaced points x_j = x_0 + j delta (to 1e-12 relative); else NotEvenlySpaced."""
+    """delta of evenly spaced points x_j = x_0 + j delta (to 1e-12 relative); else ValueError."""
     delta = (x[-1] - x[0]) / max(x.size - 1, 1)
     even = x[0] + delta * np.arange(x.size)
     if np.max(np.abs(x - even)) > 1e-12 * max(float(np.max(np.abs(x))), abs(delta)):
-        raise NotEvenlySpaced("outputs must be evenly spaced, x_j = x_0 + j delta")
+        raise ValueError("outputs must be evenly spaced, x_j = x_0 + j delta")
     return float(delta)
 
 
 def translate(field: SpinorField, shift: float) -> SpinorField:
     """Spatial translation W(shift * e3) by a whole number of cells (exact roll)."""
     if field.rep != "position":
-        raise WrongRepresentation("translate acts in position representation")
+        raise ValueError("translate acts in position representation")
     g = field.grid
     cells = int(round(shift / g.dx))
     return replace(field, values=np.roll(field.values, cells, axis=g.dim - 1))
@@ -513,7 +508,7 @@ def make_bump(
     """Normalized C-infinity bump exp(-w^2/(w^2 - r^2)), exactly zero outside r = w.
 
     `guard` is the planned evolution horizon: the support fattened by guard must
-    stay strictly inside the grid, otherwise SupportExceedsGuard is raised.
+    stay strictly inside the grid, otherwise GuardViolation is raised.
     An optional plane-wave factor e^{i momentum x} (last axis) shifts the band.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -521,7 +516,7 @@ def make_bump(
     for k in range(grid.dim):
         lo, hi = grid.axis(k)[0], grid.axis(k)[-1]
         if center[k] - width - guard < lo + grid.dx or center[k] + width + guard > hi - grid.dx:
-            raise SupportExceedsGuard(
+            raise GuardViolation(
                 f"support [{center[k]-width}, {center[k]+width}] + guard {guard} leaves axis {k}"
             )
     r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
@@ -555,7 +550,7 @@ def dilate(field: SpinorField, lam: float) -> SpinorField:
     Nyquist/lam.  3D dilation is provided only through radial profiles.
     """
     if field.rep != "momentum":
-        raise WrongRepresentation("dilate acts in momentum representation")
+        raise ValueError("dilate acts in momentum representation")
     if lam <= 0:
         raise ValueError("lam must be positive")
     g = field.grid
@@ -564,7 +559,7 @@ def dilate(field: SpinorField, lam: float) -> SpinorField:
     nyq = np.pi / g.dx
     edge = band_edge(field)
     if lam * edge > nyq * (1.0 + 1e-12):
-        raise BandExceeded(f"lam * band = {lam * edge:.3g} exceeds Nyquist {nyq:.3g}")
+        raise GuardViolation(f"lam * band = {lam * edge:.3g} exceeds Nyquist {nyq:.3g}")
     psi = field.to_position()
     theta = -lam * g.dp * g.axis(0)
     strengths = psi.values * (np.exp(-0.5j * g.n * theta) * (g.dx / np.sqrt(2.0 * np.pi)))[:, None]

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import boost_values, check_guard, evolve_causal, time_reverse
-from .errors import (
-    AllMassBelowTolerance,
-    CaseMismatch,
-    InsufficientSamples,
-    NoLateChangeSeed,
-)
+from .errors import NoLateChangeSeed
 from .field import RegionMask, SpinorField, site_density, translate
 
 DEFAULT_EDGE_TOL = 1e-6
@@ -67,7 +62,7 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     dens = dens * g.cell_measure("position") / g.dx  # per-cell mass / dx, summed against tau
     total = float(dens.sum())
     if total <= tau:
-        raise AllMassBelowTolerance(f"total mass {total} <= tau = {tau}")
+        raise ValueError(f"total mass {total} <= tau = {tau}")
     x = g.axis(ax)
     if e < 0:
         dens = dens[::-1]
@@ -107,7 +102,7 @@ def fit_tent(profile: FrontierProfile) -> TentFit:
     t = np.asarray(profile.times, dtype=float)
     y = np.asarray(profile.edges, dtype=float)
     if t.size < 5:
-        raise InsufficientSamples("tent fit needs at least 5 time samples")
+        raise ValueError("tent fit needs at least 5 time samples")
     order = np.argsort(t)
     t, y = t[order], y[order]
     k = int(np.argmax(y))
@@ -126,7 +121,7 @@ def fit_tent(profile: FrontierProfile) -> TentFit:
         if best is None or res < best.residual:
             best = TentFit(e0, t_e, res)
     if best is None:
-        raise InsufficientSamples("tent fit needs samples on both slopes")
+        raise ValueError("tent fit needs samples on both slopes")
     return best
 
 
@@ -177,9 +172,9 @@ def construct_prescribed_tent(
     elif case == "iii":
         holds, need, moves = -tau_shift > d, "-tau > delta", (-(tau_shift + d) / 2.0, (d - tau_shift) / 2.0)
     else:
-        raise CaseMismatch(f"unknown case {case!r}")
+        raise ValueError(f"unknown case {case!r}")
     if not holds:
-        raise CaseMismatch(f"case ({case}) needs {need}")
+        raise ValueError(f"case ({case}) needs {need}")
     if dates1 is None:
         fp, fm = fit_both_edges(psi1, fit_times(psi1))
         dates1 = fp.t_e, fm.t_e

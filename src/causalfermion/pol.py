@@ -29,14 +29,7 @@ import numpy as np
 
 from . import algebra as al
 from .dynamics import energy_projector_apply
-from .errors import (
-    DegenerateState,
-    DomainViolation,
-    NotInRange,
-    NotPositiveEnergy,
-    NullDilationLimit,
-    WrongRepresentation,
-)
+from .errors import DomainViolation
 from .field import Grid, RegionMask, SpinorField, bessel_sums
 from .weylradial import cumulative_simpson, simpson_weights
 
@@ -46,7 +39,7 @@ from .weylradial import cumulative_simpson, simpson_weights
 def positive_energy_project(field: SpinorField, eta: int = +1) -> SpinorField:
     """P^eta phi in momentum representation; idempotent, commutes with e^{ith}."""
     if field.rep != "momentum":
-        raise WrongRepresentation("positive_energy_project acts in momentum representation")
+        raise ValueError("positive_energy_project acts in momentum representation")
     return replace(field, values=energy_projector_apply(field, eta))
 
 
@@ -57,9 +50,9 @@ def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> Spino
     projection; tol = inf skips it.
     """
     if field.rep != "momentum":
-        raise WrongRepresentation("pol_apply acts in momentum representation")
+        raise ValueError("pol_apply acts in momentum representation")
     if np.isfinite(tol) and (field - positive_energy_project(field)).norm() > tol * max(field.norm(), 1.0):
-        raise NotPositiveEnergy("state is not in the positive-energy subspace")
+        raise ValueError("state is not in the positive-energy subspace")
     masked = field.to_position().apply_mask(mask).to_momentum()
     return positive_energy_project(masked)
 
@@ -117,7 +110,7 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
     MAX_CASCADE_DEPTH raise ValueError instead of being cut.
     """
     if field.rep != "momentum":
-        raise WrongRepresentation("measurement_cascade acts in momentum representation")
+        raise ValueError("measurement_cascade acts in momentum representation")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
     pos = field.to_position()
@@ -131,7 +124,7 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
         cur = nxt
     gamma = np.array(gamma)
     if gamma[1] <= 0.0:
-        raise DegenerateState("T(Delta) phi1 = 0")
+        raise ValueError("T(Delta) phi1 = 0")
     return CascadeStats(
         gamma=gamma,
         omega=gamma[1::2] / gamma[0:-1:2],
@@ -172,12 +165,14 @@ class RadialSpinorState:
 
     def normalized(self) -> "RadialSpinorState":
         n = np.sqrt(self.norm_sq())
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero state")
         return RadialSpinorState(self.k, self.s / n, self.v / n, self.system, self.rep)
 
     def apply_projector(self, eta: int) -> "RadialSpinorState":
         """pi^eta(k) = (1 + eta h(k) / eps(k)) / 2; h / eps = 0 at the k = 0 node of a massless system."""
         if self.rep != "momentum":
-            raise WrongRepresentation("projector acts in momentum representation")
+            raise ValueError("projector acts in momentum representation")
         m = self.system.m
         eps = np.sqrt(self.k**2 + m * m)
         eps[eps == 0.0] = np.inf  # k = 0 node of a massless system: weight 1/2
@@ -189,7 +184,7 @@ class RadialSpinorState:
     def apply_dilation_limit_projector(self) -> "RadialSpinorState":
         """pi_0(k) = (I + alpha.p^)/2: [s, v] -> [(s+v)/2, (s+v)/2]."""
         if self.rep != "momentum":
-            raise WrongRepresentation("pi_0 acts in momentum representation")
+            raise ValueError("pi_0 acts in momentum representation")
         half = 0.5 * (self.s + self.v)
         return RadialSpinorState(self.k, half.copy(), half.copy(), self.system, self.rep)
 
@@ -230,20 +225,20 @@ def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
 def radial_to_position(state: RadialSpinorState, radii: np.ndarray) -> RadialSpinorState:
     """(S, V) on the radii; psi(x) = S(|x|) + i (alpha.x^) V(|x|)."""
     if state.rep != "momentum":
-        raise WrongRepresentation("state already in position representation")
+        raise ValueError("state already in position representation")
     return RadialSpinorState(radii, *_bessel_transform(state, radii), state.system, "position")
 
 
 def radial_to_momentum(state: RadialSpinorState, k_nodes: np.ndarray) -> RadialSpinorState:
     if state.rep != "position":
-        raise WrongRepresentation("state already in momentum representation")
+        raise ValueError("state already in momentum representation")
     return RadialSpinorState(k_nodes, *_bessel_transform(state, k_nodes), state.system, "momentum")
 
 
 def radial_ball_mass(state: RadialSpinorState, radius: float) -> float:
     """||E(B_radius) psi||^2 from the position-representation pair."""
     if state.rep != "position":
-        raise WrongRepresentation("ball mass needs position representation")
+        raise ValueError("ball mass needs position representation")
     dens = np.sum(np.abs(state.s) ** 2 + np.abs(state.v) ** 2, axis=1)
     cum = cumulative_simpson(state.k**2 * dens, state.dk)
     return float(4.0 * np.pi * np.interp(radius, state.k, cum))
@@ -276,7 +271,7 @@ def gaussian_radial_state(system, k_nodes: np.ndarray, center: float, width: flo
 def dilate_radial(state: RadialSpinorState, n: float) -> RadialSpinorState:
     """D_n^{-1}: phi(k) -> n^{-3/2} phi(k/n) by resampling the radial profile."""
     if state.rep != "momentum":
-        raise WrongRepresentation("dilation acts in momentum representation")
+        raise ValueError("dilation acts in momentum representation")
     kq = state.k / n
 
     def resample(x):
@@ -291,11 +286,11 @@ def point_localized_sequence(phi0: RadialSpinorState, n: float) -> RadialSpinorS
     state = dilate_radial(phi0, n)
     q = state.apply_dilation_limit_projector()
     if np.sqrt(max(q.norm_sq(), 0.0)) <= 1e-6:
-        raise NullDilationLimit("||pi_0 phi0|| is numerically zero")
+        raise ValueError("||pi_0 phi0|| is numerically zero")
     state = state.apply_projector(+1)
     nrm = state.norm_sq()
     if nrm <= 0.0:
-        raise NullDilationLimit("P+ D_n^{-1} phi0 vanished")
+        raise ValueError("P+ D_n^{-1} phi0 vanished")
     return state.normalized()
 
 
@@ -332,7 +327,7 @@ def energy_growth(phi0: RadialSpinorState, ns, factory=None):
     q = phi0.apply_dilation_limit_projector()
     qn = q.norm_sq()
     if qn <= 0.0:
-        raise NullDilationLimit("Q phi0 = 0")
+        raise ValueError("Q phi0 = 0")
     w = simpson_weights(phi0.k.size, phi0.dk)
     qdens = np.sum(np.abs(q.s) ** 2 + np.abs(q.v) ** 2, axis=1)
     target = float(4.0 * np.pi * np.sum(w * phi0.k**3 * qdens)) / qn
@@ -370,9 +365,9 @@ def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, rad
 def weyl_pol_sequence(phi: RadialSpinorState, n: float) -> RadialSpinorState:
     """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi +} (no reprojection needed)."""
     if not isinstance(phi.system, al.Weyl):
-        raise NotInRange("weyl_pol_sequence needs a Weyl state")
+        raise ValueError("weyl_pol_sequence needs a Weyl state")
     proj = phi.apply_projector(+1)
     diff = RadialSpinorState(phi.k, proj.s - phi.s, proj.v - phi.v, phi.system, phi.rep)
     if diff.norm_sq() > 1e-12 * max(phi.norm_sq(), 1.0):
-        raise NotInRange("state is not in the range of P^{chi +}")
+        raise ValueError("state is not in the range of P^{chi +}")
     return dilate_radial(phi, n).normalized()

@@ -98,6 +98,8 @@ class RadialProfile:
 
     def normalized(self) -> "RadialProfile":
         n = np.sqrt(self.norm_sq())
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero profile")
         return RadialProfile(self.r, self.g / n, self.G / n)
 
     def _interp(self, table: np.ndarray, radii: np.ndarray, right: np.ndarray) -> np.ndarray:

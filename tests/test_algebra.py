@@ -2,13 +2,6 @@ import numpy as np
 import pytest
 
 from causalfermion import algebra as al
-from causalfermion.errors import (
-    NotLightlike,
-    NotTimelike,
-    NotUnimodular,
-    ZeroMomentum,
-    ZeroMomentumMassless,
-)
 
 rng = np.random.default_rng(101)
 
@@ -96,9 +89,9 @@ class TestProjectors:
         assert worst_eig <= 1e-12
 
     def test_massless_origin_raises(self):
-        with pytest.raises(ZeroMomentumMassless):
+        with pytest.raises(ValueError, match="energy projector singular at p = 0 for m = 0"):
             al.Dirac(0.0).projector([0, 0, 0], +1)
-        with pytest.raises(ZeroMomentumMassless):
+        with pytest.raises(ValueError, match="energy projector singular at p = 0 for m = 0"):
             al.Weyl(+1).projector([0, 0, 0], +1)
 
     def test_weyl_dilation_invariance(self):
@@ -137,7 +130,7 @@ class TestCanonicalCrossSection:
             assert np.max(np.abs(al.lorentz_action(q, [m, 0, 0, 0]) - k)) <= 1e-12
 
     def test_not_timelike(self):
-        with pytest.raises(NotTimelike):
+        with pytest.raises(ValueError, match=r"^k\.k = .* is not positive$"):
             al.canonical_cross_section([1.0, 2.0, 0, 0])
 
 
@@ -164,7 +157,7 @@ class TestHelicityCrossSection:
         assert np.allclose(al.helicity_cross_section(3.0 * p), b)
 
     def test_zero_raises(self):
-        with pytest.raises(ZeroMomentum):
+        with pytest.raises(ValueError, match="helicity cross section undefined at p = 0"):
             al.helicity_cross_section([0.0, 0.0, 0.0])
 
 
@@ -226,7 +219,7 @@ class TestWignerMassless:
         assert errs[1] <= 1e-5
 
     def test_not_lightlike(self):
-        with pytest.raises(NotLightlike):
+        with pytest.raises(ValueError, match=r"^p\.p = .* for p = "):
             al.wigner_rotation_massless([1.0, 0, 0, 0.5], al.boost_matrix(0.3))
 
 
@@ -269,7 +262,7 @@ class TestBoostRepAndTimeReversal:
 
     def test_not_unimodular(self):
         for system in SYSTEMS:
-            with pytest.raises(NotUnimodular):
+            with pytest.raises(ValueError, match="^det A = "):
                 system.boost_rep(2.0 * al.I2)
 
     def test_time_reversal_matrices(self):

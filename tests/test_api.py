@@ -216,3 +216,30 @@ def test_dispatch_scan_reads_kind_and_getattr_chi():
         "class K:\n    kind = 'x'\n"
     )
     assert _system_dispatch(tree) == [(2, "f", ".kind"), (4, "g", 'getattr(_, "chi")')]
+
+
+def _caught(tree):
+    """Names of the exception classes that the tree's except clauses catch."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            out |= {t.id if isinstance(t, ast.Name) else t.attr
+                    for t in types if isinstance(t, (ast.Name, ast.Attribute))}
+    return out
+
+
+def test_every_error_class_is_told_apart():
+    # a class earns its place when src/ catches it or the bench names it; any other check raises ValueError
+    classes = [n.name for n in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(n, ast.ClassDef)]
+    caught = set().union(*(_caught(ast.parse(p.read_text())) for p in (ROOT / "src").rglob("*.py")))
+    named = set().union(*(_named(ast.parse(p.read_text())) for p in (ROOT / "bench").rglob("*.py")))
+    loose = [c for c in classes if c not in caught | named]
+    assert loose == [], "error classes that nothing catches or the bench names (raise ValueError):\n" + "\n".join(loose)
+
+
+def test_caught_scan_reads_names_attributes_and_tuples():
+    tree = ast.parse(
+        "try:\n    pass\nexcept (A, m.B):\n    pass\nexcept C as e:\n    pass\nexcept:\n    pass\n"
+    )
+    assert _caught(tree) == {"A", "B", "C"}

@@ -192,6 +192,8 @@ class TestFailFast:
             ["pol", "--set", "k_nodes=1023"],
             ["cascade", "--set", "seed=1", "--set", "ball_radius=-1"],
             ["pol", "--set", "ball_radius=-1"],
+            ["pol", "--set", "ball_radius=50"],
+            ["pol", "--set", "ball_radius=0.001"],
             ["evolve", "--set", "length=-16"],
             ["evolve", "--set", "length=nan"],
             ["pol", "--set", "k_nodes=2", "--set", "ns=1"],
@@ -233,7 +235,8 @@ class TestFailFast:
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
             "radial_nodes_3", "radial_nodes_odd", "negative_bump_width", "zero_bump_width",
             "negative_mass", "samples_below_strata", "zero_strata", "pol_k_nodes_odd",
-            "cascade_negative_ball_radius", "pol_negative_ball_radius", "negative_length",
+            "cascade_negative_ball_radius", "pol_negative_ball_radius", "pol_ball_radius_past_radii",
+            "pol_ball_radius_inside_first_radius", "negative_length",
             "nan_length", "pol_empty_shell", "pol_shell_reversed", "radial_negative_r_max",
             "frontier_one_time", "frontier_four_times", "boost_negative_window",
             "contract_negative_window", "infinite_mass", "cascade_infinite_ball_radius",

@@ -9,7 +9,7 @@ import pytest
 from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
-from causalfermion.errors import GuardViolation, NotEvenlySpaced
+from causalfermion.errors import GuardViolation
 
 rng = np.random.default_rng(23)
 
@@ -235,7 +235,7 @@ class TestBoostTransform:
 
     def test_uneven_outputs_raise(self):
         psi = dirac_bump(n=512)
-        with pytest.raises(NotEvenlySpaced):
+        with pytest.raises(ValueError, match="outputs must be evenly spaced"):
             dyn.boost_values(psi, 0.7, np.array([0.0, 0.1, 0.3]))
 
     @pytest.mark.parametrize("m", [1, 59, 589, 1179])

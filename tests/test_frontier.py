@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,7 @@ from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import frontier as fr
-from causalfermion.errors import (
-    AllMassBelowTolerance,
-    CaseMismatch,
-    GuardViolation,
-    InsufficientSamples,
-    NoLateChangeSeed,
-)
+from causalfermion.errors import GuardViolation, NoLateChangeSeed
 
 TAU = 1e-6
 
@@ -70,7 +66,7 @@ class TestSupportEdge:
         assert abs(e_both - e_a) <= 2 * grid.dx
 
     def test_all_mass_below_tolerance(self, bump):
-        with pytest.raises(AllMassBelowTolerance):
+        with pytest.raises(ValueError, match=r"^total mass .* <= tau = 0\.001$"):
             fr.support_edge(bump * 1e-5, +1, 1e-3)
 
 
@@ -140,7 +136,7 @@ class TestTentFit:
 
     def test_insufficient_samples(self, bump):
         prof = fr.frontier_profile(bump, [0.0, 0.5, 1.0], e=+1, tau=TAU)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ValueError, match="tent fit needs at least 5 time samples"):
             fr.fit_tent(prof)
 
 
@@ -201,11 +197,11 @@ class TestPrescribedTent:
         assert abs(fit_heavy.t_e - fit_dil.t_e / lam) <= 2 * dt
 
     def test_case_mismatch(self, bump):
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(ValueError, match=re.escape("case (i) needs |tau| <= delta")):
             fr.construct_prescribed_tent(bump, 2.0, 1.0, "i", dates1=(0.0, 0.0))
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(ValueError, match=re.escape("case (ii) needs tau > delta")):
             fr.construct_prescribed_tent(bump, 0.5, 1.0, "ii", dates1=(0.0, 0.0))
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(ValueError, match="unknown case 'zzz'"):
             fr.construct_prescribed_tent(bump, 0.5, 1.0, "zzz", dates1=(0.0, 0.0))
 
 

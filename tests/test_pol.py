@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,13 +9,7 @@ from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import pol
-from causalfermion.errors import (
-    DomainViolation,
-    NotEvenlySpaced,
-    NotInRange,
-    NotPositiveEnergy,
-    WrongRepresentation,
-)
+from causalfermion.errors import DomainViolation
 from causalfermion.weylradial import simpson_weights
 
 rng = np.random.default_rng(59)
@@ -63,6 +58,11 @@ def phi3(grid3):
 
 
 class TestRadialEngineAlgebra:
+    def test_normalizing_the_zero_state_raises(self, kgrid):
+        zeros = np.zeros((kgrid.size, 4), dtype=complex)
+        with pytest.raises(ValueError, match="cannot normalize the zero state"):
+            pol.RadialSpinorState(kgrid, zeros, zeros, al.Dirac(1.0)).normalized()
+
     def test_projector_algebra(self, kgrid):
         st = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=2)
         pp = st.apply_projector(+1)
@@ -203,10 +203,10 @@ class TestBesselTransform:
 
     def test_uneven_outputs_raise(self, kgrid, shell):
         uneven = np.array([0.0, 0.1, 0.3])
-        with pytest.raises(NotEvenlySpaced):
+        with pytest.raises(ValueError, match="outputs must be evenly spaced"):
             pol.radial_to_position(shell, uneven)
         pos = pol.RadialSpinorState(kgrid, shell.s, shell.v, shell.system, "position")
-        with pytest.raises(NotEvenlySpaced):
+        with pytest.raises(ValueError, match="outputs must be evenly spaced"):
             pol.radial_to_momentum(pos, uneven)
 
     def test_no_runtime_warning(self, kgrid, radii, shell):
@@ -334,15 +334,15 @@ class TestWeylSequence:
 
     def test_not_in_range(self, kgrid):
         st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=6)
-        with pytest.raises(NotInRange):
+        with pytest.raises(ValueError, match=re.escape("state is not in the range of P^{chi +}")):
             pol.weyl_pol_sequence(st.normalized(), 4.0)
         dirac = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=6).apply_projector(+1)
-        with pytest.raises(NotInRange):
+        with pytest.raises(ValueError, match="weyl_pol_sequence needs a Weyl state"):
             pol.weyl_pol_sequence(dirac.normalized(), 4.0)
 
 
 class TestWrongRepresentation:
-    """Each of pol's nine representation checks raises WrongRepresentation, which is a ValueError."""
+    """Each of pol's nine representation checks raises ValueError with its own message."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -351,23 +351,33 @@ class TestWrongRepresentation:
         mom = pol.gaussian_radial_state(al.Dirac(1.0), np.linspace(0.0, 4.0, 65), 1.5, 0.4)
         return pos, fd.RegionMask.half_space(grid, 0.0), mom, dataclasses.replace(mom, rep="position")
 
+    #: name -> (call, the message of its check)
     CALLS = {
-        "positive_energy_project": lambda pos, mask, mom, rpos: pol.positive_energy_project(pos),
-        "pol_apply": lambda pos, mask, mom, rpos: pol.pol_apply(pos, mask),
-        "measurement_cascade": lambda pos, mask, mom, rpos: pol.measurement_cascade(pos, mask),
-        "apply_projector": lambda pos, mask, mom, rpos: rpos.apply_projector(+1),
-        "apply_dilation_limit_projector": lambda pos, mask, mom, rpos: rpos.apply_dilation_limit_projector(),
-        "radial_to_position": lambda pos, mask, mom, rpos: pol.radial_to_position(rpos, mom.k),
-        "radial_to_momentum": lambda pos, mask, mom, rpos: pol.radial_to_momentum(mom, mom.k),
-        "radial_ball_mass": lambda pos, mask, mom, rpos: pol.radial_ball_mass(mom, 1.0),
-        "dilate_radial": lambda pos, mask, mom, rpos: pol.dilate_radial(rpos, 2.0),
+        "positive_energy_project": (lambda pos, mask, mom, rpos: pol.positive_energy_project(pos),
+                                    "positive_energy_project acts in momentum representation"),
+        "pol_apply": (lambda pos, mask, mom, rpos: pol.pol_apply(pos, mask),
+                      "pol_apply acts in momentum representation"),
+        "measurement_cascade": (lambda pos, mask, mom, rpos: pol.measurement_cascade(pos, mask),
+                                "measurement_cascade acts in momentum representation"),
+        "apply_projector": (lambda pos, mask, mom, rpos: rpos.apply_projector(+1),
+                            "projector acts in momentum representation"),
+        "apply_dilation_limit_projector": (lambda pos, mask, mom, rpos: rpos.apply_dilation_limit_projector(),
+                                           "pi_0 acts in momentum representation"),
+        "radial_to_position": (lambda pos, mask, mom, rpos: pol.radial_to_position(rpos, mom.k),
+                               "state already in position representation"),
+        "radial_to_momentum": (lambda pos, mask, mom, rpos: pol.radial_to_momentum(mom, mom.k),
+                               "state already in momentum representation"),
+        "radial_ball_mass": (lambda pos, mask, mom, rpos: pol.radial_ball_mass(mom, 1.0),
+                             "ball mass needs position representation"),
+        "dilate_radial": (lambda pos, mask, mom, rpos: pol.dilate_radial(rpos, 2.0),
+                          "dilation acts in momentum representation"),
     }
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_raises_wrong_representation(self, inputs, name):
-        assert issubclass(WrongRepresentation, ValueError)
-        with pytest.raises(WrongRepresentation):
-            self.CALLS[name](*inputs)
+        call, message = self.CALLS[name]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(*inputs)
 
 
 class TestGridEngine:
@@ -405,7 +415,7 @@ class TestGridEngine:
         r = np.random.default_rng(2)
         vals = r.normal(size=(grid3.n,) * 3 + (4,)) + 0j
         phi = fd.SpinorField(grid3, al.Dirac(1.0), "momentum", vals).normalized()
-        with pytest.raises(NotPositiveEnergy):
+        with pytest.raises(ValueError, match="state is not in the positive-energy subspace"):
             pol.pol_apply(phi, fd.RegionMask.ball(grid3, (0, 0, 0), 1.0))
 
     def test_expectation_equals_position_mass(self, grid3, phi3):
