@@ -123,9 +123,6 @@ class Rect:
     def empty(self) -> bool:
         return self.u.empty or self.v.empty
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.u.contains(u) and self.v.contains(v)
-
     def intersect(self, other: "Rect") -> "Rect":
         return Rect(self.u.intersect(other.u), self.v.intersect(other.v))
 
@@ -181,9 +178,6 @@ class LightconeRegion:
     def is_empty(self) -> bool:
         return len(self.rects) == 0
 
-    def contains(self, u: float, v: float) -> bool:
-        return any(r.contains(u, v) for r in self.rects)
-
     def union(self, other: "LightconeRegion") -> "LightconeRegion":
         return LightconeRegion(list(self.rects) + list(other.rects))
 
@@ -237,13 +231,8 @@ class LightconeRegion:
         return self.perp().perp()
 
 
-def meet(a: LightconeRegion, b: LightconeRegion) -> LightconeRegion:
-    """Lattice meet of complete regions: plain intersection."""
-    return a.intersect(b)
-
-
 def join(a: LightconeRegion, b: LightconeRegion) -> LightconeRegion:
-    """Lattice join: completion of the union."""
+    """Lattice join: completion of the union.  The meet of complete regions is plain ``intersect``."""
     return a.union(b).completion()
 
 
@@ -353,65 +342,24 @@ class DiamondRegion:
     r: float
 
 
-@dataclass(frozen=True)
-class TimelikeLine:
-    """(x, v) = the line {(s, x + s v) : s in R} with |v| < 1."""
-
-    x: tuple
-    v: tuple
-
-    def __post_init__(self):
-        if np.linalg.norm(self.v) >= 1.0:
-            raise ValueError("timelike lines need |v| < 1")
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (N, 3) array, bit-identical to np.linalg.norm(a, axis=1)."""
     x, y, z = a[:, 0], a[:, 1], a[:, 2]
     return np.sqrt((x * x + y * y) + z * z)
 
 
-def line_hits(diamond: DiamondRegion, line: TimelikeLine) -> bool:
-    """Whether the line meets the diamond: |x + c v - a| <= r.
+def hits_all(diamonds, lines_x: np.ndarray, lines_v: np.ndarray) -> np.ndarray:
+    """Whether each line (x, v) of the batch meets every diamond: |x + c v - a| <= r for each.
 
     On the line, f(s) = |s - c| + |x + s v - a| - r.  The second term changes
     at rate at most |v| < 1, so f falls for s < c and rises for s > c, and
     min f = f(c).  A timelike line therefore meets the diamond exactly when it
     crosses the base ball {x0 = c, |x - a| <= r}.
     """
-    x, v = np.array([line.x], dtype=float), np.array([line.v], dtype=float)
-    return bool(hits_all([diamond], x, v)[0])
-
-
-def hits_all(diamonds, lines_x: np.ndarray, lines_v: np.ndarray) -> np.ndarray:
-    """Vectorized all-diamonds hit test for line batches (closed form of ``line_hits``)."""
     ok = np.ones(lines_x.shape[0], dtype=bool)
     for d in diamonds:
         ok &= _row_norms(lines_x + d.c * lines_v - np.asarray(d.a, dtype=float)) <= d.r
     return ok
-
-
-def line_hits_region(region: LightconeRegion, line: TimelikeLine) -> bool:
-    """Exact hit test against a transverse-invariant (u, v) region.
-
-    Along the line u(s) = s(1 - v3) - x3 and v(s) = s(1 + v3) + x3 are both
-    strictly increasing, so each rectangle pulls back to an s-interval.
-    """
-    x3 = float(line.x[2])
-    v3 = float(line.v[2])
-    for r in region.rects:
-        su = _pullback(r.u, 1.0 - v3, -x3)
-        sv = _pullback(r.v, 1.0 + v3, x3)
-        if not su.intersect(sv).empty:
-            return True
-    return False
-
-
-def _pullback(iv: Interval, slope: float, offset: float) -> Interval:
-    """{s : slope * s + offset in iv} for slope > 0."""
-    lo = (iv.lo - offset) / slope if np.isfinite(iv.lo) else -INF
-    hi = (iv.hi - offset) / slope if np.isfinite(iv.hi) else INF
-    return Interval(lo, hi, iv.lo_open, iv.hi_open)
 
 
 # --- reference sets and constants --------------------------------------------
@@ -447,7 +395,6 @@ class MonteCarloResult:
     stderr: float
     hits: int
     samples: int
-    volume: float
 
     def z_score(self, target: float) -> float:
         if self.stderr == 0.0:
@@ -524,7 +471,6 @@ def monte_carlo_line_measure(
         stderr=vol * float(np.sqrt(var_of_mean)),
         hits=sum(hits),
         samples=per * strata,
-        volume=vol,
     )
 
 

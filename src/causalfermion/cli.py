@@ -270,7 +270,7 @@ def _spinor(system):
 # --- subcommands ----------------------------------------------------------------
 
 
-def run_evolve(cfg, out: Path) -> int:
+def run_evolve(cfg, out: Path) -> None:
     system = _system(cfg)
     grid = fd.Grid(1, cfg["n"], cfg["length"] / cfg["n"])
     horizon = max(abs(t) for t in cfg["times"])
@@ -290,19 +290,18 @@ def run_evolve(cfg, out: Path) -> int:
         _require(abs(evolved.norm() - 1.0) <= 1e-12, "evolution norm drift")
         _require(causal_leak <= fd.EPS_LEAK, "causal leak above budget")
     print(csv.write())
-    return EXIT_OK
 
 
-def run_frontier(cfg, out: Path) -> int:
+def run_frontier(cfg, out: Path) -> None:
     system = _system(cfg)
     grid = fd.Grid(1, cfg["n"], cfg["length"] / cfg["n"])
     width = cfg["bump_width"]
     psi = fd.make_bump(grid, cfg["bump_center"], width, _spinor(system), system, guard=4.2 * width)
     times = np.linspace(-2.0 * (2 * width), 2.0 * (2 * width), cfg["n_times"])
-    prof_p = fr.frontier_profile(psi, times, e=+1, tau=cfg["edge_tau"])
-    prof_m = fr.frontier_profile(psi, times, e=-1, tau=cfg["edge_tau"])
-    fit_p = fr.fit_tent(prof_p)
-    fit_m = fr.fit_tent(prof_m)
+    edges_p = fr.frontier_profile(psi, times, e=+1, tau=cfg["edge_tau"])
+    edges_m = fr.frontier_profile(psi, times, e=-1, tau=cfg["edge_tau"])
+    fit_p = fr.fit_tent(times, edges_p)
+    fit_m = fr.fit_tent(times, edges_m)
     csv = CsvWriter(
         out / "frontier.csv",
         cfg,
@@ -313,12 +312,11 @@ def run_frontier(cfg, out: Path) -> int:
         ],
     )
     csv.header("t", "edge_plus_e3", "edge_minus_e3", "fit_value", "residual")
-    for t, ep, em in zip(times, prof_p.edges, prof_m.edges):
+    for t, ep, em in zip(times, edges_p, edges_m):
         csv.row(float(t), float(ep), float(em), float(fit_p.value(t)), abs(float(fit_p.value(t)) - float(ep)))
     print(csv.write())
     _require(fit_p.residual <= 2 * grid.dx, f"tent residual {fit_p.residual} > 2 dx")
     _require(fit_m.residual <= 2 * grid.dx, f"tent residual {fit_m.residual} > 2 dx")
-    return EXIT_OK
 
 
 def _build_late_change(cfg):
@@ -336,7 +334,7 @@ def _build_late_change(cfg):
     return grid, psi, alpha
 
 
-def run_boost(cfg, out: Path) -> int:
+def run_boost(cfg, out: Path) -> None:
     grid, psi, alpha = _build_late_change(cfg)
     csv = CsvWriter(out / "boost.csv", cfg, extra_comments=[f"alpha = {alpha}"])
     csv.header("rho", "strip_lo", "strip_hi", "p_inside")
@@ -348,24 +346,24 @@ def run_boost(cfg, out: Path) -> int:
         csv.row(float(rho), 0.0, float(hi), float(p))
     print(csv.write())
     _require(worst <= 1e-4, f"boosted strip leak {worst}")
-    return EXIT_OK
 
 
-def run_contract(cfg, out: Path) -> int:
+def run_contract(cfg, out: Path) -> None:
     grid, psi, alpha = _build_late_change(cfg)
-    table = fr.lorentz_contraction_scan(psi, cfg["delta"], cfg["rhos"])
     csv = CsvWriter(out / "contract.csv", cfg, extra_comments=[f"alpha = {alpha}"])
     csv.header("rho", "p_strip")
-    for rho, p in table:
-        csv.row(rho, p)
+    probs = []  # P(boosted psi in {|x3| <= delta}) at rho >= 3
+    for rho in cfg["rhos"]:
+        p = fr.strip_probability_boosted(psi, float(rho), -cfg["delta"], cfg["delta"])
+        csv.row(float(rho), p)
+        if rho >= 3.0:
+            probs.append(p)
     print(csv.write())
-    probs = [p for rho, p in table if rho >= 3.0]
     if probs:
         _require(min(probs) >= 0.999, f"contraction probability {min(probs)} < 0.999")
-    return EXIT_OK
 
 
-def run_radial(cfg, out: Path) -> int:
+def run_radial(cfg, out: Path) -> None:
     w = cfg["width"]
 
     def gfun(r):
@@ -385,17 +383,17 @@ def run_radial(cfg, out: Path) -> int:
     print(csv.write())
     err = wr.crosscheck_against_spectral(profile, chi, 1.0)
     _require(err <= 1e-5, f"closed-form vs spectral discrepancy {err}")
-    return EXIT_OK
 
 
-def run_pol(cfg, out: Path) -> int:
+def run_pol(cfg, out: Path) -> None:
     system = al.Dirac(cfg["mass"])
     k = _pol_k(cfg)
-    shell = pol.shell_state(system, k, cfg["shell_lo"], cfg["shell_hi"])
+    lo, hi = cfg["shell_lo"], cfg["shell_hi"]
+    shell = pol.shell_state(system, k, lo, hi)
     rows, target = pol.energy_growth(
         shell,
         cfg["ns"],
-        factory=lambda n: pol.dilated_shell(system, k, cfg["shell_lo"], cfg["shell_hi"], n),
+        lambda n: pol.shell_state(system, k, n * lo, n * hi),
     )
     csv = CsvWriter(out / "pol.csv", cfg, extra_comments=[f"energy target = {target!r}"])
     csv.header("n", "ball_expectation", "energy_over_n", "negative_fraction")
@@ -409,10 +407,9 @@ def run_pol(cfg, out: Path) -> int:
     print(csv.write())
     _require(vals[-1] >= 0.99, f"point localization stalled at {vals[-1]}")
     _require(abs(rows[-1][1] - target) <= 0.02 * target, "energy growth off target")
-    return EXIT_OK
 
 
-def run_cascade(cfg, out: Path) -> int:
+def run_cascade(cfg, out: Path) -> None:
     system = al.Dirac(cfg["mass"])
     grid = fd.Grid(3, cfg["n"], cfg["length"] / cfg["n"])
     phi = pol.random_positive_state(grid, system, seed=cfg["seed"])
@@ -445,10 +442,9 @@ def run_cascade(cfg, out: Path) -> int:
     _require(bool(np.all(np.diff(stats.sigma) <= 1e-12)), "sigma_n not monotone")
     s2 = stats.sigma2 + stats.sigma2_prime
     _require(0.5 - 1e-12 <= s2 < 1.0, f"sigma2 + sigma2' = {s2} outside [1/2, 1)")
-    return EXIT_OK
 
 
-def run_lattice(cfg, out: Path) -> int:
+def run_lattice(cfg, out: Path) -> None:
     I, R = cg.Interval, cg.LightconeRegion
     checks = []
     lhs = R.h(I.le(1.0)).intersect(R.k(I.gt(2.0))).perp()
@@ -477,10 +473,9 @@ def run_lattice(cfg, out: Path) -> int:
         ok &= passed
     print(csv.write())
     _require(ok, "lattice identity failed")
-    return EXIT_OK
 
 
-def run_lines(cfg, out: Path) -> int:
+def run_lines(cfg, out: Path) -> None:
     target, predicate, desc = _TARGETS[cfg["target"]]
     res = cg.monte_carlo_line_measure(
         predicate, (-1, -1, -1), (1, 1, 1), cfg["samples"], seed=cfg["seed"], strata=cfg["strata"]
@@ -491,10 +486,9 @@ def run_lines(cfg, out: Path) -> int:
     csv.row(cfg["target"], res.samples, res.estimate, res.stderr, target, z)
     print(csv.write())
     _require(abs(z) <= 3.0, f"z-score {z} outside +-3")
-    return EXIT_OK
 
 
-def run_selftest(cfg, out: Path) -> int:
+def run_selftest(cfg, out: Path) -> None:
     failures = []
 
     def check(name, cond):
@@ -503,18 +497,18 @@ def run_selftest(cfg, out: Path) -> int:
             failures.append(name)
 
     rng = np.random.default_rng(0)
+    worst = 0.0
     for _ in range(100):
         p = rng.normal(size=3)
         m = abs(rng.normal()) + 0.1
         pp, pm = (al.Dirac(m).projector(p, eta) for eta in (+1, -1))
-        if max(
+        worst = max(
+            worst,
             np.max(np.abs(pp + pm - np.eye(4))),
             np.max(np.abs(pp @ pp - pp)),
             np.max(np.abs(pp @ pm)),
-        ) > 1e-13:
-            break
-    else:
-        check("projector_algebra", True)
+        )
+    check("projector_algebra", worst <= 1e-13)
     grid = fd.Grid(1, 1024, 12.0 / 1024)
     system = al.Dirac(1.0)
     psi = fd.make_bump(grid, 0.0, 1.0, [1, 0, 1j, 0], system, guard=2.2)
@@ -549,7 +543,6 @@ def run_selftest(cfg, out: Path) -> int:
     if failures:
         raise InvariantFailure(f"selftest failures: {failures}")
     print("selftest: all checks passed")
-    return EXIT_OK
 
 
 RUNNERS = {
@@ -581,7 +574,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args.command, args.config, args.overrides)
-        return RUNNERS[args.command](cfg, Path(args.out))
+        RUNNERS[args.command](cfg, Path(args.out))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

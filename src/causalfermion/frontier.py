@@ -40,14 +40,6 @@ class TentFit:
         return self.e0 + abs(self.t_e) - np.abs(t - self.t_e)
 
 
-@dataclass(frozen=True)
-class FrontierProfile:
-    direction: int  # +1 or -1 (along +-e3)
-    times: np.ndarray
-    edges: np.ndarray
-    tau: float
-
-
 def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL) -> float:
     """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary.
 
@@ -79,7 +71,7 @@ def frontier_profile(
     times,
     e: int = +1,
     tau: float = DEFAULT_EDGE_TOL,
-) -> FrontierProfile:
+) -> np.ndarray:
     """Edges of the evolved state at each time; evolutions are independent.
 
     The guard grows with |t|, so one check at max |t| covers every time.
@@ -89,18 +81,18 @@ def frontier_profile(
     check_guard(field, float(np.max(np.abs(times), initial=0.0)))
     for i, t in enumerate(times):
         edges[i] = support_edge(evolve_causal(field, float(t), guard=False), e=e, tau=tau)
-    return FrontierProfile(e, times, edges, tau)
+    return edges
 
 
-def fit_tent(profile: FrontierProfile) -> TentFit:
-    """Least-squares tent e0 + |t_e| - |t - t_e| through a frontier profile.
+def fit_tent(times, edges) -> TentFit:
+    """Least-squares tent e0 + |t_e| - |t - t_e| through the frontier profile (times, edges).
 
     The kink position comes from a coarse argmax refined by intersecting the
     two fixed-slope branch lines; a global fit would be biased by grid smearing
     around the kink.
     """
-    t = np.asarray(profile.times, dtype=float)
-    y = np.asarray(profile.edges, dtype=float)
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(edges, dtype=float)
     if t.size < 5:
         raise ValueError("tent fit needs at least 5 time samples")
     order = np.argsort(t)
@@ -125,14 +117,10 @@ def fit_tent(profile: FrontierProfile) -> TentFit:
     return best
 
 
-def fit_both_edges(
-    field: SpinorField,
-    times,
-    tau: float = DEFAULT_EDGE_TOL,
-):
-    """(TentFit along +e3, TentFit along -e3) from two frontier profiles."""
-    plus = fit_tent(frontier_profile(field, times, e=+1, tau=tau))
-    minus = fit_tent(frontier_profile(field, times, e=-1, tau=tau))
+def fit_both_edges(field: SpinorField, times):
+    """(TentFit along +e3, TentFit along -e3) from two frontier profiles at DEFAULT_EDGE_TOL."""
+    plus = fit_tent(times, frontier_profile(field, times, e=+1))
+    minus = fit_tent(times, frontier_profile(field, times, e=-1))
     return plus, minus
 
 
@@ -149,7 +137,6 @@ def construct_prescribed_tent(
     psi1: SpinorField,
     tau_shift: float,
     delta: float,
-    case: str,
     dates1=None,
 ):
     """Superpose psi1 with its time-shifted, space-shifted copy.
@@ -159,22 +146,21 @@ def construct_prescribed_tent(
         (i)   |tau| <= delta : t_e = t_e1,                t_eb = t_eb1 - tau
         (ii)  tau > delta    : t_e = t_e1 + (d-tau)/2,    t_eb = t_eb1 - (tau+d)/2
         (iii) -tau > delta   : t_e = t_e1 - (tau+d)/2,    t_eb = t_eb1 + (d-tau)/2
-    with d = delta.  Returns (normalized field, predicted t_e, predicted t_eb).
+    with d = delta; delta < 0 raises ValueError, as the cases then overlap.
+    Returns (normalized field, predicted t_e, predicted t_eb).
 
     dates1 may pass precomputed (t_e1, t_eb1); otherwise they are fitted.
     """
     d = delta
-    # (condition, its text, shift of t_e, shift of t_eb) per case
-    if case == "i":
-        holds, need, moves = abs(tau_shift) <= d, "|tau| <= delta", (0.0, -tau_shift)
-    elif case == "ii":
-        holds, need, moves = tau_shift > d, "tau > delta", ((d - tau_shift) / 2.0, -(tau_shift + d) / 2.0)
-    elif case == "iii":
-        holds, need, moves = -tau_shift > d, "-tau > delta", (-(tau_shift + d) / 2.0, (d - tau_shift) / 2.0)
+    if not d >= 0.0:
+        raise ValueError(f"delta = {d} must be >= 0")
+    # (shift of t_e, shift of t_eb) per case
+    if abs(tau_shift) <= d:
+        moves = 0.0, -tau_shift
+    elif tau_shift > d:
+        moves = (d - tau_shift) / 2.0, -(tau_shift + d) / 2.0
     else:
-        raise ValueError(f"unknown case {case!r}")
-    if not holds:
-        raise ValueError(f"case ({case}) needs {need}")
+        moves = -(tau_shift + d) / 2.0, (d - tau_shift) / 2.0
     if dates1 is None:
         fp, fm = fit_both_edges(psi1, fit_times(psi1))
         dates1 = fp.t_e, fm.t_e
@@ -199,7 +185,7 @@ def make_seed_with_dates(
         balanced, t_e = psi, fp.t_e
     else:
         balanced, t_e, _ = construct_prescribed_tent(
-            psi, tau, abs(tau), "i", dates1=(fp.t_e, fm.t_e)
+            psi, tau, abs(tau), dates1=(fp.t_e, fm.t_e)
         )
     # time translation moves both change times from t_e to 0, then to sign*target_t
     return evolve_causal(balanced, t_e - sign * target_t)
@@ -320,12 +306,3 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     vals = boost_values(field, rho, xs)
     dens = site_density(vals)
     return float(np.sum(dens) * g.dx / c)
-
-
-def lorentz_contraction_scan(field: SpinorField, delta: float, rhos):
-    """Table of strip probabilities p(rho) = P(boosted psi in {|x3| <= delta})."""
-    out = []
-    for rho in rhos:
-        p = strip_probability_boosted(field, float(rho), -delta, delta)
-        out.append((float(rho), p))
-    return out

@@ -300,21 +300,16 @@ def ball_expectation(state: RadialSpinorState, radius: float, radii: np.ndarray)
     return radial_ball_mass(pos, radius)
 
 
-def dilated_shell(system, k_nodes: np.ndarray, k_lo: float, k_hi: float, n: float) -> RadialSpinorState:
-    """D_n^{-1} of the shell state evaluated exactly: 1_{n k_lo <= |p| <= n k_hi} u0."""
-    return shell_state(system, k_nodes, n * k_lo, n * k_hi)
-
-
-def energy_growth(phi0: RadialSpinorState, ns, factory=None):
+def energy_growth(phi0: RadialSpinorState, ns, factory):
     """[(n, <phi_n, H phi_n>/n)] plus the dilation-limit target.
 
     The target is <Q phi0, |P| Q phi0> / ||Q phi0||^2 with Q the pi_0
     projection, evaluated by radial quadrature.  The momentum support of phi0
     must stay clear of 0 and of the band edge (after the largest dilation):
     at most 1e-12 of its weight within 4 dk of 0 or 2 dk of k_max / max(ns).
-    `factory(n)`, when given, supplies D_n^{-1} phi0 evaluated exactly instead
-    of resampling the profile (resampling blurs sharp band edges by a constant
-    relative width and biases the large-n limit).
+    `factory(n)` supplies D_n^{-1} phi0 evaluated exactly, as ``shell_state``
+    at n k_lo and n k_hi does for the shell state; resampling would blur sharp
+    band edges by a constant relative width and bias the large-n limit.
     """
     dens0 = np.sum(np.abs(phi0.s) ** 2 + np.abs(phi0.v) ** 2, axis=1)
     total = float(np.sum(dens0 * phi0.k**2))
@@ -333,10 +328,7 @@ def energy_growth(phi0: RadialSpinorState, ns, factory=None):
     target = float(4.0 * np.pi * np.sum(w * phi0.k**3 * qdens)) / qn
     rows = []
     for n in ns:
-        if factory is not None:
-            phi_n = factory(float(n)).apply_projector(+1).normalized()
-        else:
-            phi_n = point_localized_sequence(phi0, float(n))
+        phi_n = factory(float(n)).apply_projector(+1).normalized()
         rows.append((float(n), phi_n.energy_expectation() / float(n)))
     return rows, target
 

@@ -54,7 +54,7 @@ def test_criterion_01_tent_law():
         lo, hi = psi.support_bounds()
         diam = hi - lo
         times = np.linspace(-2 * diam, 2 * diam, 17)
-        fit_p, fit_m = fr.fit_both_edges(psi, times, tau=1e-6)
+        fit_p, fit_m = fr.fit_both_edges(psi, times)
         worst_resid = max(worst_resid, fit_p.residual, fit_m.residual)
         e0 = fr.support_edge(psi, +1, 1e-6)
         for t in (0.5 * diam, diam):
@@ -253,7 +253,7 @@ def test_criterion_07_energy_growth():
     k = np.linspace(0.0, 140.0, 8193)
     shell = pol.shell_state(system, k, 1.0, 2.0)
     rows, _ = pol.energy_growth(
-        shell, [64], factory=lambda n: pol.dilated_shell(system, k, 1.0, 2.0, n)
+        shell, [64], factory=lambda n: pol.shell_state(system, k, n * 1.0, n * 2.0)
     )
     target = 45.0 / 28.0
     rel = abs(rows[0][1] - target) / target

@@ -11,7 +11,9 @@ is set somewhere.
 A module-level function, class or constant of the package is used when some
 file in ``src/``, ``tests/`` or ``bench/`` names it outside its definition:
 as a name, an attribute, an imported name, or a string (``bench/spans.py``
-names its targets by string).
+names its targets by string).  A method, property or dataclass field of a
+package class is read when some file reads an attribute of its name, or names
+it as a string, outside its own definition.  Both scans match by name only.
 """
 
 import ast
@@ -183,6 +185,77 @@ def test_name_scan_reads_loads_attributes_imports_and_strings():
     assert [n for _, n in _definitions(tree)] == ["B", "C", "D", "E", "f", "K"]
     assert {"m", "a", "g", "B", "h"} <= _named(tree)
     assert not {"C", "D", "E", "f", "K", "__all__"} & _named(tree)
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _members(tree):
+    """(line, class, name, definition) of the methods, properties and dataclass fields of module-level classes."""
+    out = []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((node.lineno, cls.name, node.name, node))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and _is_dataclass(cls):
+                out.append((node.lineno, cls.name, node.target.id, node))
+    return [m for m in out if not (m[2].startswith("__") and m[2].endswith("__"))]
+
+
+def _reads(tree):
+    """(name, ids of the enclosing function definitions) of every attribute load and string in the tree."""
+    out = []
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {id(node)}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, inside))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, inside))
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return out
+
+
+def _unread_members(trees, package):
+    """(module:line, class.name) of every package class member that no file reads outside its definition."""
+    reads = {}
+    for tree in trees.values():
+        for name, inside in _reads(tree):
+            reads.setdefault(name, []).append(inside)
+    return [f"{p.name}:{line} {cls}.{name}" for p, tree in trees.items() if p.parent == package
+            for line, cls, name, node in _members(tree)
+            if all(id(node) in inside for inside in reads.get(name, []))]
+
+
+def test_every_class_member_is_read():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))}
+    unread = _unread_members(trees, PACKAGE)
+    assert unread == [], "class members that nothing reads (delete them):\n" + "\n".join(unread)
+
+
+def test_member_scan_reads_attributes_and_strings_outside_the_definition():
+    package = Path("pkg")
+    src = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass D:\n    a: int\n    b: int\n    c: int = 0\n"
+        "    def f(self):\n        return self.f()\n"
+        "    def g(self):\n        return self.a\n"
+        "    @property\n    def h(self):\n        return 1\n"
+        "    def __repr__(self):\n        return ''\n"
+        "class K:\n    x: int = 0\n    def __init__(self):\n        self.y = 1\n"
+    )
+    user = ast.parse("def t(d):\n    d.g()\n    D(b=2)\n    return getattr(d, 'h')\n")
+    unread = _unread_members({package / "m.py": src, Path("tests") / "t.py": user}, package)
+    # f reads only itself, b is only set, c is never named; K is not a dataclass, so x is no field
+    assert unread == ["m.py:5 D.b", "m.py:6 D.c", "m.py:7 D.f"]
 
 
 def _system_dispatch(tree):

@@ -114,7 +114,7 @@ class TestLatticeIdentities:
     def test_meet_join_de_morgan(self):
         L = R.h(I.lt(0.0)).intersect(R.k(I.gt(2.0)))
         M = R.h(I.ge(1.0)).intersect(R.k(I.le(0.0)))
-        lhs = cg.meet(L, M).perp()
+        lhs = L.intersect(M).perp()
         rhs = cg.join(L.perp(), M.perp())
         assert lhs.equals(rhs)
 
@@ -204,23 +204,28 @@ def random_lines(count):
     return xs, ds * rng.random(count)[:, None] ** (1 / 3)
 
 
+def hits_one(diamond, x, v) -> bool:
+    """hits_all on the 1-row batch of the line (x, v)."""
+    return bool(cg.hits_all([diamond], np.array([x], dtype=float), np.array([v], dtype=float))[0])
+
+
 class TestLineHits:
     def test_through_apex(self):
         d = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
-        assert cg.line_hits(d, cg.TimelikeLine((0, 0, 0), (0, 0, 0)))
+        assert hits_one(d, (0, 0, 0), (0, 0, 0))
 
     def test_static_far_line_misses(self):
         d = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
-        assert not cg.line_hits(d, cg.TimelikeLine((10, 0, 0), (0, 0, 0)))
+        assert not hits_one(d, (10, 0, 0), (0, 0, 0))
 
     def test_boundary_grazing_resolved_with_tolerance(self):
         d = cg.DiamondRegion(1.0, (0, 0, 0), 1.0)
         # static line tangent to the base sphere: min gap exactly 0
-        assert cg.line_hits(d, cg.TimelikeLine((1.0, 0, 0), (0, 0, 0)))
-        assert not cg.line_hits(d, cg.TimelikeLine((1.0 + 1e-6, 0, 0), (0, 0, 0)))
+        assert hits_one(d, (1.0, 0, 0), (0, 0, 0))
+        assert not hits_one(d, (1.0 + 1e-6, 0, 0), (0, 0, 0))
 
     def test_vectorized_matches_scalar(self):
-        # closed form against the ternary-search oracle, and scalar against batch
+        # closed form against the ternary-search oracle, and 1-row batches against the full batch
         diamonds = [
             cg.DiamondRegion(1.0, (0, 0, 0), 1.0),
             cg.DiamondRegion(-1.0, (0, 0, 0), 1.0),
@@ -232,7 +237,7 @@ class TestLineHits:
             assert 0 < batch.sum() < batch.size
             assert np.array_equal(batch, ternary_hits_all([d], xs, vs))
             for i in range(0, 3000, 97):
-                assert cg.line_hits(d, cg.TimelikeLine(tuple(xs[i]), tuple(vs[i]))) == batch[i]
+                assert hits_one(d, xs[i], vs[i]) == batch[i]
         assert np.array_equal(cg.hits_all(diamonds, xs, vs), ternary_hits_all(diamonds, xs, vs))
 
     def test_hit_set_closed_form(self):
@@ -245,17 +250,6 @@ class TestLineHits:
         # disagreement only possible within the hit-test tolerance of the boundary
         gap = np.abs(np.maximum(np.linalg.norm(xs + vs, axis=1), np.linalg.norm(xs - vs, axis=1)) - 1.0)
         assert np.all((batch == oracle) | (gap <= 1e-9))
-
-    def test_region_hit_exact(self):
-        reg = R.rect(I(0.0, 1.0), I(0.0, 1.0))  # diamond |x0 - 1/2| + |x3| <= 1/2
-        assert cg.line_hits_region(reg, cg.TimelikeLine((0, 0, 0.0), (0, 0, 0.0)))
-        assert not cg.line_hits_region(reg, cg.TimelikeLine((0, 0, 2.0), (0, 0, 0.9)))
-        # line with v3 = 0.9 starting left reaches u in [0,1] at s in [?])
-        assert cg.line_hits_region(reg, cg.TimelikeLine((0, 0, -0.2), (0, 0, 0.9)))
-
-    def test_timelike_line_validation(self):
-        with pytest.raises(ValueError):
-            cg.TimelikeLine((0, 0, 0), (0, 0, 1.0))
 
 
 class TestMonteCarlo:
@@ -336,7 +330,6 @@ def serial_line_measure(predicate, box_lo, box_hi, n_samples, seed, strata):
         stderr=vol * float(np.sqrt(var_of_mean)),
         hits=total_hits,
         samples=per * strata,
-        volume=vol,
     )
 
 

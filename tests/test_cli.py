@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalfermion import cli, dynamics as dyn
+from causalfermion import algebra as al, cli, dynamics as dyn
 from causalfermion.errors import ConfigError, InvariantFailure
 
 #: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
@@ -404,6 +404,17 @@ class TestArtifacts:
         assert rc == cli.EXIT_OK
         text = (tmp_path / "lattice.csv").read_text()
         assert "orthomodularity_failure,1" in text
+
+    def test_selftest_logs_projector_algebra_pass_and_fail(self, tmp_path, monkeypatch, capsys):
+        assert cli.main(["selftest", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert "pass  projector_algebra" in capsys.readouterr().out.splitlines()
+        # a projector off by 1 % violates pi+ + pi- = 1 and idempotence: the check must log it and fail
+        projector = al._System.projector
+        monkeypatch.setattr(al._System, "projector", lambda self, p, eta: 1.01 * projector(self, p, eta))
+        assert cli.main(["selftest", "--out", str(tmp_path)]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "FAIL  projector_algebra" in captured.out.splitlines()
+        assert "projector_algebra" in captured.err
 
     def test_evolve_run(self, tmp_path):
         rc = cli.main(

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ def bump_times(bump):
 
 @pytest.fixture(scope="module")
 def bump_fits(bump, bump_times):
-    return fr.fit_both_edges(bump, bump_times, tau=TAU)
+    return fr.fit_both_edges(bump, bump_times)
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +70,17 @@ class TestSupportEdge:
 
 class TestFrontierProfile:
     def test_single_time(self, bump):
-        prof = fr.frontier_profile(bump, [0.0], e=+1, tau=TAU)
-        assert prof.edges[0] == fr.support_edge(bump, +1, TAU)
+        edges = fr.frontier_profile(bump, [0.0], e=+1, tau=TAU)
+        assert edges[0] == fr.support_edge(bump, +1, TAU)
 
     def test_one_guard_per_profile_and_the_guarded_edges(self, bump, bump_times, monkeypatch):
         guards = []
         check = dyn.check_guard
         monkeypatch.setattr(fr, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
-        prof = fr.frontier_profile(bump, bump_times, e=-1, tau=TAU)
+        edges = fr.frontier_profile(bump, bump_times, e=-1, tau=TAU)
         assert guards == [4.0]
         want = [fr.support_edge(dyn.evolve_causal(bump, float(t)), -1, TAU) for t in bump_times]
-        assert np.array_equal(prof.edges, want)
+        assert np.array_equal(edges, want)
 
     def test_guard_raises_before_any_evolution(self, bump, monkeypatch):
         evolved = []
@@ -93,9 +91,9 @@ class TestFrontierProfile:
         assert evolved == []
 
     def test_causal_slope_bound(self, bump, bump_times):
-        prof = fr.frontier_profile(bump, bump_times, e=+1, tau=TAU)
+        edges = fr.frontier_profile(bump, bump_times, e=+1, tau=TAU)
         dt = bump_times[1] - bump_times[0]
-        assert np.all(np.abs(np.diff(prof.edges)) <= dt + 2 * bump.grid.dx)
+        assert np.all(np.abs(np.diff(edges)) <= dt + 2 * bump.grid.dx)
 
     def test_min_law(self, bump):
         e0 = fr.support_edge(bump, +1, TAU)
@@ -122,31 +120,32 @@ class TestTentFit:
         fit_p, _ = bump_fits
         tau_shift = 0.8
         shifted = dyn.evolve_causal(bump, tau_shift)
-        fit2 = fr.fit_tent(fr.frontier_profile(shifted, bump_times, e=+1, tau=TAU))
+        fit2 = fr.fit_tent(bump_times, fr.frontier_profile(shifted, bump_times, e=+1, tau=TAU))
         dt = bump_times[1] - bump_times[0]
         assert abs(fit2.t_e - (fit_p.t_e - tau_shift)) <= 2 * dt
 
     def test_time_reversal_flips_change_time(self, bump, bump_times, bump_fits):
         fit_p, _ = bump_fits
         fit_rev = fr.fit_tent(
-            fr.frontier_profile(dyn.time_reverse(bump), bump_times, e=+1, tau=TAU)
+            bump_times, fr.frontier_profile(dyn.time_reverse(bump), bump_times, e=+1, tau=TAU)
         )
         dt = bump_times[1] - bump_times[0]
         assert abs(fit_rev.t_e + fit_p.t_e) <= 2 * dt
 
     def test_insufficient_samples(self, bump):
-        prof = fr.frontier_profile(bump, [0.0, 0.5, 1.0], e=+1, tau=TAU)
+        times = [0.0, 0.5, 1.0]
+        edges = fr.frontier_profile(bump, times, e=+1, tau=TAU)
         with pytest.raises(ValueError, match="tent fit needs at least 5 time samples"):
-            fr.fit_tent(prof)
+            fr.fit_tent(times, edges)
 
 
 class TestPrescribedTent:
     def test_case_i_predictions(self, bump, bump_times, bump_fits):
         fit_p, fit_m = bump_fits
         psi, t_e, t_eb = fr.construct_prescribed_tent(
-            bump, -0.5, 0.7, "i", dates1=(fit_p.t_e, fit_m.t_e)
+            bump, -0.5, 0.7, dates1=(fit_p.t_e, fit_m.t_e)
         )
-        new_p, new_m = fr.fit_both_edges(psi, bump_times, tau=TAU)
+        new_p, new_m = fr.fit_both_edges(psi, bump_times)
         dt = bump_times[1] - bump_times[0]
         assert abs(new_p.t_e - t_e) <= 2 * dt
         assert abs(new_m.t_e - t_eb) <= 2 * dt
@@ -154,7 +153,7 @@ class TestPrescribedTent:
     def test_zero_shift_keeps_dates(self, bump, bump_fits):
         fit_p, fit_m = bump_fits
         psi, t_e, t_eb = fr.construct_prescribed_tent(
-            bump, 0.0, 0.0, "i", dates1=(fit_p.t_e, fit_m.t_e)
+            bump, 0.0, 0.0, dates1=(fit_p.t_e, fit_m.t_e)
         )
         assert t_e == fit_p.t_e and t_eb == fit_m.t_e
         # psi = 2 psi1 normalized
@@ -162,18 +161,19 @@ class TestPrescribedTent:
 
     def test_balanced_construction_zeroes_dates(self, bump, bump_times):
         balanced = fr.make_seed_with_dates(bump, 0.9, +1)
-        fp, fm = fr.fit_both_edges(balanced, bump_times, tau=TAU)
+        fp, fm = fr.fit_both_edges(balanced, bump_times)
         dt = bump_times[1] - bump_times[0]
         assert abs(fp.t_e - 0.9) <= 2 * dt
         assert abs(fm.t_e - 0.9) <= 2 * dt
 
-    def test_case_ii_predictions(self, bump, bump_times, bump_fits):
+    @pytest.mark.parametrize("tau_shift", [1.2, -1.2])
+    def test_case_ii_and_iii_predictions(self, bump, bump_times, bump_fits, tau_shift):
+        # delta = 0.5 < |tau|: case (ii) for tau > 0, case (iii) for tau < 0
         fit_p, fit_m = bump_fits
-        tau_shift, delta = 1.2, 0.5
         psi, t_e, t_eb = fr.construct_prescribed_tent(
-            bump, tau_shift, delta, "ii", dates1=(fit_p.t_e, fit_m.t_e)
+            bump, tau_shift, 0.5, dates1=(fit_p.t_e, fit_m.t_e)
         )
-        new_p, new_m = fr.fit_both_edges(psi, bump_times, tau=TAU)
+        new_p, new_m = fr.fit_both_edges(psi, bump_times)
         dt = bump_times[1] - bump_times[0]
         assert abs(new_p.t_e - t_e) <= 2 * dt
         assert abs(new_m.t_e - t_eb) <= 2 * dt
@@ -185,24 +185,22 @@ class TestPrescribedTent:
         spinor = [1, 0.3, 1j, 0]
         psi_m = fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(lam * 1.0), momentum=0.8)
         times = np.linspace(-4.0, 4.0, 17)
-        fit_heavy = fr.fit_tent(fr.frontier_profile(psi_m, times, e=+1, tau=TAU))
+        fit_heavy = fr.fit_tent(times, fr.frontier_profile(psi_m, times, e=+1, tau=TAU))
         dilated = fd.dilate(
             fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(1.0), momentum=0.8).to_momentum(),
             lam,
         ).to_position()
         fit_dil = fr.fit_tent(
-            fr.frontier_profile(dilated.normalized(), lam * times, e=+1, tau=TAU)
+            lam * times, fr.frontier_profile(dilated.normalized(), lam * times, e=+1, tau=TAU)
         )
         dt = times[1] - times[0]
         assert abs(fit_heavy.t_e - fit_dil.t_e / lam) <= 2 * dt
 
-    def test_case_mismatch(self, bump):
-        with pytest.raises(ValueError, match=re.escape("case (i) needs |tau| <= delta")):
-            fr.construct_prescribed_tent(bump, 2.0, 1.0, "i", dates1=(0.0, 0.0))
-        with pytest.raises(ValueError, match=re.escape("case (ii) needs tau > delta")):
-            fr.construct_prescribed_tent(bump, 0.5, 1.0, "ii", dates1=(0.0, 0.0))
-        with pytest.raises(ValueError, match="unknown case 'zzz'"):
-            fr.construct_prescribed_tent(bump, 0.5, 1.0, "zzz", dates1=(0.0, 0.0))
+    @pytest.mark.parametrize("delta", [-0.5, float("nan")])
+    def test_delta_below_zero_or_nan_raises(self, bump, delta):
+        # below 0 the three case conditions overlap
+        with pytest.raises(ValueError, match=r"^delta = .* must be >= 0$"):
+            fr.construct_prescribed_tent(bump, 0.2, delta, dates1=(0.0, 0.0))
 
 
 class TestLateChange:
@@ -217,7 +215,7 @@ class TestLateChange:
     def test_fitted_change_time_late(self, late_change):
         _, psi, _, alpha = late_change
         times = fr.fit_times(psi)
-        _, fm = fr.fit_both_edges(psi, times, tau=TAU)
+        _, fm = fr.fit_both_edges(psi, times)
         dt = times[1] - times[0]
         assert fm.t_e >= alpha - 2 * dt
 
@@ -252,7 +250,7 @@ class TestLateChange:
         eta, _, _, _ = late_change
         psi_minus = fr.make_late_change_state(eta, 0.3, -1)
         times = fr.fit_times(psi_minus)
-        _, fm = fr.fit_both_edges(psi_minus, times, tau=TAU)
+        _, fm = fr.fit_both_edges(psi_minus, times)
         assert fm.t_e < 0
 
 
@@ -321,8 +319,7 @@ class TestIsotropicLateTime:
 class TestContractionScan:
     def test_baseline_and_trend(self, late_change):
         _, _, soft, alpha = late_change
-        table = fr.lorentz_contraction_scan(soft, 0.1, [0.0, 1.0, 3.0])
-        probs = dict(table)
+        probs = {rho: fr.strip_probability_boosted(soft, rho, -0.1, 0.1) for rho in (0.0, 1.0, 3.0)}
         assert probs[0.0] < 0.9  # baseline: state wider than the strip
         assert probs[3.0] >= 0.999
 

@@ -283,7 +283,8 @@ class TestPointLocalization:
 class TestEnergyGrowth:
     @staticmethod
     def factory(kgrid):
-        return lambda n: pol.dilated_shell(al.Dirac(1.0), kgrid, 1.0, 2.0, n)
+        # D_n^{-1} of the [1, 2] shell, evaluated exactly
+        return lambda n: pol.shell_state(al.Dirac(1.0), kgrid, n * 1.0, n * 2.0)
 
     def test_shell_target_value(self, shell, kgrid):
         rows, target = pol.energy_growth(
@@ -294,8 +295,8 @@ class TestEnergyGrowth:
         n64 = dict(rows)[64.0]
         assert abs(n64 - 45.0 / 28.0) <= 0.02 * (45.0 / 28.0)
 
-    def test_n_equals_one_is_direct_expectation(self, shell):
-        rows, _ = pol.energy_growth(shell, [1])
+    def test_n_equals_one_is_direct_expectation(self, shell, kgrid):
+        rows, _ = pol.energy_growth(shell, [1], self.factory(kgrid))
         phi1 = pol.point_localized_sequence(shell, 1.0)
         assert abs(rows[0][1] - phi1.energy_expectation()) <= 1e-12
 
@@ -308,7 +309,7 @@ class TestEnergyGrowth:
     def test_domain_violation(self, kgrid):
         low = pol.shell_state(al.Dirac(1.0), kgrid, 0.0, 1.0)  # touches p = 0
         with pytest.raises(DomainViolation):
-            pol.energy_growth(low, [2, 4])
+            pol.energy_growth(low, [2, 4], self.factory(kgrid))
 
 
 class TestWeylSequence:
