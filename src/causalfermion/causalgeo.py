@@ -48,15 +48,6 @@ class Interval:
             return True
         return self.lo == self.hi and (self.lo_open or self.hi_open)
 
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
-
     def intersect(self, other: "Interval") -> "Interval":
         if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
             lo, lo_open = self.lo, self.lo_open

@@ -133,12 +133,7 @@ def fit_times(field: SpinorField) -> np.ndarray:
     return np.linspace(-horizon, horizon, 17)
 
 
-def construct_prescribed_tent(
-    psi1: SpinorField,
-    tau_shift: float,
-    delta: float,
-    dates1=None,
-):
+def construct_prescribed_tent(psi1: SpinorField, tau_shift: float, delta: float, dates1):
     """Superpose psi1 with its time-shifted, space-shifted copy.
 
     psi = psi1 + W(delta e3) (psi1 evolved by tau);  the change times of psi
@@ -147,9 +142,8 @@ def construct_prescribed_tent(
         (ii)  tau > delta    : t_e = t_e1 + (d-tau)/2,    t_eb = t_eb1 - (tau+d)/2
         (iii) -tau > delta   : t_e = t_e1 - (tau+d)/2,    t_eb = t_eb1 + (d-tau)/2
     with d = delta; delta < 0 raises ValueError, as the cases then overlap.
-    Returns (normalized field, predicted t_e, predicted t_eb).
-
-    dates1 may pass precomputed (t_e1, t_eb1); otherwise they are fitted.
+    Returns (normalized field, predicted t_e, predicted t_eb) from psi1's
+    change times dates1 = (t_e1, t_eb1).
     """
     d = delta
     if not d >= 0.0:
@@ -161,9 +155,6 @@ def construct_prescribed_tent(
         moves = (d - tau_shift) / 2.0, -(tau_shift + d) / 2.0
     else:
         moves = -(tau_shift + d) / 2.0, (d - tau_shift) / 2.0
-    if dates1 is None:
-        fp, fm = fit_both_edges(psi1, fit_times(psi1))
-        dates1 = fp.t_e, fm.t_e
     shifted = translate(evolve_causal(psi1, tau_shift), delta)
     return (psi1 + shifted).normalized(), dates1[0] + moves[0], dates1[1] + moves[1]
 

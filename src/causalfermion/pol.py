@@ -27,20 +27,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import algebra as al
 from .dynamics import energy_projector_apply
 from .errors import DomainViolation
 from .field import Grid, RegionMask, SpinorField, bessel_sums
-from .weylradial import cumulative_simpson, simpson_weights
+# cumulative_simpson is bound here too: bench/test_bench.py checks that the tracer wraps this binding
+from .weylradial import ball_integral, cumulative_simpson, radial_integral, simpson_weights  # noqa: F401
 
 # --- 3D grid engine -----------------------------------------------------------
 
 
-def positive_energy_project(field: SpinorField, eta: int = +1) -> SpinorField:
-    """P^eta phi in momentum representation; idempotent, commutes with e^{ith}."""
+def positive_energy_project(field: SpinorField) -> SpinorField:
+    """P+ phi in momentum representation; idempotent, commutes with e^{ith}."""
     if field.rep != "momentum":
         raise ValueError("positive_energy_project acts in momentum representation")
-    return replace(field, values=energy_projector_apply(field, eta))
+    return replace(field, values=energy_projector_apply(field, +1))
 
 
 def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> SpinorField:
@@ -151,17 +151,19 @@ class RadialSpinorState:
     k: np.ndarray  # radial momentum nodes, uniform from 0
     s: np.ndarray  # (n, d)
     v: np.ndarray  # (n, d)
-    system: object  # al.Dirac or al.Weyl
+    system: object  # algebra.Dirac or algebra.Weyl
     rep: str = "momentum"
 
     @property
     def dk(self) -> float:
         return float(self.k[1] - self.k[0])
 
+    def density(self) -> np.ndarray:
+        """|s|^2 + |v|^2 per node: the radial density of the pair in either representation."""
+        return np.sum(np.abs(self.s) ** 2 + np.abs(self.v) ** 2, axis=1)
+
     def norm_sq(self) -> float:
-        w = simpson_weights(self.k.size, self.dk)
-        dens = np.sum(np.abs(self.s) ** 2 + np.abs(self.v) ** 2, axis=1)
-        return float(4.0 * np.pi * np.sum(w * self.k**2 * dens))
+        return radial_integral(simpson_weights(self.k.size, self.dk), self.k, self.density())
 
     def normalized(self) -> "RadialSpinorState":
         n = np.sqrt(self.norm_sq())
@@ -200,11 +202,8 @@ class RadialSpinorState:
 
     def energy_expectation(self) -> float:
         h = self.apply_h()
-        w = simpson_weights(self.k.size, self.dk)
-        dens = np.real(
-            np.sum(np.conj(self.s) * h.s, axis=1) + np.sum(np.conj(self.v) * h.v, axis=1)
-        )
-        return float(4.0 * np.pi * np.sum(w * self.k**2 * dens))
+        dens = np.real(np.sum(np.conj(self.s) * h.s, axis=1) + np.sum(np.conj(self.v) * h.v, axis=1))
+        return radial_integral(simpson_weights(self.k.size, self.dk), self.k, dens)
 
 
 def _bessel_transform(state: RadialSpinorState, nodes_out: np.ndarray):
@@ -239,9 +238,7 @@ def radial_ball_mass(state: RadialSpinorState, radius: float) -> float:
     """||E(B_radius) psi||^2 from the position-representation pair."""
     if state.rep != "position":
         raise ValueError("ball mass needs position representation")
-    dens = np.sum(np.abs(state.s) ** 2 + np.abs(state.v) ** 2, axis=1)
-    cum = cumulative_simpson(state.k**2 * dens, state.dk)
-    return float(4.0 * np.pi * np.interp(radius, state.k, cum))
+    return ball_integral(state.k, state.density(), radius)
 
 
 def shell_state(system, k_nodes: np.ndarray, k_lo: float, k_hi: float) -> RadialSpinorState:
@@ -256,15 +253,6 @@ def shell_state(system, k_nodes: np.ndarray, k_lo: float, k_hi: float) -> Radial
     env = ((k_nodes >= k_lo) & (k_nodes <= k_hi)).astype(complex)
     s = env[:, None] * (0.5 * c)
     v = env[:, None] * (0.5 * c)
-    return RadialSpinorState(k_nodes, s, v, system, "momentum")
-
-
-def gaussian_radial_state(system, k_nodes: np.ndarray, center: float, width: float, seed: int = 0) -> RadialSpinorState:
-    rng = np.random.default_rng(seed)
-    d = system.components
-    env = np.exp(-0.5 * ((k_nodes - center) / width) ** 2).astype(complex)
-    s = env[:, None] * (rng.normal(size=d) + 1j * rng.normal(size=d))
-    v = env[:, None] * (rng.normal(size=d) + 1j * rng.normal(size=d))
     return RadialSpinorState(k_nodes, s, v, system, "momentum")
 
 
@@ -311,7 +299,7 @@ def energy_growth(phi0: RadialSpinorState, ns, factory):
     at n k_lo and n k_hi does for the shell state; resampling would blur sharp
     band edges by a constant relative width and bias the large-n limit.
     """
-    dens0 = np.sum(np.abs(phi0.s) ** 2 + np.abs(phi0.v) ** 2, axis=1)
+    dens0 = phi0.density()
     total = float(np.sum(dens0 * phi0.k**2))
     lo_frac = float(np.sum((dens0 * phi0.k**2)[phi0.k < 4 * phi0.dk])) / total
     n_max = max(float(n) for n in ns)
@@ -323,9 +311,7 @@ def energy_growth(phi0: RadialSpinorState, ns, factory):
     qn = q.norm_sq()
     if qn <= 0.0:
         raise ValueError("Q phi0 = 0")
-    w = simpson_weights(phi0.k.size, phi0.dk)
-    qdens = np.sum(np.abs(q.s) ** 2 + np.abs(q.v) ** 2, axis=1)
-    target = float(4.0 * np.pi * np.sum(w * phi0.k**3 * qdens)) / qn
+    target = radial_integral(simpson_weights(phi0.k.size, phi0.dk), phi0.k, phi0.k * q.density()) / qn
     rows = []
     for n in ns:
         phi_n = factory(float(n)).apply_projector(+1).normalized()
@@ -353,13 +339,3 @@ def truncation_negative_fraction(phi0: RadialSpinorState, ns, radius: float, rad
         rows.append((float(n), truncated_negative_fraction(pos, radius, phi0.k)))
     return rows
 
-
-def weyl_pol_sequence(phi: RadialSpinorState, n: float) -> RadialSpinorState:
-    """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi +} (no reprojection needed)."""
-    if not isinstance(phi.system, al.Weyl):
-        raise ValueError("weyl_pol_sequence needs a Weyl state")
-    proj = phi.apply_projector(+1)
-    diff = RadialSpinorState(phi.k, proj.s - phi.s, proj.v - phi.v, phi.system, phi.rep)
-    if diff.norm_sq() > 1e-12 * max(phi.norm_sq(), 1.0):
-        raise ValueError("state is not in the range of P^{chi +}")
-    return dilate_radial(phi, n).normalized()

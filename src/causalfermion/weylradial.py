@@ -62,6 +62,17 @@ def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def radial_integral(w: np.ndarray, r: np.ndarray, dens: np.ndarray) -> float:
+    """4 pi sum w r^2 dens: the radial measure of a density on nodes r with quadrature weights w."""
+    return float(4.0 * np.pi * np.sum(w * r**2 * dens))
+
+
+def ball_integral(r: np.ndarray, dens: np.ndarray, radius: float) -> float:
+    """4 pi int_0^radius r^2 dens dr: the cumulative Simpson rule on nodes r, read at radius."""
+    cum = cumulative_simpson(r**2 * dens, float(r[-1] - r[-2]))
+    return float(4.0 * np.pi * np.interp(radius, r, cum))
+
+
 @dataclass
 class RadialProfile:
     """Radial 2-spinor profile on a uniform grid over [0, r_max].
@@ -93,8 +104,7 @@ class RadialProfile:
         return float(self.r[1] - self.r[0])
 
     def norm_sq(self) -> float:
-        w = simpson_weights(self.r.size, self.dr)
-        return float(4.0 * np.pi * np.sum(w * self.r**2 * np.sum(np.abs(self.g) ** 2, axis=1)))
+        return radial_integral(simpson_weights(self.r.size, self.dr), self.r, np.sum(np.abs(self.g) ** 2, axis=1))
 
     def normalized(self) -> "RadialProfile":
         n = np.sqrt(self.norm_sq())
@@ -183,7 +193,7 @@ def _xi_integral(q: EvolvedQuadrature, x0, x1) -> float:
     """2 pi sum_r w r^2 int_{x0}^{x1} (a + b xi) dxi, exact in xi (empty where x1 <= x0)."""
     width = np.maximum(x1 - x0, 0.0)
     second = np.where(width > 0.0, (x1**2 - x0**2) / 2.0, 0.0)
-    return float(2.0 * np.pi * np.sum(q.w * q.r**2 * (q.a * width + q.b * second)))
+    return radial_integral(q.w, q.r, q.a * width + q.b * second) / 2.0
 
 
 def ball_probability_evolved(q: EvolvedQuadrature, center: float = 0.0, radius: float | None = None) -> float:
@@ -197,8 +207,7 @@ def ball_probability_evolved(q: EvolvedQuadrature, center: float = 0.0, radius: 
     rad = abs(q.t) if radius is None else radius
     r, c = q.r, center
     if c == 0.0:
-        cum = cumulative_simpson(r**2 * q.a, float(r[-1] - r[-2]))
-        return float(4.0 * np.pi * np.interp(rad, r, cum))
+        return ball_integral(r, q.a, rad)
     lo = (r**2 + c**2 - rad**2) / (2.0 * r * c)
     if c > 0:
         x0, x1 = np.clip(lo, -1.0, 1.0), np.ones_like(r)
@@ -219,15 +228,14 @@ def _shifted_norm(profile: RadialProfile, t: float, s: int, extent: float) -> fl
     rr = np.linspace(0.0, extent, DEFAULT_NODES + 1)
     w = simpson_weights(rr.size, extent / DEFAULT_NODES)
     shifted = rr + s * t
-    dens = np.sum(np.abs(profile.g_at(shifted)) ** 2, axis=1)
-    return float(2.0 * np.pi * np.sum(w * shifted**2 * dens))
+    return radial_integral(w, shifted, np.sum(np.abs(profile.g_at(shifted)) ** 2, axis=1)) / 2.0
 
 
 def splitting_norms(q: EvolvedQuadrature):
     """(||A^+_t||^2, ||A^-_t||^2, ||R_t||^2) by radial quadrature."""
-    norm_r = float(4.0 * np.pi * np.sum(q.w * q.r**2 * q.rho_sq))
     r_max = q.profile.r_max + abs(q.t)
-    return _shifted_norm(q.profile, q.t, +1, r_max), _shifted_norm(q.profile, q.t, -1, r_max), norm_r
+    return (_shifted_norm(q.profile, q.t, +1, r_max), _shifted_norm(q.profile, q.t, -1, r_max),
+            radial_integral(q.w, q.r, q.rho_sq))
 
 
 def ball_capture_split(profile: RadialProfile, t: float, s: int) -> float:
@@ -237,10 +245,7 @@ def ball_capture_split(profile: RadialProfile, t: float, s: int) -> float:
 
 def ball_probability_static(profile: RadialProfile, radius: float) -> float:
     """||E(B_radius) psi||^2 = 4 pi int_0^radius r^2 |g|^2 dr on the profile nodes."""
-    r = profile.r
-    dens = np.sum(np.abs(profile.g) ** 2, axis=1)
-    cum = cumulative_simpson(r**2 * dens, profile.dr)
-    return float(4.0 * np.pi * np.interp(radius, r, cum))
+    return ball_integral(profile.r, np.sum(np.abs(profile.g) ** 2, axis=1), radius)
 
 
 # --- independent spectral route ---------------------------------------------
@@ -305,8 +310,7 @@ def crosscheck_against_spectral(profile: RadialProfile, chi: int, t: float) -> f
     u_cf, v_cf = scalar_vector_parts(profile, t, radii)
     u_sp, v_sp = spectral_evolve(profile, chi, t, radii)
     diff = np.sum(np.abs(u_cf - u_sp) ** 2 + np.abs(v_cf - v_sp) ** 2, axis=1)
-    err = 4.0 * np.pi * np.sum(w * radii**2 * diff)
-    return float(np.sqrt(err / profile.norm_sq()))
+    return float(np.sqrt(radial_integral(w, radii, diff) / profile.norm_sq()))
 
 
 # --- asymptotics --------------------------------------------------------------

@@ -28,9 +28,9 @@ def random_region(r):
 
 class TestIntervalAlgebra:
     def test_flags_matter(self):
-        assert not I(0, 1, True, False).contains(0.0)
-        assert I(0, 1, False, True).contains(0.0)
-        assert I(1, 1).contains(1.0)
+        assert I(0, 1, True, False).intersect(I.point(0.0)).empty
+        assert not I(0, 1, False, True).intersect(I.point(0.0)).empty
+        assert not I(1, 1).intersect(I.point(1.0)).empty
         assert I(1, 1, lo_open=True).empty
 
     def test_subtract_flags(self):

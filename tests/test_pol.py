@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import warnings
 
 import numpy as np
@@ -13,6 +12,16 @@ from causalfermion.errors import DomainViolation
 from causalfermion.weylradial import simpson_weights
 
 rng = np.random.default_rng(59)
+
+
+def gaussian_radial_state(system, k_nodes, center, width, seed=0):
+    """Gaussian envelope in k (center, width) times random constant spinors s and v."""
+    r = np.random.default_rng(seed)
+    d = system.components
+    env = np.exp(-0.5 * ((k_nodes - center) / width) ** 2).astype(complex)
+    s = env[:, None] * (r.normal(size=d) + 1j * r.normal(size=d))
+    v = env[:, None] * (r.normal(size=d) + 1j * r.normal(size=d))
+    return pol.RadialSpinorState(k_nodes, s, v, system, "momentum")
 
 
 def dense_bessel_transform(x, nodes_in, nodes_out, order):
@@ -64,7 +73,7 @@ class TestRadialEngineAlgebra:
             pol.RadialSpinorState(kgrid, zeros, zeros, al.Dirac(1.0)).normalized()
 
     def test_projector_algebra(self, kgrid):
-        st = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=2)
+        st = gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=2)
         pp = st.apply_projector(+1)
         pm = st.apply_projector(-1)
         assert np.max(np.abs(pp.s + pm.s - st.s)) <= 1e-14
@@ -81,7 +90,7 @@ class TestRadialEngineAlgebra:
     @pytest.mark.parametrize("eta", [+1, -1])
     def test_projector_matches_componentwise_formula(self, kgrid, system, eta):
         # oracle: [s, v] -> [(s + eta ((m/e) beta s + chi (k/e) v))/2, (v + eta (chi (k/e) s - (m/e) beta v))/2]
-        st = pol.gaussian_radial_state(system, kgrid, 1.5, 0.4, seed=4)
+        st = gaussian_radial_state(system, kgrid, 1.5, 0.4, seed=4)
         eps = np.sqrt(kgrid**2 + system.m**2)
         eps[eps == 0.0] = np.inf
         dirac = isinstance(system, al.Dirac)
@@ -104,7 +113,7 @@ class TestRadialEngineAlgebra:
         assert np.max(np.abs(q2.s - q.s)) <= 1e-15
 
     def test_bessel_transform_is_isometry(self, kgrid):
-        st = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=3).normalized()
+        st = gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=3).normalized()
         wide = np.linspace(0.0, 24.0, 4097)  # hold the position tail
         pos = pol.radial_to_position(st, wide)
         assert abs(pos.norm_sq() - 1.0) <= 1e-10
@@ -117,7 +126,7 @@ class TestRadialEngineAlgebra:
         # same band-limited state built both ways: T(B) values agree
         system = al.Dirac(1.0)
         k = np.linspace(0.0, 24.0, 2049)
-        st = pol.gaussian_radial_state(system, k, 1.2, 0.35, seed=9)
+        st = gaussian_radial_state(system, k, 1.2, 0.35, seed=9)
         st = st.apply_projector(+1).normalized()
         radii = np.linspace(0.0, 12.0, 2049)
         want = pol.ball_expectation(st, 1.0, radii)
@@ -163,7 +172,7 @@ class TestBesselTransform:
 
     @staticmethod
     def weyl_state(kgrid):
-        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5).apply_projector(+1)
+        st = gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5).apply_projector(+1)
         return pol.dilate_radial(st.normalized(), 8.0)
 
     @pytest.fixture(scope="class")
@@ -172,7 +181,7 @@ class TestBesselTransform:
         dirac64 = pol.point_localized_sequence(shell, 64.0)
         weyl = self.weyl_state(kgrid)
         offset = 0.03 + 0.0031 * np.arange(3001)  # r_0 != 0: no output at r = 0
-        random = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=3)
+        random = gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=3)
         return {
             "dirac-n1-to-r": (pol.point_localized_sequence(shell, 1.0), radii),
             "dirac-n64-to-r": (dirac64, radii),
@@ -313,14 +322,16 @@ class TestEnergyGrowth:
 
 
 class TestWeylSequence:
+    """phi_n = D_n^{-1} phi for a Weyl state in ran P^{chi +}: dilation keeps it there, no reprojection."""
+
     def test_n_one_identity(self, kgrid):
-        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
+        st = gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
         st = st.apply_projector(+1).normalized()
-        same = pol.weyl_pol_sequence(st, 1.0)
+        same = pol.dilate_radial(st, 1.0).normalized()
         assert np.max(np.abs(same.s - st.s)) <= 1e-12
 
     def test_dilation_preserves_membership(self, kgrid):
-        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
+        st = gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
         st = st.apply_projector(+1).normalized()
         d = pol.dilate_radial(st, 4.0)
         proj = d.apply_projector(+1)
@@ -328,18 +339,20 @@ class TestWeylSequence:
         assert diff.norm_sq() <= 1e-10 * d.norm_sq()
 
     def test_localization_at_n32(self, kgrid, radii):
-        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
+        st = gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=5)
         st = st.apply_projector(+1).normalized()
-        phi32 = pol.weyl_pol_sequence(st, 32.0)
+        phi32 = pol.dilate_radial(st, 32.0).normalized()
         assert pol.ball_expectation(phi32, 1.0, radii) >= 0.99
 
     def test_not_in_range(self, kgrid):
-        st = pol.gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=6)
-        with pytest.raises(ValueError, match=re.escape("state is not in the range of P^{chi +}")):
-            pol.weyl_pol_sequence(st.normalized(), 4.0)
-        dirac = pol.gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=6).apply_projector(+1)
-        with pytest.raises(ValueError, match="weyl_pol_sequence needs a Weyl state"):
-            pol.weyl_pol_sequence(dirac.normalized(), 4.0)
+        # no reprojection only for a Weyl state in ran P+: an unprojected Weyl state is still
+        # outside it after D_4^{-1}, and a massive Dirac state in ran P+ leaves it
+        for st in (gaussian_radial_state(al.Weyl(+1), kgrid, 1.5, 0.4, seed=6),
+                   gaussian_radial_state(al.Dirac(1.0), kgrid, 1.5, 0.4, seed=6).apply_projector(+1)):
+            d = pol.dilate_radial(st.normalized(), 4.0)
+            proj = d.apply_projector(+1)
+            diff = pol.RadialSpinorState(kgrid, proj.s - d.s, proj.v - d.v, st.system)
+            assert diff.norm_sq() >= 1e-6 * d.norm_sq()
 
 
 class TestWrongRepresentation:
@@ -349,7 +362,7 @@ class TestWrongRepresentation:
     def inputs(self):
         grid = fd.Grid(3, 8, 0.5)
         pos = pol.random_positive_state(grid, al.Dirac(1.0), seed=3).to_position()
-        mom = pol.gaussian_radial_state(al.Dirac(1.0), np.linspace(0.0, 4.0, 65), 1.5, 0.4)
+        mom = gaussian_radial_state(al.Dirac(1.0), np.linspace(0.0, 4.0, 65), 1.5, 0.4)
         return pos, fd.RegionMask.half_space(grid, 0.0), mom, dataclasses.replace(mom, rep="position")
 
     #: name -> (call, the message of its check)
@@ -390,7 +403,8 @@ class TestGridEngine:
         r = np.random.default_rng(1)
         vals = r.normal(size=(grid3.n,) * 3 + (4,)) + 1j * r.normal(size=(grid3.n,) * 3 + (4,))
         phi = fd.SpinorField(grid3, al.Dirac(1.0), "momentum", vals).normalized()
-        both = pol.positive_energy_project(phi, +1) + pol.positive_energy_project(phi, -1)
+        minus = dataclasses.replace(phi, values=dyn.energy_projector_apply(phi, -1))
+        both = pol.positive_energy_project(phi) + minus
         assert (both - phi).norm() <= 1e-12
 
     def test_commutes_with_evolution(self, phi3):

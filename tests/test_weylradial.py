@@ -346,3 +346,5 @@ class TestQuadratureHelpers:
         cum = wr.cumulative_simpson(f, x[1] - x[0])
         w = wr.simpson_weights(101, x[1] - x[0])
         assert abs(cum[-1] - np.sum(w * f)) <= 1e-12
+        # balls and norms read one measure: the full ball is the norm's Simpson sum
+        assert abs(wr.ball_integral(x, f, x[-1]) - wr.radial_integral(w, x, f)) <= 1e-12
