@@ -298,8 +298,7 @@ def run_frontier(cfg, out: Path) -> None:
     width = cfg["bump_width"]
     psi = fd.make_bump(grid, cfg["bump_center"], width, _spinor(system), system, guard=4.2 * width)
     times = np.linspace(-2.0 * (2 * width), 2.0 * (2 * width), cfg["n_times"])
-    edges_p = fr.frontier_profile(psi, times, e=+1, tau=cfg["edge_tau"])
-    edges_m = fr.frontier_profile(psi, times, e=-1, tau=cfg["edge_tau"])
+    edges_p, edges_m = fr.frontier_profile(psi, times, tau=cfg["edge_tau"])
     fit_p = fr.fit_tent(times, edges_p)
     fit_m = fr.fit_tent(times, edges_m)
     csv = CsvWriter(

@@ -21,10 +21,14 @@ eps(p) per (grid, mass) here (``_energy``), and the per-axis Fourier factors,
 origin phase times the transform's scale, per grid in ``field`` (O(n) per
 axis; the 3D product is formed per call and not kept).
 
-One evolution keeps one (sites, d) array from the FFT to the returned
-position values: ``to_momentum`` writes into a new array, the multiplier
-writes back into it (``out=``) and ``to_position(out=)`` runs the inverse
-FFT in place; h(p) phi is the only other (sites, d) temporary.
+Every causal evolution is a stream (``evolve_times``): one guard check at
+max |t|, one forward FFT and one h(p) phi serve every time, and each time
+costs the multiplier, written into a new (sites, d) array (the last time
+into h(p) phi, which it no longer needs), and the inverse FFT run in place
+on that array.  The stream holds phi and h(p) phi and yields one psi_t at a
+time, so its memory does not grow with the number of times;
+``evolve_causal`` is the stream at a single time, and keeps two (sites, d)
+arrays, phi and the one it returns.
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -113,19 +117,23 @@ def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
     return out
 
 
-def evolution_multiplier_apply(field: SpinorField, t: float, out: np.ndarray | None = None) -> np.ndarray:
+def evolution_multiplier_apply(
+    field: SpinorField, t: float, h_phi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """exp(i t h(p)) phi = cos(t eps) phi + i (sin(t eps) / eps) h(p) phi on momentum values, into out.
 
-    sin(t eps) / eps is taken as its limit t where eps = 0.  out may be
-    field.values (h(p) phi is formed first); out=None leaves the field as it is.
+    sin(t eps) / eps is taken as its limit t where eps = 0.  h_phi is h(p) phi
+    (``h_apply``); out may be h_phi, which is read before it is written, and
+    out=None writes a new array.  The field is never written to, so one phi
+    and h(p) phi serve every time of a stream.
     """
     eps = _energy(field.grid, field.system.m)
     te = t * eps
     s = np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0)
-    h_phi = h_apply(field, field.values)
-    h_phi *= (1j * s)[..., None]
-    out = np.multiply(np.cos(te)[..., None], field.values, out=out)
-    out += h_phi
+    out = np.multiply(h_phi, (1j * s)[..., None], out=out)
+    c = np.cos(te)
+    for i in range(out.shape[-1]):  # one component at a time: no second (sites, d) temporary
+        out[..., i] += c * field.values[..., i]
     return out
 
 
@@ -147,15 +155,31 @@ def check_guard(field: SpinorField, horizon: float) -> None:
             )
 
 
-def evolve_causal(field: SpinorField, t: float, guard: bool = True) -> SpinorField:
-    """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact."""
+def evolve_times(field: SpinorField, times, guard: bool = True):
+    """Yield psi_t with the causal multiplier exp(i t h(p)) for each t of times, in order.
+
+    One guard check at max |t|, one forward FFT and one h(p) phi serve every
+    time; each psi_t is a new field, so a caller may keep or modify it.  As a
+    generator, the checks run at the first ``next``.
+    """
     if field.rep != "position":
-        raise ValueError("evolve_causal takes a position-representation field")
+        raise ValueError("causal evolution takes a position-representation field")
+    times = np.asarray(times, dtype=float)
     if guard:
-        check_guard(field, t)
+        check_guard(field, float(np.max(np.abs(times), initial=0.0)))
     phi = field.to_momentum()
-    evolution_multiplier_apply(phi, t, out=phi.values)
-    return phi.to_position(out=phi.values)
+    h_phi = h_apply(phi, phi.values)
+    last = times.size - 1
+    for k, t in enumerate(times):
+        # a new array per time; the last time needs h(p) phi no more and is written over it
+        vals = evolution_multiplier_apply(phi, float(t), h_phi, out=h_phi if k == last else None)
+        yield replace(phi, values=vals).to_position(out=vals)
+        del vals  # the caller's psi_t alone keeps it
+
+
+def evolve_causal(field: SpinorField, t: float, guard: bool = True) -> SpinorField:
+    """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact.  The stream at one time."""
+    return next(evolve_times(field, (t,), guard))
 
 
 def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: bool = True) -> SpinorField:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import boost_values, check_guard, evolve_causal, time_reverse
+from .dynamics import boost_values, evolve_causal, evolve_times, time_reverse
 from .errors import NoLateChangeSeed
 from .field import RegionMask, SpinorField, site_density, translate
 
@@ -66,22 +66,19 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     return -(x[-1] + g.dx / 2.0) + (j + 1) * g.dx
 
 
-def frontier_profile(
-    field: SpinorField,
-    times,
-    e: int = +1,
-    tau: float = DEFAULT_EDGE_TOL,
-) -> np.ndarray:
-    """Edges of the evolved state at each time; evolutions are independent.
+def frontier_profile(field: SpinorField, times, tau: float = DEFAULT_EDGE_TOL) -> tuple:
+    """(edges along +e3, edges along -e3) of the evolved state at each time.
 
-    The guard grows with |t|, so one check at max |t| covers every time.
+    Both edges of each psi_t are read from one pass of ``evolve_times``: one
+    guard check at max |t| (the guard grows with |t|) and one forward FFT
+    serve every time, and each time is evolved once for the two directions.
     """
-    times = np.asarray(times, dtype=float)
-    edges = np.empty_like(times)
-    check_guard(field, float(np.max(np.abs(times), initial=0.0)))
-    for i, t in enumerate(times):
-        edges[i] = support_edge(evolve_causal(field, float(t), guard=False), e=e, tau=tau)
-    return edges
+    plus, minus = [], []
+    for psi_t in evolve_times(field, times):
+        plus.append(support_edge(psi_t, +1, tau))
+        minus.append(support_edge(psi_t, -1, tau))
+        del psi_t  # freed before the stream writes the next time
+    return np.array(plus), np.array(minus)
 
 
 def fit_tent(times, edges) -> TentFit:
@@ -118,10 +115,9 @@ def fit_tent(times, edges) -> TentFit:
 
 
 def fit_both_edges(field: SpinorField, times):
-    """(TentFit along +e3, TentFit along -e3) from two frontier profiles at DEFAULT_EDGE_TOL."""
-    plus = fit_tent(times, frontier_profile(field, times, e=+1))
-    minus = fit_tent(times, frontier_profile(field, times, e=-1))
-    return plus, minus
+    """(TentFit along +e3, TentFit along -e3) from one two-edge frontier profile at DEFAULT_EDGE_TOL."""
+    plus, minus = frontier_profile(field, times)
+    return fit_tent(times, plus), fit_tent(times, minus)
 
 
 def fit_times(field: SpinorField) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalfermion import algebra as al, cli, dynamics as dyn
+from causalfermion import algebra as al, cli, dynamics as dyn, field as fd
 from causalfermion.errors import ConfigError, InvariantFailure
 
 #: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
@@ -436,6 +436,16 @@ class TestArtifacts:
         monkeypatch.setattr(dyn, "evolve_causal", lambda field, t: calls.append(t) or evolve(field, t))
         assert cli.main(["evolve", "--out", str(tmp_path)]) == cli.EXIT_OK
         assert calls == cli.SCHEMAS["evolve"]["times"][1]
+
+    def test_default_frontier_evolves_once_per_time(self, tmp_path, monkeypatch):
+        # one forward FFT serves every time, and each time is evolved once for both edges
+        forward, inverse = [], []
+        to_momentum, to_position = fd.SpinorField.to_momentum, fd.SpinorField.to_position
+        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self: forward.append(1) or to_momentum(self))
+        monkeypatch.setattr(fd.SpinorField, "to_position",
+                            lambda self, out=None: inverse.append(1) or to_position(self, out))
+        assert cli.main(["frontier", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert (len(forward), len(inverse)) == (1, cli.SCHEMAS["frontier"]["n_times"][1])
 
     @pytest.mark.parametrize("system", [["system=dirac"], ["system=weyl", "chi=1"], ["system=weyl", "chi=-1"]],
                              ids=["dirac", "weyl+", "weyl-"])

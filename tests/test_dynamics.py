@@ -456,19 +456,51 @@ class TestSpectralKernel:
                     factors[0][0] = 0.0
 
 
-class TestMultiplierInPlace:
+class TestMultiplier:
     @pytest.mark.parametrize("grid", TestSpectralKernel.GRIDS, ids=["1d", "3d"])
     @pytest.mark.parametrize("system", TestSpectralKernel.SYSTEMS, ids=TestSpectralKernel.IDS)
-    def test_into_its_input_gives_the_bits_of_a_new_array(self, grid, system):
+    def test_new_array_or_over_h_phi_gives_the_bits_and_leaves_phi(self, grid, system):
         phi = random_position_field(grid, system, 5).to_momentum()
         kept = phi.values.copy()
         t = 0.7
-        fresh = dyn.evolution_multiplier_apply(phi, t)
-        assert np.array_equal(phi.values, kept)  # out=None mutates nothing
-        # the multiplier as written before out=: (h phi)(i sinc) + cos phi; addition commutes
+        h_phi = dyn.h_apply(phi, phi.values)
+        h_kept = h_phi.copy()
+        fresh = dyn.evolution_multiplier_apply(phi, t, h_phi)
+        assert np.array_equal(phi.values, kept) and np.array_equal(h_phi, h_kept)  # out=None writes neither
+        # the multiplier as written before the stream: (h phi)(i sinc) + cos phi; addition commutes
         eps = dyn._energy(grid, system.m)
         s = np.divide(np.sin(t * eps), eps, out=np.full_like(eps, t), where=eps > 0)
         sum_first = dyn.h_apply(phi, kept) * (1j * s)[..., None] + np.cos(t * eps)[..., None] * kept
         assert np.array_equal(fresh, sum_first)
-        same = dyn.evolution_multiplier_apply(phi, t, out=phi.values)
-        assert same is phi.values and np.array_equal(same, fresh)
+        # written over h(p) phi, as the last time of a stream is
+        over = dyn.evolution_multiplier_apply(phi, t, h_phi, out=h_phi)
+        assert over is h_phi and np.array_equal(over, fresh)
+        assert np.array_equal(phi.values, kept)
+
+
+class TestEvolveTimes:
+    """The stream against evolve_causal and against the direct-sum oracle."""
+
+    GRIDS = [fd.Grid(1, 256, 0.1), fd.Grid(3, 16, 0.5, (-4.0, -3.75, -4.25))]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "16^3"])
+    @pytest.mark.parametrize("system", TestSpectralKernel.SYSTEMS, ids=TestSpectralKernel.IDS)
+    def test_every_state_is_evolve_causal_bit_for_bit(self, grid, system):
+        # random values fill every momentum cell, the massless eps = 0 cell at p = 0 included
+        psi = random_position_field(grid, system, 11)
+        kept = psi.values.copy()
+        times = (0.9, -2.3, -0.9, 0.9)
+        states = list(dyn.evolve_times(psi, times, guard=False))
+        assert [s.rep for s in states] == ["position"] * 4
+        # a multiplier that wrote into the shared phi or h(p) phi would change the repeated t1
+        assert np.array_equal(states[3].values, states[0].values)
+        for t, state in zip(times, states):
+            assert np.array_equal(state.values, dyn.evolve_causal(psi, t, guard=False).values), t
+        assert np.array_equal(psi.values, kept)
+        want = oracle_evolve(psi, times[0])
+        assert np.max(np.abs(states[0].values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rejects_momentum_fields(self):
+        phi = dirac_bump().to_momentum()
+        with pytest.raises(ValueError, match="position-representation"):
+            next(dyn.evolve_times(phi, [0.5]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,28 +72,44 @@ class TestSupportEdge:
 
 class TestFrontierProfile:
     def test_single_time(self, bump):
-        edges = fr.frontier_profile(bump, [0.0], e=+1, tau=TAU)
-        assert edges[0] == fr.support_edge(bump, +1, TAU)
+        plus, minus = fr.frontier_profile(bump, [0.0], tau=TAU)
+        assert plus[0] == fr.support_edge(bump, +1, TAU)
+        assert minus[0] == fr.support_edge(bump, -1, TAU)
 
     def test_one_guard_per_profile_and_the_guarded_edges(self, bump, bump_times, monkeypatch):
         guards = []
         check = dyn.check_guard
-        monkeypatch.setattr(fr, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
-        edges = fr.frontier_profile(bump, bump_times, e=-1, tau=TAU)
+        monkeypatch.setattr(dyn, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
+        plus, minus = fr.frontier_profile(bump, bump_times, tau=TAU)
         assert guards == [4.0]
-        want = [fr.support_edge(dyn.evolve_causal(bump, float(t)), -1, TAU) for t in bump_times]
-        assert np.array_equal(edges, want)
+        evolved = [dyn.evolve_causal(bump, float(t)) for t in bump_times]
+        assert np.array_equal(plus, [fr.support_edge(psi_t, +1, TAU) for psi_t in evolved])
+        assert np.array_equal(minus, [fr.support_edge(psi_t, -1, TAU) for psi_t in evolved])
 
     def test_guard_raises_before_any_evolution(self, bump, monkeypatch):
         evolved = []
-        monkeypatch.setattr(fr, "evolve_causal", lambda *args, **kw: evolved.append(args[1]))
+        monkeypatch.setattr(dyn, "evolution_multiplier_apply", lambda *args, **kw: evolved.append(args[1]))
         # the times up to 4 are within the guard; 20 is not
         with pytest.raises(GuardViolation):
-            fr.frontier_profile(bump, [0.0, 1.0, 4.0, -20.0], e=+1, tau=TAU)
+            fr.frontier_profile(bump, [0.0, 1.0, 4.0, -20.0], tau=TAU)
         assert evolved == []
 
+    def test_peak_memory_of_a_two_edge_profile(self):
+        # the stream holds phi, h(p) phi and one psi_t at a time, never a (times, sites, d) stack:
+        # six (2^14, 4) complex arrays bound the peak, a 17-time stack alone is 17 of them
+        grid = fd.Grid(1, 2**14, 24.0 / 2**14)
+        psi = fd.make_bump(grid, 0.0, 1.0, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=5.0)
+        times = np.linspace(-4.0, 4.0, 17)
+        tracemalloc.start()
+        try:
+            fr.frontier_profile(psi, times, tau=TAU)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * psi.values.nbytes, peak
+
     def test_causal_slope_bound(self, bump, bump_times):
-        edges = fr.frontier_profile(bump, bump_times, e=+1, tau=TAU)
+        edges = fr.frontier_profile(bump, bump_times, tau=TAU)[0]
         dt = bump_times[1] - bump_times[0]
         assert np.all(np.abs(np.diff(edges)) <= dt + 2 * bump.grid.dx)
 
@@ -120,21 +138,21 @@ class TestTentFit:
         fit_p, _ = bump_fits
         tau_shift = 0.8
         shifted = dyn.evolve_causal(bump, tau_shift)
-        fit2 = fr.fit_tent(bump_times, fr.frontier_profile(shifted, bump_times, e=+1, tau=TAU))
+        fit2 = fr.fit_tent(bump_times, fr.frontier_profile(shifted, bump_times, tau=TAU)[0])
         dt = bump_times[1] - bump_times[0]
         assert abs(fit2.t_e - (fit_p.t_e - tau_shift)) <= 2 * dt
 
     def test_time_reversal_flips_change_time(self, bump, bump_times, bump_fits):
         fit_p, _ = bump_fits
         fit_rev = fr.fit_tent(
-            bump_times, fr.frontier_profile(dyn.time_reverse(bump), bump_times, e=+1, tau=TAU)
+            bump_times, fr.frontier_profile(dyn.time_reverse(bump), bump_times, tau=TAU)[0]
         )
         dt = bump_times[1] - bump_times[0]
         assert abs(fit_rev.t_e + fit_p.t_e) <= 2 * dt
 
     def test_insufficient_samples(self, bump):
         times = [0.0, 0.5, 1.0]
-        edges = fr.frontier_profile(bump, times, e=+1, tau=TAU)
+        edges = fr.frontier_profile(bump, times, tau=TAU)[0]
         with pytest.raises(ValueError, match="tent fit needs at least 5 time samples"):
             fr.fit_tent(times, edges)
 
@@ -185,13 +203,13 @@ class TestPrescribedTent:
         spinor = [1, 0.3, 1j, 0]
         psi_m = fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(lam * 1.0), momentum=0.8)
         times = np.linspace(-4.0, 4.0, 17)
-        fit_heavy = fr.fit_tent(times, fr.frontier_profile(psi_m, times, e=+1, tau=TAU))
+        fit_heavy = fr.fit_tent(times, fr.frontier_profile(psi_m, times, tau=TAU)[0])
         dilated = fd.dilate(
             fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(1.0), momentum=0.8).to_momentum(),
             lam,
         ).to_position()
         fit_dil = fr.fit_tent(
-            lam * times, fr.frontier_profile(dilated.normalized(), lam * times, e=+1, tau=TAU)
+            lam * times, fr.frontier_profile(dilated.normalized(), lam * times, tau=TAU)[0]
         )
         dt = times[1] - times[0]
         assert abs(fit_heavy.t_e - fit_dil.t_e / lam) <= 2 * dt

@@ -408,11 +408,12 @@ class TestGridEngine:
         assert (both - phi).norm() <= 1e-12
 
     def test_commutes_with_evolution(self, phi3):
-        ev = dataclasses.replace(phi3, values=dyn.evolution_multiplier_apply(phi3, 0.7))
-        lhs = pol.positive_energy_project(ev)
-        rhs = dataclasses.replace(
-            phi3, values=dyn.evolution_multiplier_apply(pol.positive_energy_project(phi3), 0.7)
-        )
+        def evolve(phi):
+            values = dyn.evolution_multiplier_apply(phi, 0.7, dyn.h_apply(phi, phi.values))
+            return dataclasses.replace(phi, values=values)
+
+        lhs = pol.positive_energy_project(evolve(phi3))
+        rhs = evolve(pol.positive_energy_project(phi3))
         assert (lhs - rhs).norm() <= 1e-12
 
     def test_pol_apply_full_space_identity(self, grid3, phi3):
