@@ -360,6 +360,10 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     deconvolves.  Phi comes from Gauss-Legendre quadrature of phi (24 nodes
     on (0, 1), computed once; one read-only table per (m, M_r) in a bounded
     cache).  The output modes are centered on j_c = m // 2, so |j - j_c| <= m/2.
+    The cost is proportional to w K d (spreading) plus d M_r log M_r (the
+    FFTs) for every source and column given, zero or not: callers whose
+    strengths carry structural zeros pass only their live block, as
+    ``sin_cos_sums`` does.
 
     theta M_r / 2 pi is formed in double-double, as an integer cell plus an
     offset good to ~1e-16 cells, and the centering phase e^{i j_c theta} from
@@ -399,7 +403,9 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     np.sqrt(weights, out=weights)
     weights *= 2.0 * _ES_BETA / w
     np.exp(weights, out=weights)
-    cells = ((base + np.arange(w)[:, None]) & (mr - 1)).ravel()  # mod mr (a power of two)
+    cells = base + np.arange(w)[:, None]
+    cells &= mr - 1  # mod mr (a power of two)
+    cells = cells.ravel()
     buf = np.empty_like(weights)
     fine = np.empty((mr, c.shape[0]), dtype=complex)
     for comp, strength in enumerate(c):
@@ -407,34 +413,53 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
         fine[:, comp].real = np.bincount(cells, weights=buf.ravel(), minlength=mr)
         np.multiply(weights, strength.imag, out=buf)
         fine[:, comp].imag = np.bincount(cells, weights=buf.ravel(), minlength=mr)
-    coef = np.fft.ifft(fine, axis=0)
-    return _es_deconvolution(m, mr)[:, None] * np.concatenate([coef[mr - jc :], coef[: m - jc]])
+    np.fft.ifft(fine, axis=0, out=fine)
+    # deconvolved straight into the output: modes j < j_c sit at the top of the fine grid
+    table = _es_deconvolution(m, mr)[:, None]
+    out = np.empty((m, c.shape[0]), dtype=complex)
+    np.multiply(table[:jc], fine[mr - jc :], out=out[:jc])
+    np.multiply(table[jc:], fine[: m - jc], out=out[jc:])
+    return out
 
 
 def sin_cos_sums(k: np.ndarray, x: np.ndarray, sine: np.ndarray, cosine: np.ndarray | None = None):
     """(sum_k sine_k sin(k x_j), sum_k cosine_k cos(k x_j)) at evenly spaced x_j = x_0 + j delta.
 
-    One nufft1 call with sources at theta = +-delta k carrying e^{+-i k x_0}.
-    Each sum is within NUFFT_ERR sum_k |strengths| of its column; no cosine
-    strengths means an empty cosine sum.
+    One nufft1 call with sources at theta = +-delta k carrying e^{+-i k x_0},
+    on the live block of the strengths only: a k whose sine and cosine
+    strengths are all zero is dropped before the sources are built, and an
+    all-zero column is neither spread nor transformed but comes back as exact
+    zeros, so the cost is proportional to live sources x live columns (with
+    nothing copied when every row and column is live).  Zero strengths add
+    exact zeros, so each sum is within NUFFT_ERR sum_k |strengths| of its
+    column either way; no cosine strengths means an empty cosine sum.
     """
     x = np.asarray(x, dtype=float)
     delta = even_step(x)
-    kn, d = sine.shape
+    d = sine.shape[1]
+    if cosine is None:
+        cosine = np.empty((sine.shape[0], 0), dtype=complex)
+    nonzero = np.hstack([sine != 0, cosine != 0])
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if not (rows.all() and cols.all()):
+        k = np.asarray(k)[rows]
+        sine, cosine = sine[np.ix_(rows, cols[:d])], cosine[np.ix_(rows, cols[d:])]
+    kn, ds = sine.shape
     phase = np.exp(1j * k * x[0])[:, None]
     # the four phase * (+-sine, i cosine) blocks, written once into nufft1's source
     # rows; column-major, so that nufft1's per-component pass reads contiguous columns
-    cols = d if cosine is None else d + cosine.shape[1]
-    strengths = np.empty((cols, 2 * kn), dtype=complex).T
+    strengths = np.empty((ds + cosine.shape[1], 2 * kn), dtype=complex).T
     top, bottom = strengths[:kn], strengths[kn:]
-    top[:, :d] = sine
-    np.negative(sine, out=bottom[:, :d])
-    if cosine is not None:
-        np.multiply(1j, cosine, out=top[:, d:])
-        bottom[:, d:] = top[:, d:]
+    top[:, :ds] = sine
+    np.negative(sine, out=bottom[:, :ds])
+    np.multiply(1j, cosine, out=top[:, ds:])
+    bottom[:, ds:] = top[:, ds:]
     np.multiply(phase, top, out=top)
     np.multiply(phase.conj(), bottom, out=bottom)
     sums = nufft1(np.concatenate([delta * k, -delta * k]), strengths, x.size) / 2j
+    if not cols.all():
+        sums, live = np.zeros((x.size, cols.size), dtype=complex), sums
+        sums[:, cols] = live
     return sums[:, :d], sums[:, d:]
 
 
@@ -470,11 +495,13 @@ def bessel_rows(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray)
     live = np.any((zero != 0) | (one != 0), axis=1)  # zero strengths add nothing
     kl = np.asarray(k, dtype=float)[live]
     z = np.outer(x, kl)
-    small = np.abs(z) < 1e-4  # the series of algebra.sinc below 1e-4, and j_1 ~ z/3
+    # below |z| = 1e-4, j_0 ~ 1 - z^2/6 (z^4/120 < 1e-18 is under half an ulp of it) and j_1 ~ z/3
+    small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
     sin, cos = np.sin(safe), np.cos(safe)
-    j0 = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, sin / safe)
-    j1 = np.where(small, z / 3.0, sin / safe**2 - cos / safe)
+    j0, j1 = sin / safe, sin / safe**2 - cos / safe
+    zs = z[small]
+    j0[small], j1[small] = 1.0 - zs * zs / 6.0, zs / 3.0
     return j0 @ (kl[:, None] * zero[live]), j1 @ (kl[:, None] ** 2 * one[live])
 
 

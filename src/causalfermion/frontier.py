@@ -44,21 +44,28 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary.
 
     Each cell adds |psi|^2 dx^dim / dx (in 1D no dx enters): tau bounds a mass of tau dx, a unit state totals 1/dx."""
+    return _edge(field.grid, _edge_masses(field, tau), e, tau)
+
+
+def _edge_masses(field: SpinorField, tau: float) -> np.ndarray:
+    """Per-cell mass / dx along the last axis (e3 in 3D), the terms support_edge sums against tau."""
     if not 0.0 < tau <= 1e-2:
         raise ValueError("tau must lie in (0, 1e-2]")
     g = field.grid
-    ax = g.dim - 1
     dens = site_density(field.values)
     if g.dim == 3:
         dens = dens.sum(axis=(0, 1))
-    dens = dens * g.cell_measure("position") / g.dx  # per-cell mass / dx, summed against tau
+    dens = dens * g.cell_measure("position") / g.dx
     total = float(dens.sum())
     if total <= tau:
         raise ValueError(f"total mass {total} <= tau = {tau}")
-    x = g.axis(ax)
-    if e < 0:
-        dens = dens[::-1]
-    cum = np.cumsum(dens)
+    return dens
+
+
+def _edge(g, dens: np.ndarray, e: int, tau: float) -> float:
+    """support_edge along e from the per-cell masses of ``_edge_masses``."""
+    x = g.axis(g.dim - 1)
+    cum = np.cumsum(dens if e > 0 else dens[::-1])
     # cells 0..j have mass <= tau  ->  boundary after cell j is still admissible
     j = int(np.searchsorted(cum, tau, side="right")) - 1
     if e > 0:
@@ -72,12 +79,14 @@ def frontier_profile(field: SpinorField, times, tau: float = DEFAULT_EDGE_TOL) -
     Both edges of each psi_t are read from one pass of ``evolve_times``: one
     guard check at max |t| (the guard grows with |t|) and one forward FFT
     serve every time, and each time is evolved once for the two directions.
+    Each psi_t's density is formed once and summed from either end.
     """
     plus, minus = [], []
     for psi_t in evolve_times(field, times):
-        plus.append(support_edge(psi_t, +1, tau))
-        minus.append(support_edge(psi_t, -1, tau))
+        dens = _edge_masses(psi_t, tau)
         del psi_t  # freed before the stream writes the next time
+        plus.append(_edge(field.grid, dens, +1, tau))
+        minus.append(_edge(field.grid, dens, -1, tau))
     return np.array(plus), np.array(minus)
 
 

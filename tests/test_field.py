@@ -262,6 +262,23 @@ class TestSinCosSums:
             assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
         assert fd.sin_cos_sums(k, x, c)[1].shape == (m, 0)
 
+    @pytest.mark.parametrize("m, x_max", [(4097, 650.0), (1025, 140.0)])
+    def test_pol_shaped_strengths(self, m, x_max):
+        # a shell state: 75 % of the k rows zero, and an all-zero column (a spinor e_1)
+        k = np.linspace(0.0, 8.0, 4097)
+        x = np.linspace(0.0, x_max, m)
+        r = np.random.default_rng(m)
+        c = r.normal(size=(k.size, 3)) + 1j * r.normal(size=(k.size, 3))
+        c[(k < 3.0) | (k >= 5.0)] = 0.0
+        c[:, 1] = 0.0
+        sines, cosines = fd.sin_cos_sums(k, x, c, c[:, :2])
+        for got, kern, strengths in ((sines, np.sin, c), (cosines, np.cos, c[:, :2])):
+            want = kern(np.outer(x, k)) @ strengths
+            assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+        # the dead column is neither spread nor transformed: exact zeros
+        assert np.all(sines[:, 1] == 0.0) and np.all(cosines[:, 1] == 0.0)
+        assert np.all(sines[:, [0, 2]] != 0.0)
+
 
 def long_double_sums(theta, c, m):
     """Oracle: sum_k c_k e^{i j theta_k}, the phases j theta_k and the sums in long double."""
@@ -312,6 +329,19 @@ class TestNufftBound:
             err = np.abs(fd.nufft1(theta, c[:, :d], m) - want[:, :d]).max(axis=0)
             ratio = err / np.abs(c[:, :d]).sum(axis=0)
             assert ratio.max() <= fd.NUFFT_ERR, f"{ratio.max():.3g} of sum |c_k| at d = {d}"
+
+    @pytest.mark.parametrize("m", [59, 1638, 4097])
+    def test_zero_rows_add_exact_zeros(self, m):
+        # sin_cos_sums drops zero-strength sources: they must change no bit of the sums
+        r = np.random.default_rng(m + 7)
+        theta = bound_thetas("pm_delta_k", m, r)
+        c = r.normal(size=(theta.size, 3)) + 1j * r.normal(size=(theta.size, 3))
+        live = r.random(theta.size) < 0.25
+        c[~live] = 0.0
+        got = fd.nufft1(theta, c, m)
+        ratio = np.abs(got - long_double_sums(theta, c, m)).max(axis=0) / np.abs(c).sum(axis=0)
+        assert ratio.max() <= fd.NUFFT_ERR
+        assert np.array_equal(got, fd.nufft1(theta[live], c[live], m))
 
 
 def test_translate_exact_roll():

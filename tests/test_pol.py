@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from causalfermion import algebra as al
+from causalfermion import cli
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import pol
@@ -217,6 +218,24 @@ class TestBesselTransform:
         pos = pol.RadialSpinorState(kgrid, shell.s, shell.v, shell.system, "position")
         with pytest.raises(ValueError, match="outputs must be evenly spaced"):
             pol.radial_to_momentum(pos, uneven)
+
+    def test_pol_run_transforms_only_live_strengths(self, tmp_path, monkeypatch):
+        # the shell state fills part of the k nodes, the ball-truncated state a tenth of
+        # the radii, and the spinor e_1 leaves half the columns zero: none of it is spread
+        shapes = []
+        inner = fd.nufft1
+
+        def checking(theta, strengths, m):
+            c = np.asarray(strengths)
+            assert np.all(np.any(c != 0, axis=1)), "an all-zero source row reached nufft1"
+            assert np.all(np.any(c != 0, axis=0)), "an all-zero column reached nufft1"
+            shapes.append(c.shape)
+            return inner(theta, strengths, m)
+
+        monkeypatch.setattr(fd, "nufft1", checking)
+        argv = ["pol", "--set", "k_nodes=1024", "--set", "ns=32 64", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert shapes and all(cols < 12 for _, cols in shapes)
 
     def test_no_runtime_warning(self, kgrid, radii, shell):
         with warnings.catch_warnings():
