@@ -84,7 +84,8 @@ _EVEN_NODES = (lambda v, _: 2 <= v <= _MAX_SIZE and v % 2 == 0, f"an even number
 _LANE = ("evolve", "frontier")
 _LATE = ("boost", "contract")
 
-#: every config key once: key -> (type, check(value, cfg), what the value must be, {command: default}).
+#: every config key once: key -> (type, check(value, cfg), what the value must be (or a function of cfg that
+#: names the command's own rule), {command: default}).
 #: A default of None makes the key required (the stochastic experiments need a seed).  resolve_config
 #: runs the checks in this order, and a check reads only keys above its own row: a bad value fails its own
 #: check before any check that reads it.
@@ -116,7 +117,10 @@ KEYS = {
     # fit_tent needs at least five samples of the frontier profile
     "n_times": (int, lambda v, _: 5 <= v <= _MAX_SIZE, f"in [5, {_MAX_SIZE}]", {"frontier": 17}),
     "target_t": (float, *_POSITIVE, dict.fromkeys(_LATE, 1.5)),
-    "window": (float, lambda v, _: v > 0, "> 0", dict.fromkeys(_LATE, 0.3)),
+    # a window under half a cell holds no cell of the seed, and the soft lower edge's ramp is zero on
+    # the lowest cell of the recentred state, so that a one-cell window can be left with no mass at all
+    "window": (float, lambda v, cfg: 2 * cfg["length"] / cfg["n"] <= v, "at least two cells, 2 length / n",
+               dict.fromkeys(_LATE, 0.3)),
     # the boosted momenta cosh(rho) p + sinh(rho) eps(p) stay below 2 e^|rho| times the band edge
     "rhos": (list, lambda v, cfg: _finite_list(v)
              and max(map(abs, v)) < np.log(np.finfo(float).max / 2 / _band_edge(cfg)),
@@ -131,7 +135,8 @@ KEYS = {
     # radial's quadrature of the evolved state spans [0, r_max + |t|] in wr.DEFAULT_NODES intervals
     "times": (list, lambda v, cfg: _finite_list(v)
               and ("width" not in cfg or (cfg["r_max"] + max(map(abs, v))) / wr.DEFAULT_NODES < cfg["width"]),
-              f"a non-empty list of finite numbers, for radial with (r_max + |t|) / {wr.DEFAULT_NODES} < width",
+              lambda cfg: "a non-empty list of finite numbers"
+              + (f" with (r_max + |t|) / {wr.DEFAULT_NODES} < width" if "width" in cfg else ""),
               {"evolve": [0.5, 1.0, 2.0], "radial": [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]}),
     "k_nodes": (int, *_EVEN_NODES, {"pol": 8192}),
     "shell_lo": (float, *_POSITIVE, {"pol": 1.0}),
@@ -209,7 +214,7 @@ def resolve_config(command: str, path: str | None, overrides) -> dict:
             raise ConfigError(f"{command!r} requires key {key!r}")
     for key, (_, ok, want, _) in KEYS.items():
         if key in cfg and not ok(cfg[key], cfg):
-            raise ConfigError(f"key {key!r} = {cfg[key]!r}: must be {want}")
+            raise ConfigError(f"key {key!r} = {cfg[key]!r}: must be {want(cfg) if callable(want) else want}")
     return cfg
 
 
@@ -322,9 +327,9 @@ def _build_late_change(cfg):
     grid = fd.Grid(1, cfg["n"], cfg["length"] / cfg["n"])
     system = al.Dirac(cfg["mass"])
     psi0 = fd.make_bump(grid, 0.0, _SEED_WIDTH, _spinor(system), system, guard=3.3)
-    eta = fr.make_seed_with_dates(psi0, cfg["target_t"], +1)
+    eta, t_eb = fr.make_seed_with_dates(psi0, cfg["target_t"], +1)
     try:
-        psi = fr.make_late_change_state(eta, cfg["window"], +1)
+        psi = fr.make_late_change_state(eta, cfg["window"], +1, dates=t_eb)
     except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so no check in KEYS can bound window
         raise ConfigError(f"key 'window' = {cfg['window']!r} does not fit the seed: {exc}") from exc
     psi = fr.recenter_lower_edge(psi)

@@ -15,9 +15,12 @@ around the multiplier
 
 valid because h(p)^2 = eps(p)^2 I; sin(t eps)/eps is its limit t where
 eps = 0.  The Newton-Wigner (acausal) foil multiplies by the scalar
-exp(i t eta eps(p)) instead.  The tables that depend only on the frozen grid
-and the mass are built once and returned read-only from bounded caches:
-eps(p) per (grid, mass) here (``_energy``), and the per-axis Fourier factors,
+exp(i t eta eps(p)) instead.  The tables that depend only on the frozen grid,
+the mass and the time are built once and returned read-only from bounded
+caches: the momentum mesh per grid (``_momentum_mesh``, sparse in 3D), eps(p)
+per (grid, mass) (``_energy``) and the multiplier's rows cos(t eps) and
+sin(t eps)/eps per (grid, mass, t) (``_evolution_rows``, two entries: the
++-alpha pair of a late-change polish) here, and the per-axis Fourier factors,
 origin phase times the transform's scale, per grid in ``field`` (O(n) per
 axis; the 3D product is formed per call and not kept).
 
@@ -80,7 +83,7 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     g, s = field.grid, field.system
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     momentum, mass = _h_tables(type(s))
-    terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(g.momentum_mesh(), axes)]
+    terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(_momentum_mesh(g), axes)]
     if mass is not None:
         terms.append((s.m, mass))
     out = np.empty(vals.shape, dtype=complex)
@@ -94,11 +97,31 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
+def _momentum_mesh(grid: Grid) -> tuple:
+    """``Grid.momentum_mesh()``, read-only (one per grid; sparse in 3D, so O(n) per axis)."""
+    mesh = grid.momentum_mesh()
+    for pk in mesh:
+        pk.setflags(write=False)
+    return tuple(mesh)
+
+
+@functools.lru_cache(maxsize=2)
 def _energy(grid: Grid, m: float) -> np.ndarray:
     """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh of grid, read-only (one table per grid and mass)."""
-    eps = np.sqrt(sum(pk * pk for pk in grid.momentum_mesh()) + m * m)
+    eps = np.sqrt(sum(pk * pk for pk in _momentum_mesh(grid)) + m * m)
     eps.setflags(write=False)
     return eps
+
+
+@functools.lru_cache(maxsize=2)  # the +-alpha pair that a late-change polish alternates
+def _evolution_rows(grid: Grid, m: float, t: float) -> tuple:
+    """(cos(t eps), sin(t eps) / eps) on the momentum mesh, read-only; sin(t eps) / eps = t where eps = 0."""
+    eps = _energy(grid, m)
+    te = t * eps
+    c, s = np.cos(te), np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0)
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return c, s
 
 
 def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
@@ -127,11 +150,8 @@ def evolution_multiplier_apply(
     out=None writes a new array.  The field is never written to, so one phi
     and h(p) phi serve every time of a stream.
     """
-    eps = _energy(field.grid, field.system.m)
-    te = t * eps
-    s = np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0)
+    c, s = _evolution_rows(field.grid, field.system.m, t)
     out = np.multiply(h_phi, (1j * s)[..., None], out=out)
-    c = np.cos(te)
     for i in range(out.shape[-1]):  # one component at a time: no second (sites, d) temporary
         out[..., i] += c * field.values[..., i]
     return out

@@ -395,24 +395,7 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     turn = ((jc * (base & (mr - 1))) & (mr - 1)) + jc * u  # j_c theta mr / 2 pi, mod mr
     phase = np.exp((2j * np.pi / mr) * turn)
     c = np.multiply(c.T, phase, out=np.empty((c.shape[1], c.shape[0]), dtype=complex))
-    # rows are the w kernel taps, so every elementwise pass runs along the K sources;
-    # e^beta phi(z) with z = 2 (tap - u) / w, the e^beta going into the deconvolution
-    weights = np.arange(w)[:, None] - u
-    np.multiply(weights, weights, out=weights)
-    np.subtract(0.25 * w * w, weights, out=weights)
-    np.sqrt(weights, out=weights)
-    weights *= 2.0 * _ES_BETA / w
-    np.exp(weights, out=weights)
-    cells = base + np.arange(w)[:, None]
-    cells &= mr - 1  # mod mr (a power of two)
-    cells = cells.ravel()
-    buf = np.empty_like(weights)
-    fine = np.empty((mr, c.shape[0]), dtype=complex)
-    for comp, strength in enumerate(c):
-        np.multiply(weights, strength.real, out=buf)
-        fine[:, comp].real = np.bincount(cells, weights=buf.ravel(), minlength=mr)
-        np.multiply(weights, strength.imag, out=buf)
-        fine[:, comp].imag = np.bincount(cells, weights=buf.ravel(), minlength=mr)
+    fine = _spread(base, u, c, mr)
     np.fft.ifft(fine, axis=0, out=fine)
     # deconvolved straight into the output: modes j < j_c sit at the top of the fine grid
     table = _es_deconvolution(m, mr)[:, None]
@@ -420,6 +403,31 @@ def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     np.multiply(table[:jc], fine[mr - jc :], out=out[:jc])
     np.multiply(table[jc:], fine[: m - jc], out=out[jc:])
     return out
+
+
+def _spread(base: np.ndarray, u: np.ndarray, c: np.ndarray, mr: int) -> np.ndarray:
+    """The (M_r, d) fine grid of nufft1: source k adds e^beta phi(z) c[:, k] to cell base_k + tap, mod M_r.
+
+    z = 2 (tap - u_k) / w for the w taps (the e^beta goes into the deconvolution).
+    One complex ``np.add.at`` per tap and component, over K-sized rows: taps
+    outer, sources inner, the order in which a ``bincount`` over the flattened
+    (w, K) cells adds, so the sums are bit for bit the same.
+    """
+    w = _ES_WIDTH
+    fine = np.zeros((mr, c.shape[0]), dtype=complex)
+    weight, cells, term = np.empty_like(u), np.empty_like(base), np.empty(u.shape, dtype=complex)
+    for tap in range(w):
+        np.subtract(tap, u, out=weight)
+        np.multiply(weight, weight, out=weight)
+        np.subtract(0.25 * w * w, weight, out=weight)
+        np.sqrt(weight, out=weight)
+        weight *= 2.0 * _ES_BETA / w
+        np.exp(weight, out=weight)
+        np.add(base, tap, out=cells)
+        cells &= mr - 1  # mod mr (a power of two)
+        for comp, strength in enumerate(c):
+            np.add.at(fine[:, comp], cells, np.multiply(strength, weight, out=term))
+    return fine
 
 
 def sin_cos_sums(k: np.ndarray, x: np.ndarray, sine: np.ndarray, cosine: np.ndarray | None = None):

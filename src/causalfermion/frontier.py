@@ -8,7 +8,9 @@ the evolved state follows the tent
     e(psi_t) = e(psi) + |t_e| - |t - t_e|
 
 with a single change time t_e per direction; fitting the profile recovers
-(e0, t_e) and certifies the law through the residual.
+(e0, t_e) and certifies the law through the residual.  A late-change seed
+carries its t_eb from the fit that balanced it, so the top-window truncation
+checks its window against that t_eb without fitting the seed again.
 """
 
 from __future__ import annotations
@@ -169,22 +171,29 @@ def make_seed_with_dates(
     target_t: float,
     sign: int = +1,
 ):
-    """Compact state with t_e = t_eb = sign*target_t > 0 from a tent-zero seed.
+    """(eta, t_eb): a compact state with t_e = t_eb = sign*target_t from a tent-zero seed, and its t_eb.
 
     First force t_e = t_eb = 0 by superposing a shifted evolved copy (case (i)
     with tau = t_eb - t_e, delta = |tau|, then a time shift), then evolve by
     -sign*target_t so both change times move to sign*target_t.
+
+    When psi is already balanced (|t_eb - t_e| < dx), eta is psi evolved by
+    s = t_e - sign*target_t, and by the group law its t_eb is psi's fitted
+    t_eb less s: returned, so that ``make_late_change_state`` need not fit eta
+    again.  After a superposition the second item is None.
     """
     fp, fm = fit_both_edges(psi, fit_times(psi))
     tau = fm.t_e - fp.t_e
     if abs(tau) < psi.grid.dx:
-        balanced, t_e = psi, fp.t_e
+        balanced, t_e, t_eb = psi, fp.t_e, fm.t_e
     else:
         balanced, t_e, _ = construct_prescribed_tent(
             psi, tau, abs(tau), dates1=(fp.t_e, fm.t_e)
         )
+        t_eb = None
     # time translation moves both change times from t_e to 0, then to sign*target_t
-    return evolve_causal(balanced, t_e - sign * target_t)
+    s = t_e - sign * target_t
+    return evolve_causal(balanced, s), None if t_eb is None else t_eb - s
 
 
 def make_late_change_state(
@@ -199,13 +208,14 @@ def make_late_change_state(
     satisfies sign * t_eb(psi) >= (-eb(psi) - e(psi)) / 2 (a late-change state).
     For sign = -1 the positive construction runs first and the output is
     time-reversed, which flips the sign of t_eb while keeping both edges.
+    dates is eta's t_eb, as ``make_seed_with_dates`` returns it; None fits it
+    from a frontier profile of eta.
     """
     g = eta.grid
-    if dates is None:
+    t_eb = dates
+    if t_eb is None:
         _, fm = fit_both_edges(eta, fit_times(eta))
         t_eb = fm.t_e
-    else:
-        t_eb = dates if np.isscalar(dates) else dates[1]
     if t_eb <= g.dx:
         raise NoLateChangeSeed(f"fitted t_eb = {t_eb:.4g} <= dx")
     if not 0.0 < delta < t_eb:

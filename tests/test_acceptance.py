@@ -78,8 +78,8 @@ def test_criterion_01_tent_law():
 def late_change_state():
     grid = fd.Grid(1, 32768, 14.0 / 32768)
     psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
-    eta = fr.make_seed_with_dates(psi0, 1.5, +1)
-    psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1))
+    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+    psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1, dates=t_eb))
     alpha = (-fr.support_edge(psi, -1, 1e-6) - fr.support_edge(psi, +1, 1e-6)) / 2
     return fr.soften_lower_edge(psi, alpha), alpha
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalfermion import algebra as al, cli, dynamics as dyn, field as fd
+from causalfermion import algebra as al, cli, dynamics as dyn, field as fd, frontier as fr
 from causalfermion.errors import ConfigError, InvariantFailure
 
 #: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
@@ -230,6 +230,9 @@ class TestFailFast:
             ["cascade", "--set", "seed=1", "--set", "region=half_space", "--set", "half_space_edge=3.75"],
             ["cascade", "--set", "seed=1", "--set", "mass=13"],
             ["contract", "--set", "rhos=1e300"],
+            ["boost", "--set", "window=0.001"],
+            ["contract", "--set", "window=0.001"],
+            ["contract", "--set", "n=4096", "--set", "window=0.004"],
         ],
         ids=[
             "n_not_power_of_two", "cascade_n_48", "system_typo", "depth_above_cap",
@@ -247,6 +250,7 @@ class TestFailFast:
             "cascade_unknown_region", "lines_unknown_target", "radial_huge_time", "radial_huge_r_max",
             "pol_zero_shell_lo", "pol_huge_ns", "cascade_ball_holds_every_site",
             "cascade_half_space_past_last_site", "cascade_mass_above_band_edge", "contract_huge_rho",
+            "boost_window_under_a_cell", "contract_window_under_a_cell", "contract_window_of_one_cell",
         ],
     )
     def test_bad_value_exit_2_one_line(self, argv, tmp_path, capsys):
@@ -256,6 +260,16 @@ class TestFailFast:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, want", [
+        (["evolve", "--set", "times=nan"], "must be a non-empty list of finite numbers\n"),
+        (["radial", "--set", "times=1e300"],
+         "must be a non-empty list of finite numbers with (r_max + |t|) / 4096 < width\n"),
+    ], ids=["evolve", "radial"])
+    def test_times_error_names_only_its_command_rule(self, argv, want, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'times'") and err.endswith(want)
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_bad_target_t_is_named(self, value, tmp_path, capsys):
@@ -437,15 +451,31 @@ class TestArtifacts:
         assert cli.main(["evolve", "--out", str(tmp_path)]) == cli.EXIT_OK
         assert calls == cli.SCHEMAS["evolve"]["times"][1]
 
-    def test_default_frontier_evolves_once_per_time(self, tmp_path, monkeypatch):
-        # one forward FFT serves every time, and each time is evolved once for both edges
+    @staticmethod
+    def count_transforms(monkeypatch) -> tuple:
+        """Lists that grow by one per forward and per inverse FFT pass of a field."""
         forward, inverse = [], []
         to_momentum, to_position = fd.SpinorField.to_momentum, fd.SpinorField.to_position
         monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self: forward.append(1) or to_momentum(self))
         monkeypatch.setattr(fd.SpinorField, "to_position",
                             lambda self, out=None: inverse.append(1) or to_position(self, out))
+        return forward, inverse
+
+    def test_default_frontier_evolves_once_per_time(self, tmp_path, monkeypatch):
+        # one forward FFT serves every time, and each time is evolved once for both edges
+        forward, inverse = self.count_transforms(monkeypatch)
         assert cli.main(["frontier", "--out", str(tmp_path)]) == cli.EXIT_OK
         assert (len(forward), len(inverse)) == (1, cli.SCHEMAS["frontier"]["n_times"][1])
+
+    def test_default_contract_fits_the_seed_once(self, tmp_path, monkeypatch):
+        # one 17-time stream fits the bump, and the seed's t_eb comes from that fit, so the window
+        # check fits nothing again; then the seed's evolution, the polish's evolutions and one
+        # forward transform per rapidity
+        forward, inverse = self.count_transforms(monkeypatch)
+        assert cli.main(["contract", "--out", str(tmp_path)]) == cli.EXIT_OK
+        polish = 2 * fr._POLISH_ROUNDS * (fr._SOFTEN_CYCLES + 1)
+        rhos = len(cli.SCHEMAS["contract"]["rhos"][1])
+        assert (len(forward), len(inverse)) == (1 + 1 + polish + rhos, 17 + 1 + polish)
 
     @pytest.mark.parametrize("system", [["system=dirac"], ["system=weyl", "chi=1"], ["system=weyl", "chi=-1"]],
                              ids=["dirac", "weyl+", "weyl-"])

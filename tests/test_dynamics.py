@@ -427,8 +427,8 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_no_stale_table(self, dim):
-        dyn._energy.cache_clear()
-        fd._axis_factors.cache_clear()
+        for cached in (dyn._momentum_mesh, dyn._energy, dyn._evolution_rows, fd._axis_factors):
+            cached.cache_clear()
         n = 64 if dim == 1 else 8
         a = fd.Grid(dim, n, 0.25)
         b = fd.Grid(dim, n, 0.3)  # same n, other dx
@@ -439,15 +439,22 @@ class TestSpectralKernel:
             psi = random_position_field(grid, system, seed)
             # the origin phases cancel in an evolution, so check the momentum representation too
             self.assert_momentum_matches_oracle(psi)
+            # the same times on every step: a row or mesh kept from an earlier grid, mass or chi would be read
             self.assert_matches_oracle(psi, 1.3)
+            self.assert_matches_oracle(psi, -1.3)
             self.assert_matches_oracle(psi, 1.3, eta=+1)
+            phi = psi.to_momentum()
+            assert np.array_equal(dyn.h_apply(phi, phi.values), dense_h_apply(phi, phi.values))
 
     def test_tables_are_read_only_and_per_axis(self):
         for grid in self.GRIDS:
             dyn.evolve_causal(random_position_field(grid, al.Dirac(1.0), 1), 0.5, guard=False)
-            eps = dyn._energy(grid, 1.0)
-            with pytest.raises(ValueError):
-                eps[(0,) * grid.dim] = 0.0
+            tables = [dyn._energy(grid, 1.0), *dyn._evolution_rows(grid, 1.0, 0.5), *dyn._momentum_mesh(grid)]
+            for table in tables:
+                with pytest.raises(ValueError):
+                    table[(0,) * table.ndim] = 0.0
+            # the 3D mesh stays sparse: O(n) per axis
+            assert [pk.size for pk in dyn._momentum_mesh(grid)] == [grid.n] * grid.dim
             for sign in (-1, +1):
                 factors = fd._axis_factors(grid, sign)
                 # O(n) per axis: no n^3 table outlives a call

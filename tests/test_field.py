@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from causalfermion import algebra as al
+from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion.errors import GuardViolation
 
@@ -342,6 +343,51 @@ class TestNufftBound:
         ratio = np.abs(got - long_double_sums(theta, c, m)).max(axis=0) / np.abs(c).sum(axis=0)
         assert ratio.max() <= fd.NUFFT_ERR
         assert np.array_equal(got, fd.nufft1(theta[live], c[live], m))
+
+
+def bincount_spread(base, u, c, mr):
+    """Oracle: nufft1's fine grid from one bincount per real and imaginary part of each component,
+    over the flattened (w, K) kernel taps times sources."""
+    w = fd._ES_WIDTH
+    weights = np.exp(np.sqrt(0.25 * w * w - (np.arange(w)[:, None] - u) ** 2) * (2.0 * fd._ES_BETA / w))
+    cells = ((base + np.arange(w)[:, None]) & (mr - 1)).ravel()
+    fine = np.empty((mr, c.shape[0]), dtype=complex)
+    for comp, strength in enumerate(c):
+        fine[:, comp].real = np.bincount(cells, weights=(weights * strength.real).ravel(), minlength=mr)
+        fine[:, comp].imag = np.bincount(cells, weights=(weights * strength.imag).ravel(), minlength=mr)
+    return fine
+
+
+class TestSpreading:
+    """nufft1's per-tap spreading adds in the bincount's order: the same bits on the callers' shapes."""
+
+    @staticmethod
+    def assert_bits_of_bincount(monkeypatch, call):
+        got = call()
+        with monkeypatch.context() as m:
+            m.setattr(fd, "_spread", bincount_spread)
+            want = call()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rho", [0.5, 3.0])
+    def test_boost(self, rho, monkeypatch):
+        grid = fd.Grid(1, 4096, 14.0 / 4096)
+        psi = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
+        x = grid.axis(0)[(grid.axis(0) > -0.3) & (grid.axis(0) < 0.3)] / np.cosh(rho)
+        self.assert_bits_of_bincount(monkeypatch, lambda: (dyn.boost_values(psi, rho, x),))
+
+    @pytest.mark.parametrize("k_max, n_k, x_max, n_x, d, live", [
+        (10.0, 4097, 22.0, 4097, 2, slice(None)),  # radial: every k and column live
+        (140.0, 1025, 10.0, 4097, 3, slice(8, 16)),  # pol: a shell of k rows
+    ], ids=["radial", "pol"])
+    def test_sin_cos_sums(self, k_max, n_k, x_max, n_x, d, live, monkeypatch):
+        k = np.linspace(0.0, k_max, n_k)
+        r = np.random.default_rng(n_k)
+        c = np.zeros((n_k, d), dtype=complex)
+        c[live] = r.normal(size=c[live].shape) + 1j * r.normal(size=c[live].shape)
+        x = np.linspace(0.0, x_max, n_x)
+        self.assert_bits_of_bincount(monkeypatch, lambda: fd.sin_cos_sums(k, x, c, k[:, None] * c))
 
 
 def test_translate_exact_roll():

@@ -32,8 +32,8 @@ def bump_fits(bump, bump_times):
 def late_change():
     grid = fd.Grid(1, 8192, 14.0 / 8192)
     psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
-    eta = fr.make_seed_with_dates(psi0, 1.5, +1)
-    psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1))
+    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+    psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1, dates=t_eb))
     alpha = (-fr.support_edge(psi, -1, TAU) - fr.support_edge(psi, +1, TAU)) / 2
     soft = fr.soften_lower_edge(psi, alpha)
     return eta, psi, soft, alpha
@@ -178,7 +178,7 @@ class TestPrescribedTent:
         assert (psi - bump).norm() <= 1e-12
 
     def test_balanced_construction_zeroes_dates(self, bump, bump_times):
-        balanced = fr.make_seed_with_dates(bump, 0.9, +1)
+        balanced, _ = fr.make_seed_with_dates(bump, 0.9, +1)
         fp, fm = fr.fit_both_edges(balanced, bump_times)
         dt = bump_times[1] - bump_times[0]
         assert abs(fp.t_e - 0.9) <= 2 * dt
@@ -195,6 +195,32 @@ class TestPrescribedTent:
         dt = bump_times[1] - bump_times[0]
         assert abs(new_p.t_e - t_e) <= 2 * dt
         assert abs(new_m.t_e - t_eb) <= 2 * dt
+
+    @pytest.mark.parametrize("system, spinor", [
+        (al.Dirac(1.0), [1, 0.3, 1j, 0]), (al.Dirac(0.0), [1, 0.3, 1j, 0]),
+        (al.Weyl(+1), [1, 1j]), (al.Weyl(-1), [1, 1j]),
+    ], ids=["dirac1", "dirac0", "weyl+", "weyl-"])
+    def test_balanced_seed_returns_its_t_eb(self, system, spinor):
+        # psi already has t_e = t_eb: the seed is psi evolved by a known time, and the t_eb it
+        # returns (psi's, moved by that time) is what a fit of the seed reads, to a cell
+        grid = fd.Grid(1, 4096, 14.0 / 4096)
+        psi0 = fd.make_bump(grid, 0.0, 0.7, spinor, system, guard=3.3)
+        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+        _, fm = fr.fit_both_edges(eta, fr.fit_times(eta))
+        assert t_eb is not None and abs(t_eb - fm.t_e) <= grid.dx
+
+    def test_superposed_seed_is_fitted(self):
+        # t_e and t_eb two cells apart: the seed is a superposition, its t_eb is not returned, and
+        # make_late_change_state fits it (a window past the fitted t_eb ~ 1.5 is refused)
+        grid = fd.Grid(1, 4096, 14.0 / 4096)
+        psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3], al.Weyl(+1), guard=3.3)
+        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+        assert t_eb is None
+        _, fm = fr.fit_both_edges(eta, fr.fit_times(eta))
+        assert abs(fm.t_e - 1.5) <= 2 * grid.dx
+        assert abs(fr.make_late_change_state(eta, 0.3, +1, dates=t_eb).norm() - 1.0) <= 1e-12
+        with pytest.raises(NoLateChangeSeed):
+            fr.make_late_change_state(eta, 1.6, +1, dates=t_eb)
 
     def test_mass_scaling_of_change_time(self):
         # t_e at mass lam*m equals (1/lam) t_e of the dilated state at mass m
@@ -259,6 +285,14 @@ class TestLateChange:
         for rho in (-0.5, -1.0, -2.0):
             p = fr.strip_probability_boosted(rev, rho, 0.0, 2 * alpha * np.exp(rho))
             assert 1.0 - p <= 1e-5
+
+    def test_polish_computes_one_pair_of_rows(self, late_change):
+        # every polish round evolves by -alpha and back by +alpha: two multiplier rows, the rest read from the cache
+        _, psi, _, alpha = late_change
+        dyn._evolution_rows.cache_clear()
+        fr.late_change_polish(psi, alpha)
+        info = dyn._evolution_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * fr._POLISH_ROUNDS - 2)
 
     def test_needs_positive_change_time(self, bump):
         with pytest.raises(NoLateChangeSeed):
