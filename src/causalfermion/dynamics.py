@@ -26,12 +26,13 @@ axis; the 3D product is formed per call and not kept).
 
 Every causal evolution is a stream (``evolve_times``): one guard check at
 max |t|, one forward FFT and one h(p) phi serve every time, and each time
-costs the multiplier, written into a new (sites, d) array (the last time
+costs the multiplier, written into a new (d, *sites) array (the last time
 into h(p) phi, which it no longer needs), and the inverse FFT run in place
 on that array.  The stream holds phi and h(p) phi and yields one psi_t at a
 time, so its memory does not grow with the number of times;
-``evolve_causal`` is the stream at a single time, and keeps two (sites, d)
-arrays, phi and the one it returns.
+``evolve_causal`` is the stream at a single time, and keeps two (d, *sites)
+arrays, phi and the one it returns.  Every table above is site-shaped and
+broadcasts over the component axis of a field's (d, *sites) values.
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -76,9 +77,9 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     """h(p) vals on the momentum mesh, c sum_k M_k p_k + m B from the system's declared matrices.
 
     The 1D lane runs along e3, so there h(p) = c M_3 p + m B.
-    Component i of a term c M vals is (c phase_i) vals[..., perm_i], written from
-    strided component views through one scratch plane: bit for bit the dense
-    product, whose other entries add exact zeros.
+    Component i of a term c M vals is (c phase_i) vals[perm_i], written plane
+    by plane from the contiguous component planes through one scratch plane:
+    bit for bit the dense product, whose other entries add exact zeros.
     """
     g, s = field.grid, field.system
     axes = (2,) if g.dim == 1 else (0, 1, 2)
@@ -87,12 +88,12 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     if mass is not None:
         terms.append((s.m, mass))
     out = np.empty(vals.shape, dtype=complex)
-    plane = np.empty(vals.shape[:-1], dtype=complex)
-    for i in range(vals.shape[-1]):
+    plane = np.empty(vals.shape[1:], dtype=complex)
+    for i in range(len(vals)):
         for t, (c, (perm, phase)) in enumerate(terms):
-            np.multiply(vals[..., perm[i]], c * phase[i], out=plane if t else out[..., i])
+            np.multiply(vals[perm[i]], c * phase[i], out=plane if t else out[i])
             if t:
-                out[..., i] += plane
+                out[i] += plane
     return out
 
 
@@ -134,7 +135,7 @@ def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
     eps = _energy(field.grid, field.system.m)
     eta_inv = np.divide(eta, eps, out=np.zeros_like(eps), where=eps > 0)
     out = h_apply(field, field.values)
-    out *= eta_inv[..., None]
+    out *= eta_inv
     out += field.values
     out *= 0.5
     return out
@@ -151,9 +152,9 @@ def evolution_multiplier_apply(
     and h(p) phi serve every time of a stream.
     """
     c, s = _evolution_rows(field.grid, field.system.m, t)
-    out = np.multiply(h_phi, (1j * s)[..., None], out=out)
-    for i in range(out.shape[-1]):  # one component at a time: no second (sites, d) temporary
-        out[..., i] += c * field.values[..., i]
+    out = np.multiply(h_phi, 1j * s, out=out)
+    for o, v in zip(out, field.values):  # one component at a time: no second (d, *sites) temporary
+        o += c * v
     return out
 
 
@@ -209,7 +210,7 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
-    phi.values *= np.exp(1j * t * eta * _energy(phi.grid, phi.system.m))[..., None]
+    phi.values *= np.exp(1j * t * eta * _energy(phi.grid, phi.system.m))
     return phi.to_position(out=phi.values)
 
 
@@ -217,13 +218,12 @@ def time_reverse(field: SpinorField) -> SpinorField:
     """Antiunitary T psi = omega conj(psi) in position representation."""
     if field.rep != "position":
         raise ValueError("time reversal acts in position representation")
-    omega = field.system.time_reversal()
-    vals = np.einsum("ij,...j->...i", omega, np.conj(field.values))
+    vals = np.einsum("ij,j...->i...", field.system.time_reversal(), np.conj(field.values))
     return replace(field, values=vals)
 
 
 def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarray:
-    """Boosted field at evenly spaced output points x_j = x_0 + j delta (1D along e3).
+    """Boosted field at evenly spaced output points x_j = x_0 + j delta (1D along e3), shape (d, len(x_out)).
 
     Splitting exp(-i y0 H) by the energy projectors pi^eta = (1 + eta h/eps)/2
     turns the boosted field into one sum over the boosted momenta,
@@ -258,17 +258,17 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
             f"[{lo:.4g}, {hi:.4g}] outside the grid"
         )
     if x_out.size == 0:
-        return np.zeros((0, field.system.components), dtype=complex)
+        return np.zeros((field.system.components, 0), dtype=complex)
     delta = even_step(x_out)
     phi = field.to_momentum()
     p, eps = g.paxis(), _energy(g, phi.system.m)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
     plus = energy_projector_apply(phi, +1)
-    proj = np.concatenate([plus, phi.values - plus])
-    strengths = np.exp(1j * x_out[0] * kappa)[:, None] * proj
-    out = (g.dp / np.sqrt(2.0 * np.pi)) * nufft1(delta * kappa, strengths, x_out.size)
+    proj = np.concatenate([plus, phi.values - plus], axis=1)
+    strengths = np.exp(1j * x_out[0] * kappa) * proj
+    out = (g.dp / np.sqrt(2.0 * np.pi)) * nufft1(delta * kappa, strengths.T, x_out.size)
     srep = field.system.boost_rep(al.boost_matrix(rho))
-    return np.einsum("ij,xj->xi", srep, out)
+    return np.einsum("ij,xj->ix", srep, out)
 
 
 def boost_e3(field: SpinorField, rho: float) -> SpinorField:
@@ -280,15 +280,12 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
     # only roundoff-level amplitude (matters when composing boosts)
     lo, hi = field.support_bounds(mass_tol=1e-16)
     new_lo, new_hi = influence_strip(lo, hi, rho)
-    a0, a1 = g.axis(0)[0], g.axis(0)[-1]
-    if new_lo < a0 + g.dx or new_hi > a1 - g.dx:
-        raise GuardViolation(
-            f"influence region [{new_lo:.4g}, {new_hi:.4g}] leaves the grid"
-        )
     x = g.axis(0)
+    if new_lo < x[0] + g.dx or new_hi > x[-1] - g.dx:
+        raise GuardViolation(f"influence region [{new_lo:.4g}, {new_hi:.4g}] leaves the grid")
     inside = (x >= new_lo - g.dx) & (x <= new_hi + g.dx)
     vals = np.zeros_like(field.values)
-    vals[inside] = boost_values(field, rho, x[inside])
+    vals[:, inside] = boost_values(field, rho, x[inside])
     return replace(field, values=vals)
 
 

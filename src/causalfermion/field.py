@@ -3,6 +3,9 @@
 A field lives on a periodic grid (discrete torus) in one or three dimensions,
 holds d = 2 or 4 complex components per site, and is tagged with its
 representation ('position' or 'momentum') and its system (Dirac(m) or Weyl(chi)).
+Values are stored components first, shape (d, *sites): each component is a
+C-contiguous scalar field, and a site-shaped table (a Fourier factor, eps(p),
+a mask) broadcasts over the leading component axis as it stands.
 
 Measure conventions: position cell weight dx^dim, momentum cell weight dp^dim
 with dp = 2 pi / (N dx).  The Fourier pair
@@ -66,7 +69,8 @@ class Grid:
         return 2.0 * np.pi / self.length
 
     def axis(self, k: int = 0) -> np.ndarray:
-        return self.origin[k] + self.dx * np.arange(self.n)
+        """Cell centers origin_k + j dx along axis k, read-only (``_axes``)."""
+        return _axes(self)[k]
 
     def paxis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
@@ -95,6 +99,15 @@ class Grid:
     def abs_p(self) -> np.ndarray:
         """|p| on the momentum mesh (shape (n,) or (n, n, n))."""
         return np.sqrt(sum(m**2 for m in self.momentum_mesh()))
+
+
+@functools.lru_cache(maxsize=1)  # an op reads the axes of one grid; none is kept past the next grid
+def _axes(g: Grid) -> tuple:
+    """Every Grid.axis of g, read-only."""
+    axes = tuple(g.origin[k] + g.dx * np.arange(g.n) for k in range(g.dim))
+    for x in axes:
+        x.setflags(write=False)
+    return axes
 
 
 @dataclass
@@ -155,13 +168,13 @@ class SpinorField:
     grid: Grid
     system: object  # Dirac or Weyl
     rep: str
-    values: np.ndarray  # shape grid-sites x components
+    values: np.ndarray  # shape (d, *sites): values[i] is component i, a C-contiguous scalar field
 
     def __post_init__(self):
         d = self.system.components
-        want = (self.grid.n,) * self.grid.dim + (d,)
+        want = (d,) + (self.grid.n,) * self.grid.dim
         if self.values.shape != want:
-            raise ValueError(f"values shape {self.values.shape}, expected {want}")
+            raise ValueError(f"values shape {self.values.shape}, expected {want} (components, *sites)")
         if self.rep not in ("position", "momentum"):
             raise ValueError(f"bad representation {self.rep!r}")
 
@@ -226,15 +239,15 @@ class SpinorField:
     def apply_mask(self, mask: RegionMask) -> "SpinorField":
         if self.rep != "position":
             raise ValueError("masks act in position representation")
-        return replace(self, values=self.values * mask.sites[..., None])
+        return replace(self, values=self.values * mask.sites)
 
     def probability(self, mask: RegionMask) -> float:
         """||1_Delta psi||^2 for a normalized field: localization probability."""
         if self.rep != "position":
             raise ValueError("masks act in position representation")
         w = self.grid.cell_measure(self.rep)
-        inside = self.values[mask.sites, :]
-        return float(w * np.vdot(inside, inside).real)
+        inside = (comp[mask.sites] for comp in self.values)  # one component's cells at a time
+        return float(w * sum(np.vdot(c, c).real for c in inside))
 
     # --- support helpers ------------------------------------------------------
     def support_bounds(self, mass_tol: float = 1e-12):
@@ -267,9 +280,10 @@ class SpinorField:
 
 
 def site_density(values: np.ndarray) -> np.ndarray:
-    """|psi|^2 at each site: re^2 + im^2 summed over the spinor components (no abs, no sqrt)."""
-    f = np.ascontiguousarray(values, dtype=complex).view(float)
-    return np.einsum("...k,...k->...", f, f)
+    """|psi|^2 at each site of a (d, *sites) array: re^2 + im^2 summed over the components (no abs, no sqrt)."""
+    f = np.ascontiguousarray(values, dtype=complex).view(float).reshape(len(values), -1)
+    s = np.einsum("kj,kj->j", f, f)  # the squares summed over the components, re and im interleaved
+    return (s[0::2] + s[1::2]).reshape(values.shape[1:])
 
 
 @functools.lru_cache(maxsize=2)  # the forward and inverse factors of one grid
@@ -281,31 +295,27 @@ def _axis_factors(g: Grid, sign: int) -> tuple:
     """
     p = g.paxis()
     w = (g.dx if sign < 0 else g.n * g.dp) / np.sqrt(2.0 * np.pi)
-    out = []
-    for k in range(g.dim):
-        f = w * np.exp(sign * 1j * p * g.origin[k])
+    out = tuple(w * np.exp(sign * 1j * p * g.origin[k]) for k in range(g.dim))
+    for f in out:
         f.setflags(write=False)
-        out.append(f)
-    return tuple(out)
+    return out
 
 
 def _fft_sites(transform, vals: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """transform (np.fft.fft or ifft) along each site axis, last first as fftn does, into out.
+    """transform (np.fft.fft or ifft) along the site axes -1, -2, -3 in fftn's order, into out.
 
     The passes after the first run in place, so an n-d transform allocates nothing
-    (out= needs numpy >= 2.0); the bits are fftn's / ifftn's.
+    (out= needs numpy >= 2.0); the bits are fftn's / ifftn's over the site axes.
     """
-    for ax in reversed(range(dim)):
+    for ax in range(-1, -dim - 1, -1):
         vals = transform(vals, axis=ax, out=out)
     return vals
 
 
 def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
-    """Origin phase times scale, broadcast to the value array (the 3D product is per call)."""
+    """Origin phase times scale on the sites, broadcast over the components (the 3D product is per call)."""
     f = _axis_factors(g, sign)
-    if g.dim == 1:
-        return f[0][:, None]
-    return (f[0][:, None, None] * f[1][:, None] * f[2])[..., None]
+    return f[0] if g.dim == 1 else f[0][:, None, None] * f[1][:, None] * f[2]
 
 
 #: exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)) on
@@ -351,7 +361,7 @@ def _fine_size(m: int) -> int:
 def nufft1(theta: np.ndarray, strengths: np.ndarray, m: int) -> np.ndarray:
     """Type-1 nonuniform DFT f_j = sum_k c_k e^{i j theta_k}, j = 0..m-1.
 
-    theta has shape (K,), strengths (K, d), m >= 1; the result has shape (m, d).
+    theta has shape (K,), strengths (K, d) (a (d, K) field array passes transposed), m >= 1; out (m, d).
     Each source is spread with the ES kernel phi(x / alpha), alpha = w h / 2,
     onto the w = 15 cells it covers of a fine grid of M_r >= 5m/2 points (a
     power of two, cell h = 2 pi / M_r).  One inverse FFT per component gives
@@ -528,7 +538,7 @@ def translate(field: SpinorField, shift: float) -> SpinorField:
         raise ValueError("translate acts in position representation")
     g = field.grid
     cells = int(round(shift / g.dx))
-    return replace(field, values=np.roll(field.values, cells, axis=g.dim - 1))
+    return replace(field, values=np.roll(field.values, cells, axis=-1))
 
 
 def make_bump(
@@ -562,9 +572,8 @@ def make_bump(
         prof = prof * np.exp(1j * momentum * mesh[grid.dim - 1])
     spinor = np.asarray(spinor, dtype=complex)
     spinor = spinor / np.linalg.norm(spinor)
-    vals = prof[..., None] * spinor
-    out = SpinorField(grid, system, "position", vals.astype(complex))
-    return out.normalized()
+    vals = prof * spinor.reshape((-1,) + (1,) * grid.dim)  # profile first: with FMA, complex products round by order
+    return SpinorField(grid, system, "position", vals).normalized()
 
 
 def band_edge(field: SpinorField) -> float:
@@ -597,7 +606,7 @@ def dilate(field: SpinorField, lam: float) -> SpinorField:
         raise GuardViolation(f"lam * band = {lam * edge:.3g} exceeds Nyquist {nyq:.3g}")
     psi = field.to_position()
     theta = -lam * g.dp * g.axis(0)
-    strengths = psi.values * (np.exp(-0.5j * g.n * theta) * (g.dx / np.sqrt(2.0 * np.pi)))[:, None]
-    vals = lam**0.5 * nufft1(theta, strengths, g.n)
-    # row m holds p = dp (m - n/2); the grid's FFT order puts p = dp (k - n) at k >= n/2
-    return replace(field, values=np.roll(vals, g.n // 2, axis=0))
+    strengths = psi.values * (np.exp(-0.5j * g.n * theta) * (g.dx / np.sqrt(2.0 * np.pi)))
+    vals = lam**0.5 * nufft1(theta, strengths.T, g.n).T
+    # column m holds p = dp (m - n/2); the grid's FFT order puts p = dp (k - n) at k >= n/2
+    return replace(field, values=np.ascontiguousarray(np.roll(vals, g.n // 2, axis=1)))

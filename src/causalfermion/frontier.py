@@ -282,14 +282,9 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     ramp[:i0] = 0.0
     ramp[i0 : i0 + k] = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, k)))
 
-    def mollify(f: SpinorField) -> SpinorField:
-        out = f * 1.0
-        out.values[:] = out.values * ramp[:, None]
-        return out.normalized()
-
-    cur = mollify(field)
+    cur = (field * ramp).normalized()  # the ramp is site-shaped: it scales every component
     for _ in range(_SOFTEN_CYCLES):
-        cur = mollify(late_change_polish(cur, alpha))
+        cur = (late_change_polish(cur, alpha) * ramp).normalized()
     return late_change_polish(cur, alpha)
 
 

@@ -68,9 +68,8 @@ def random_positive_state(grid: Grid, system, seed: int) -> SpinorField:
     d = system.components
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))
-    vals = (env * phase)[..., None] * spin
-    phi = SpinorField(grid, system, "momentum", vals.astype(complex))
-    return positive_energy_project(phi).normalized()
+    vals = (env * phase) * spin.reshape((d,) + (1,) * grid.dim)  # envelope first, as in field.make_bump
+    return positive_energy_project(SpinorField(grid, system, "momentum", vals)).normalized()
 
 
 #: deepest measurement cascade whose accumulated roundoff stays negligible: the

@@ -67,8 +67,7 @@ class TestCausalEvolution:
         p = grid.paxis()
 
         def h_apply(v):
-            out = p[:, None] * np.einsum("ij,kj->ki", al.ALPHA[2], v)
-            return out + np.einsum("ij,kj->ki", al.BETA, v)
+            return p * (al.ALPHA[2] @ v) + al.BETA @ v
 
         v = phi.values.copy()
         dt = 1e-4
@@ -173,13 +172,13 @@ class TestBoost:
         boosted = dyn.boost_e3(psi, rho)
         x = grid.axis(0)
         sel = np.abs(x) < 2.0
-        amp = psi.values[np.argmin(np.abs(x)), 0].real / np.exp(-1.0)
+        amp = psi.values[0, np.argmin(np.abs(x))].real / np.exp(-1.0)
         scaled = np.where(
             np.abs(np.exp(rho) * x[sel]) < width,
             amp * np.exp(-width**2 / np.maximum(width**2 - (np.exp(rho) * x[sel]) ** 2, 1e-300)),
             0.0,
         )
-        assert np.max(np.abs(boosted.values[sel, 0] - np.exp(rho / 2) * scaled)) <= 1e-8
+        assert np.max(np.abs(boosted.values[0, sel] - np.exp(rho / 2) * scaled)) <= 1e-8
 
     def test_guard(self):
         psi = dirac_bump(n=1024, length=8.0, width=1.0, guard=0.5)
@@ -193,14 +192,15 @@ def dense_boost_values(field, rho, x_out):
     phi = field.to_momentum()
     p = g.paxis()
     eps = np.sqrt(p**2 + field.system.m**2)
-    hphi = np.array([field.system.hamiltonian((0.0, 0.0, pk)) @ v for pk, v in zip(p, phi.values)])
+    sites = phi.values.T  # (n, d): one spinor per row
+    hphi = np.array([field.system.hamiltonian((0.0, 0.0, pk)) @ v for pk, v in zip(p, sites)])
     y0 = -np.sinh(rho) * x_out
     y3 = np.cosh(rho) * x_out
     carrier = np.exp(1j * np.outer(y3, p))
     c = np.cos(np.outer(y0, eps))
     s = y0[:, None] * al.sinc(np.outer(y0, eps))
-    out = g.dp / np.sqrt(2.0 * np.pi) * ((carrier * c) @ phi.values - 1j * (carrier * s) @ hphi)
-    return np.einsum("ij,xj->xi", field.system.boost_rep(al.boost_matrix(rho)), out)
+    out = g.dp / np.sqrt(2.0 * np.pi) * ((carrier * c) @ sites - 1j * (carrier * s) @ hphi)
+    return np.einsum("ij,xj->ix", field.system.boost_rep(al.boost_matrix(rho)), out)
 
 
 def _rel_err(a, b):
@@ -229,7 +229,7 @@ class TestBoostTransform:
 
     def test_zero_and_one_output(self):
         psi = dirac_bump(n=512)
-        assert dyn.boost_values(psi, 0.7, np.array([])).shape == (0, 4)
+        assert dyn.boost_values(psi, 0.7, np.array([])).shape == (4, 0)
         one = np.array([0.4])
         assert _rel_err(dyn.boost_values(psi, 0.7, one), dense_boost_values(psi, 0.7, one)) <= 1e-10
 
@@ -269,7 +269,7 @@ class TestMomentumOperator:
     @staticmethod
     def random_momentum_field(grid, system, seed):
         r = np.random.default_rng(seed)
-        shape = (grid.n,) * grid.dim + (system.components,)
+        shape = (system.components,) + (grid.n,) * grid.dim
         vals = r.normal(size=shape) + 1j * r.normal(size=shape)
         return fd.SpinorField(grid, system, "momentum", vals)
 
@@ -282,9 +282,10 @@ class TestMomentumOperator:
             momenta = [(0.0, 0.0, pk) for pk in grid.paxis()]  # the 1D lane runs along e3
         else:
             momenta = np.stack(np.meshgrid(*(grid.paxis(),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-        flat = phi.values.reshape(-1, system.components)
+        flat = phi.values.reshape(system.components, -1).T  # one spinor per site
         want = np.array([system.hamiltonian(p) @ v for p, v in zip(momenta, flat)])
-        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
+        got = got.reshape(system.components, -1).T
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.2), fd.Grid(3, 8, 0.5)], ids=["1d", "3d"])
     @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
@@ -294,32 +295,32 @@ class TestMomentumOperator:
         minus = dyn.energy_projector_apply(phi, -1)
         scale = np.max(np.abs(phi.values))
         assert np.max(np.abs(plus + minus - phi.values)) <= 1e-14 * scale
-        origin = (0,) * grid.dim
+        origin = (slice(None),) + (0,) * grid.dim  # every component at p = 0
         # the massless p = 0 cell is pinned at 1/2, so it is no projector there
         regular = np.ones((grid.n,) * grid.dim, dtype=bool)
-        regular[origin] = system.m > 0.0
+        regular[origin[1:]] = system.m > 0.0
         for eta, once in ((+1, plus), (-1, minus)):
             twice = dyn.energy_projector_apply(dataclasses.replace(phi, values=once), eta)
-            assert np.max(np.abs(twice - once)[regular]) <= 1e-13 * scale
+            assert np.max(np.abs(twice - once)[:, regular]) <= 1e-13 * scale
         if system.m == 0.0:
             assert np.array_equal(plus[origin], 0.5 * phi.values[origin])
             assert np.array_equal(minus[origin], 0.5 * phi.values[origin])
 
 
 def dense_h_apply(field, vals):
-    """Oracle: h(p) vals as a sum of dense (..., d) @ (d, d) products, one per term."""
+    """Oracle: h(p) vals as a sum of dense (d, d) @ (d, sites) products, one per term."""
     g, s = field.grid, field.system
-    mesh = [pk[..., None] for pk in g.momentum_mesh()]
+    mesh = g.momentum_mesh()
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     if isinstance(s, al.Dirac):
         terms = [(pk, al.ALPHA[k]) for pk, k in zip(mesh, axes)] + [(s.m, al.BETA)]
     else:
         terms = [(s.chi * pk, al.SIGMA[k]) for pk, k in zip(mesh, axes)]
     (c0, m0), *rest = terms
-    out = vals @ m0.T
+    out = (m0 @ vals.reshape(len(vals), -1)).reshape(vals.shape)
     out *= c0
     for c, mat in rest:
-        term = vals @ mat.T
+        term = (mat @ vals.reshape(len(vals), -1)).reshape(vals.shape)
         term *= c
         out += term
     return out
@@ -356,7 +357,7 @@ def oracle_momentum(field):
     """phi(p) = (2 pi)^{-dim/2} sum_x dx^dim e^{-i p.x} psi(x) as a direct sum (no FFT, no cached phase)."""
     g = field.grid
     _, kern = _dft_kernels(g)
-    spec = "ax,xd->ad" if g.dim == 1 else "ax,by,cz,xyzd->abcd"
+    spec = "ax,dx->da" if g.dim == 1 else "ax,by,cz,dxyz->dabc"
     return np.einsum(spec, *kern, field.values, optimize=True) * (g.dx / np.sqrt(2.0 * np.pi)) ** g.dim
 
 
@@ -381,15 +382,15 @@ def oracle_evolve(field, t, eta=None):
         phase = np.exp(1j * t * eta * np.array([al.energy(np.asarray(pk), system.m) for pk in momenta]))
         u = phase[:, None, None] * np.eye(system.components)
     d = system.components
-    phi = np.einsum("sij,sj->si", u, phi.reshape(-1, d)).reshape(phi.shape)
-    back = "xa,ad->xd" if g.dim == 1 else "xa,yb,zc,abcd->xyzd"
+    phi = np.einsum("sij,js->is", u, phi.reshape(d, -1)).reshape(phi.shape)
+    back = "xa,da->dx" if g.dim == 1 else "xa,yb,zc,dabc->dxyz"
     vals = np.einsum(back, *(k.conj().T for k in kern), phi, optimize=True)
     return vals * (g.dp / np.sqrt(2.0 * np.pi)) ** g.dim
 
 
 def random_position_field(grid, system, seed):
     r = np.random.default_rng(seed)
-    shape = (grid.n,) * grid.dim + (system.components,)
+    shape = (system.components,) + (grid.n,) * grid.dim
     return fd.SpinorField(grid, system, "position", r.normal(size=shape) + 1j * r.normal(size=shape))
 
 
@@ -477,7 +478,7 @@ class TestMultiplier:
         # the multiplier as written before the stream: (h phi)(i sinc) + cos phi; addition commutes
         eps = dyn._energy(grid, system.m)
         s = np.divide(np.sin(t * eps), eps, out=np.full_like(eps, t), where=eps > 0)
-        sum_first = dyn.h_apply(phi, kept) * (1j * s)[..., None] + np.cos(t * eps)[..., None] * kept
+        sum_first = dyn.h_apply(phi, kept) * (1j * s) + np.cos(t * eps) * kept
         assert np.array_equal(fresh, sum_first)
         # written over h(p) phi, as the last time of a stream is
         over = dyn.evolution_multiplier_apply(phi, t, h_phi, out=h_phi)

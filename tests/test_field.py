@@ -14,7 +14,7 @@ rng = np.random.default_rng(7)
 
 def random_field(grid, system, seed):
     r = np.random.default_rng(seed)
-    shape = (grid.n,) * grid.dim + (system.components,)
+    shape = (system.components,) + (grid.n,) * grid.dim
     vals = r.normal(size=shape) + 1j * r.normal(size=shape)
     return fd.SpinorField(grid, system, "position", vals).normalized()
 
@@ -38,11 +38,11 @@ class TestFourierDuality:
 
     def test_single_spike_flat_modulus(self):
         grid = fd.Grid(1, 128, 8.0 / 128)
-        vals = np.zeros((128, 2), dtype=complex)
-        vals[40, 0] = 1.0
+        vals = np.zeros((2, 128), dtype=complex)
+        vals[0, 40] = 1.0
         psi = fd.SpinorField(grid, al.Weyl(+1), "position", vals)
         phi = psi.to_momentum()
-        mod = np.abs(phi.values[:, 0])
+        mod = np.abs(phi.values[0])
         assert np.max(mod) - np.min(mod) <= 1e-12 * np.max(mod)
 
     def test_gaussian_pair(self):
@@ -50,13 +50,13 @@ class TestFourierDuality:
         grid = fd.Grid(1, 1024, 40.0 / 1024)
         s = 1.3
         x = grid.axis(0)
-        vals = np.zeros((grid.n, 2), dtype=complex)
-        vals[:, 0] = np.exp(-(x**2) / (2 * s * s))
+        vals = np.zeros((2, grid.n), dtype=complex)
+        vals[0] = np.exp(-(x**2) / (2 * s * s))
         psi = fd.SpinorField(grid, al.Weyl(+1), "position", vals)
         phi = psi.to_momentum()
         p = grid.paxis()
         expect = s * np.exp(-(p**2) * s * s / 2.0)
-        assert np.max(np.abs(phi.values[:, 0] - expect)) <= 1e-10
+        assert np.max(np.abs(phi.values[0] - expect)) <= 1e-10
 
     def test_wrong_representation(self):
         grid = fd.Grid(1, 64, 1.0)
@@ -68,7 +68,7 @@ class TestFourierDuality:
                              ids=["1d", "32^3"])
     def test_transforms_are_fftn_times_the_factor_bit_for_bit(self, grid):
         psi = random_field(grid, al.Dirac(1.0), 3)
-        axes = tuple(range(grid.dim))
+        axes = tuple(range(1, grid.dim + 1))  # the site axes, after the component axis
         kept = psi.values.copy()
         phi = psi.to_momentum()
         assert np.array_equal(phi.values, np.fft.fftn(psi.values, axes=axes) * fd._fourier_factor(grid, -1))
@@ -80,6 +80,60 @@ class TestFourierDuality:
         # into the momentum array itself: the same bits, and that array is the result
         back = phi.to_position(out=phi.values)
         assert back.values is phi.values and np.array_equal(back.values, want)
+
+
+class TestLayout:
+    """Values are stored components first, (d, *sites), and every component plane stays contiguous."""
+
+    GRIDS = [fd.Grid(1, 4096, 24.0 / 4096), fd.Grid(3, 16, 8.0 / 16)]
+
+    @pytest.mark.parametrize("grid, system", [(fd.Grid(3, 8, 0.5), al.Dirac(1.0)),
+                                              (fd.Grid(1, 64, 0.25), al.Weyl(+1))], ids=["3d", "1d"])
+    def test_rejects_sites_first_values(self, grid, system):
+        d = system.components
+        sites_first = np.zeros((grid.n,) * grid.dim + (d,), dtype=complex)
+        want = re.escape(f"expected {(d,) + (grid.n,) * grid.dim}")
+        with pytest.raises(ValueError, match=want):
+            fd.SpinorField(grid, system, "position", sites_first)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["lane", "16^3"])
+    @pytest.mark.parametrize("system", [al.Dirac(1.0), al.Weyl(-1)], ids=["dirac", "weyl-"])
+    def test_component_planes_stay_contiguous(self, grid, system):
+        psi = random_field(grid, system, 2)
+        phi = psi.to_momentum()
+        h_phi = dyn.h_apply(phi, phi.values)
+        outputs = {
+            "to_momentum": phi.values,
+            "to_position": phi.to_position().values,
+            "h_apply": h_phi,
+            "energy_projector_apply": dyn.energy_projector_apply(phi, +1),
+            "evolution_multiplier_apply": dyn.evolution_multiplier_apply(phi, 0.6, h_phi),
+        }
+        for name, vals in outputs.items():
+            assert vals.shape == (system.components,) + (grid.n,) * grid.dim, name
+            assert all(plane.flags.c_contiguous for plane in vals), name
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["lane", "16^3"])
+    def test_site_density_is_the_sum_over_components(self, grid):
+        # 2 d = 8 nonnegative squares summed in another order: within 7 eps of the component loop
+        vals = random_field(grid, al.Dirac(1.0), 5).values
+        want = sum(c.real**2 + c.imag**2 for c in vals)
+        assert np.all(np.abs(fd.site_density(vals) - want) <= 7 * np.finfo(float).eps * want)
+
+
+def test_grid_axis_is_one_read_only_array_per_axis():
+    grid = fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9))
+    for k in range(3):
+        x = grid.axis(k)
+        assert x is grid.axis(k)
+        assert np.array_equal(x, grid.origin[k] + grid.dx * np.arange(grid.n))
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    # an equal grid reads the same axis: the cache is keyed by value
+    assert fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9)).axis(1) is grid.axis(1)
+    # and it keeps one grid's axes only, so no 2^15-point axis outlives the op that read it
+    fd.Grid(1, 64, 0.25).axis(0)
+    assert fd._axes.cache_info().currsize == 1
 
 
 def old_support_bounds(field, ax, mass_tol):
@@ -166,11 +220,11 @@ class TestBump:
         psi = fd.make_bump(grid, 0.3, 1.1, [1, 2j, 0, 0], al.Dirac(1.0))
         assert abs(psi.norm() - 1.0) <= 1e-13
         x = grid.axis(0)
-        nonzero = np.nonzero(np.abs(psi.values[:, 0]) > 0.0)[0]
+        nonzero = np.nonzero(np.abs(psi.values[0]) > 0.0)[0]
         assert abs(x[nonzero[0]] - (0.3 - 1.1)) <= grid.dx
         assert abs(x[nonzero[-1]] - (0.3 + 1.1)) <= grid.dx
         outside = (x < 0.3 - 1.1) | (x > 0.3 + 1.1)
-        assert np.all(psi.values[outside] == 0.0)
+        assert np.all(psi.values[:, outside] == 0.0)
 
     def test_two_disjoint_bumps_orthogonal(self):
         grid = fd.Grid(1, 1024, 16.0 / 1024)
@@ -200,7 +254,7 @@ class TestDilation:
         phi = self.grid_state()
         g = phi.grid
         kernel = np.exp(-1j * np.outer(lam * g.paxis(), g.axis(0))) * (g.dx / np.sqrt(2.0 * np.pi))
-        want = lam**0.5 * (kernel @ phi.to_position().values)
+        want = lam**0.5 * (phi.to_position().values @ kernel.T)
         got = fd.dilate(phi, lam).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -232,8 +286,8 @@ class TestDilation:
 
     def test_band_guard(self):
         grid = fd.Grid(1, 128, 4.0 / 128)
-        vals = np.zeros((128, 2), dtype=complex)
-        vals[:, 0] = rng.normal(size=128)  # full-band noise
+        vals = np.zeros((2, 128), dtype=complex)
+        vals[0] = rng.normal(size=128)  # full-band noise
         phi = fd.SpinorField(grid, al.Weyl(+1), "position", vals).normalized().to_momentum()
         with pytest.raises(GuardViolation, match=r"^lam \* band = .* exceeds Nyquist "):
             fd.dilate(phi, 3.0)
@@ -394,4 +448,4 @@ def test_translate_exact_roll():
     grid = fd.Grid(1, 256, 8.0 / 256)
     psi = fd.make_bump(grid, -1.0, 0.8, [1, 0], al.Weyl(+1))
     shifted = fd.translate(psi, 10 * grid.dx)
-    assert np.array_equal(shifted.values, np.roll(psi.values, 10, axis=0))
+    assert np.array_equal(shifted.values, np.roll(psi.values, 10, axis=1))
