@@ -44,8 +44,8 @@ def _unimodular(a) -> np.ndarray:
     return a
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol)
+def is_unitary(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARY_TOL)
 
 
 def minkowski_square(k: np.ndarray) -> float:

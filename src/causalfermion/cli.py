@@ -113,7 +113,7 @@ KEYS = {
              "finite, >= 0 and at most the band edge (pi n / length, or k_max for pol)",
              dict.fromkeys(_LANE + _LATE + ("pol", "cascade"), 1.0)),
     # support_edge takes a mass-fraction tolerance in (0, 1e-2] only
-    "edge_tau": (float, lambda v, _: 0 < v <= 1e-2, "in (0, 1e-2]", dict.fromkeys(_LANE + ("boost",), 1e-6)),
+    "edge_tau": (float, lambda v, _: 0 < v <= 1e-2, "in (0, 1e-2]", dict.fromkeys(_LANE, 1e-6)),
     # fit_tent needs at least five samples of the frontier profile
     "n_times": (int, lambda v, _: 5 <= v <= _MAX_SIZE, f"in [5, {_MAX_SIZE}]", {"frontier": 17}),
     "target_t": (float, *_POSITIVE, dict.fromkeys(_LATE, 1.5)),
@@ -182,8 +182,6 @@ def parse_config_text(text: str) -> dict:
 def _coerce(key: str, raw, typ):
     try:
         if typ is list:
-            if isinstance(raw, list):
-                return [float(v) for v in raw]
             return [float(v) for v in str(raw).replace(",", " ").split()]
         if typ is int:
             return int(str(raw))
@@ -198,7 +196,11 @@ def resolve_config(command: str, path: str | None, overrides) -> dict:
     schema = SCHEMAS[command]
     raw = {}
     if path:
-        raw.update(parse_config_text(Path(path).read_text()))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raw.update(parse_config_text(text))
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
@@ -327,7 +329,7 @@ def _build_late_change(cfg):
     grid = fd.Grid(1, cfg["n"], cfg["length"] / cfg["n"])
     system = al.Dirac(cfg["mass"])
     psi0 = fd.make_bump(grid, 0.0, _SEED_WIDTH, _spinor(system), system, guard=3.3)
-    eta, t_eb = fr.make_seed_with_dates(psi0, cfg["target_t"], +1)
+    eta, t_eb = fr.make_seed_with_dates(psi0, cfg["target_t"])
     try:
         psi = fr.make_late_change_state(eta, cfg["window"], +1, dates=t_eb)
     except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so no check in KEYS can bound window
@@ -385,7 +387,7 @@ def run_radial(cfg, out: Path) -> None:
         quad = wr.evolved_quadrature(profile, chi, t)
         csv.row(t, wr.ball_probability_evolved(quad), wr.slab_probability_evolved(quad), *wr.splitting_norms(quad))
     print(csv.write())
-    err = wr.crosscheck_against_spectral(profile, chi, 1.0)
+    err = wr.crosscheck_against_spectral(profile, 1.0)
     _require(err <= 1e-5, f"closed-form vs spectral discrepancy {err}")
 
 
@@ -536,7 +538,7 @@ def run_selftest(cfg, out: Path) -> None:
         2.0,
         2048,
     ).normalized()
-    check("weyl_crosscheck", wr.crosscheck_against_spectral(prof, +1, 1.0) <= 1e-5)
+    check("weyl_crosscheck", wr.crosscheck_against_spectral(prof, 1.0) <= 1e-5)
     lhs = cg.LightconeRegion.h(cg.Interval.le(1.0)).intersect(
         cg.LightconeRegion.k(cg.Interval.gt(2.0))
     ).perp()

@@ -3,7 +3,7 @@
 The grid operator of a system lives here: ``h_apply`` applies h(p)
 (alpha.p + beta m or chi sigma.p, read from the matrices the system class
 declares; alpha_3 / sigma_3 on the 1D lane along e3; each matrix a signed
-component permutation), ``_energy`` gives eps(p), and
+component permutation), ``Grid.energy`` gives eps(p), and
 ``energy_projector_apply`` applies pi^eta(p) = (1 + eta h(p)/eps(p))/2
 with h/eps = 0 where eps = 0.  The propagators, the boost and the POL
 projector in ``pol`` are all built on them.
@@ -15,14 +15,12 @@ around the multiplier
 
 valid because h(p)^2 = eps(p)^2 I; sin(t eps)/eps is its limit t where
 eps = 0.  The Newton-Wigner (acausal) foil multiplies by the scalar
-exp(i t eta eps(p)) instead.  The tables that depend only on the frozen grid,
-the mass and the time are built once and returned read-only from bounded
-caches: the momentum mesh per grid (``_momentum_mesh``, sparse in 3D), eps(p)
-per (grid, mass) (``_energy``) and the multiplier's rows cos(t eps) and
-sin(t eps)/eps per (grid, mass, t) (``_evolution_rows``, two entries: the
-+-alpha pair of a late-change polish) here, and the per-axis Fourier factors,
-origin phase times the transform's scale, per grid in ``field`` (O(n) per
-axis; the 3D product is formed per call and not kept).
+exp(i t eta eps(p)) instead.  Every table that depends only on the grid
+and the mass is read from ``field`` (the momentum mesh, eps(p) and the
+Fourier factors; see ``Grid``).  The one table kept here is keyed by the
+time as well: the multiplier's rows cos(t eps) and sin(t eps)/eps per
+(grid, mass, t), read-only in a two-entry cache (``_evolution_rows``: the
++-alpha pair of a late-change polish).
 
 Every causal evolution is a stream (``evolve_times``): one guard check at
 max |t|, one forward FFT and one h(p) phi serve every time, and each time
@@ -56,7 +54,7 @@ import numpy as np
 from . import algebra as al
 from .causalgeo import influence_strip
 from .errors import GuardViolation
-from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1
+from .field import EPS_LEAK, Grid, RegionMask, SpinorField, even_step, nufft1, read_only
 
 
 def _signed_permutation(mat: np.ndarray) -> tuple:
@@ -84,7 +82,7 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     g, s = field.grid, field.system
     axes = (2,) if g.dim == 1 else (0, 1, 2)
     momentum, mass = _h_tables(type(s))
-    terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(_momentum_mesh(g), axes)]
+    terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(g.momentum_mesh(), axes)]
     if mass is not None:
         terms.append((s.m, mass))
     out = np.empty(vals.shape, dtype=complex)
@@ -97,32 +95,12 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=2)
-def _momentum_mesh(grid: Grid) -> tuple:
-    """``Grid.momentum_mesh()``, read-only (one per grid; sparse in 3D, so O(n) per axis)."""
-    mesh = grid.momentum_mesh()
-    for pk in mesh:
-        pk.setflags(write=False)
-    return tuple(mesh)
-
-
-@functools.lru_cache(maxsize=2)
-def _energy(grid: Grid, m: float) -> np.ndarray:
-    """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh of grid, read-only (one table per grid and mass)."""
-    eps = np.sqrt(sum(pk * pk for pk in _momentum_mesh(grid)) + m * m)
-    eps.setflags(write=False)
-    return eps
-
-
 @functools.lru_cache(maxsize=2)  # the +-alpha pair that a late-change polish alternates
 def _evolution_rows(grid: Grid, m: float, t: float) -> tuple:
     """(cos(t eps), sin(t eps) / eps) on the momentum mesh, read-only; sin(t eps) / eps = t where eps = 0."""
-    eps = _energy(grid, m)
+    eps = grid.energy(m)
     te = t * eps
-    c, s = np.cos(te), np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0)
-    c.setflags(write=False)
-    s.setflags(write=False)
-    return c, s
+    return read_only(np.cos(te), np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0))
 
 
 def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
@@ -132,7 +110,7 @@ def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
     spectrally ambiguous, and h(0) = 0 leaves it at the projector average 1/2,
     keeping pi^+ + pi^- = I exact.
     """
-    eps = _energy(field.grid, field.system.m)
+    eps = field.grid.energy(field.system.m)
     eta_inv = np.divide(eta, eps, out=np.zeros_like(eps), where=eps > 0)
     out = h_apply(field, field.values)
     out *= eta_inv
@@ -210,7 +188,7 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
-    phi.values *= np.exp(1j * t * eta * _energy(phi.grid, phi.system.m))
+    phi.values *= np.exp(1j * t * eta * phi.grid.energy(phi.system.m))
     return phi.to_position(out=phi.values)
 
 
@@ -261,7 +239,7 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
         return np.zeros((field.system.components, 0), dtype=complex)
     delta = even_step(x_out)
     phi = field.to_momentum()
-    p, eps = g.paxis(), _energy(g, phi.system.m)
+    p, eps = g.paxis(), g.energy(phi.system.m)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
     plus = energy_projector_apply(phi, +1)
     proj = np.concatenate([plus, phi.values - plus], axis=1)

@@ -7,6 +7,11 @@ Values are stored components first, shape (d, *sites): each component is a
 C-contiguous scalar field, and a site-shaped table (a Fourier factor, eps(p),
 a mask) broadcasts over the leading component axis as it stands.
 
+Every table of a grid is built here, once, and handed out read-only from a
+bounded cache: the axes, momenta, momentum mesh and Fourier factors, O(n) per
+axis, of one grid at a time (``Grid._tables``), and eps(p) of two (grid, mass)
+pairs (``Grid.energy``; |p| is eps at m = 0).
+
 Measure conventions: position cell weight dx^dim, momentum cell weight dp^dim
 with dp = 2 pi / (N dx).  The Fourier pair
 
@@ -57,7 +62,7 @@ class Grid:
             object.__setattr__(self, "origin", (-self.n * self.dx / 2.0,) * self.dim)
         elif len(self.origin) != self.dim:
             raise ValueError("origin must have one entry per axis")
-        # a tuple keeps the grid hashable: the spectral tables are cached per grid
+        # a tuple keeps the grid hashable: its tables are cached per grid
         object.__setattr__(self, "origin", tuple(self.origin))
 
     @property
@@ -69,11 +74,12 @@ class Grid:
         return 2.0 * np.pi / self.length
 
     def axis(self, k: int = 0) -> np.ndarray:
-        """Cell centers origin_k + j dx along axis k, read-only (``_axes``)."""
-        return _axes(self)[k]
+        """Cell centers origin_k + j dx along axis k, read-only."""
+        return self._tables()["axes"][k]
 
     def paxis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """Momenta 2 pi fftfreq(n, dx), in the FFT's order, read-only."""
+        return self._tables()["p"]
 
     def cell_measure(self, rep: str) -> float:
         w = self.dx if rep == "position" else self.dp
@@ -90,38 +96,58 @@ class Grid:
         ax = [self.axis(k) for k in range(3)]
         return np.meshgrid(*ax, indexing="ij", sparse=True)
 
-    def momentum_mesh(self):
-        p = self.paxis()
-        if self.dim == 1:
-            return (p,)
-        return np.meshgrid(p, p, p, indexing="ij", sparse=True)
+    def momentum_mesh(self) -> tuple:
+        """The momentum mesh, one paxis per axis (sparse in 3D), read-only."""
+        return self._tables()["mesh"]
 
-    def abs_p(self) -> np.ndarray:
-        """|p| on the momentum mesh (shape (n,) or (n, n, n))."""
-        return np.sqrt(sum(m**2 for m in self.momentum_mesh()))
+    @functools.lru_cache(maxsize=1)  # an op reads the tables of one grid; none is kept past the next grid
+    def _tables(self) -> dict:
+        """Every table of the grid alone, read-only and O(n) per axis.
+
+        "axes" and "p" serve axis and paxis, "mesh" momentum_mesh, and "factors"[sign]
+        the per-axis Fourier factors e^{sign i p origin_k} w.  w is the per-axis scale
+        of the transform pair: dx / sqrt(2 pi) for the forward FFT (sign -1) and
+        n dp / sqrt(2 pi) for the inverse (sign +1).
+        """
+        p = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        axes = tuple(self.origin[k] + self.dx * np.arange(self.n) for k in range(self.dim))
+        mesh = (p,) if self.dim == 1 else tuple(np.meshgrid(p, p, p, indexing="ij", sparse=True))
+        factors = {sign: read_only(*(w / np.sqrt(2.0 * np.pi) * np.exp(sign * 1j * p * o) for o in self.origin))
+                   for sign, w in ((-1, self.dx), (+1, self.n * self.dp))}
+        read_only(p, *axes, *mesh)
+        return {"axes": axes, "p": p, "mesh": mesh, "factors": factors}
+
+    @functools.lru_cache(maxsize=2)  # the system's mass and m = 0 (|p|): a cascade reads both
+    def energy(self, m: float) -> np.ndarray:
+        """eps(p) = sqrt(|p|^2 + m^2) on the momentum mesh, read-only; |p| at m = 0, where adding 0.0 is exact."""
+        return read_only(np.sqrt(sum(pk * pk for pk in self.momentum_mesh()) + m * m))[0]
 
 
-@functools.lru_cache(maxsize=1)  # an op reads the axes of one grid; none is kept past the next grid
-def _axes(g: Grid) -> tuple:
-    """Every Grid.axis of g, read-only."""
-    axes = tuple(g.origin[k] + g.dx * np.arange(g.n) for k in range(g.dim))
-    for x in axes:
-        x.setflags(write=False)
-    return axes
+def read_only(*arrays) -> tuple:
+    """The arrays, marked read-only: a table that a cache hands to every caller must not be written."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass
 class RegionMask:
-    """Boolean site mask with set algebra; built from half-spaces, strips, balls."""
+    """Boolean site mask with set algebra; built from half-spaces, strips, balls.  It acts on its own grid only."""
 
     grid: Grid
     sites: np.ndarray
 
     def __and__(self, other: "RegionMask") -> "RegionMask":
-        return RegionMask(self.grid, self.sites & other.sites)
+        return RegionMask(self.grid, self.sites & other.sites_on(self.grid))
 
     def __or__(self, other: "RegionMask") -> "RegionMask":
-        return RegionMask(self.grid, self.sites | other.sites)
+        return RegionMask(self.grid, self.sites | other.sites_on(self.grid))
+
+    def sites_on(self, grid: Grid) -> np.ndarray:
+        """The sites, for use on grid; ValueError unless it is the mask's own (even if the shapes would broadcast)."""
+        if grid != self.grid:
+            raise ValueError(f"mask built on {self.grid} used on {grid}")
+        return self.sites
 
     def __invert__(self) -> "RegionMask":
         return RegionMask(self.grid, ~self.sites)
@@ -131,14 +157,10 @@ class RegionMask:
         return RegionMask(grid, np.ones((grid.n,) * grid.dim, dtype=bool))
 
     @staticmethod
-    def half_space(grid: Grid, alpha: float, e: int = +1) -> "RegionMask":
-        """{x : x e <= alpha} with e = +-1 along the last axis (e3 in 3D)."""
+    def half_space(grid: Grid, alpha: float) -> "RegionMask":
+        """{x : x <= alpha} along the last axis (e3 in 3D); its complement is {x > alpha}."""
         ax = grid.dim - 1
-        x = grid.axis(ax)
-        # {x e <= alpha} is {x <= alpha} for e = +1 and {x >= -alpha} for e = -1
-        b = grid.snap_boundary(alpha if e > 0 else -alpha, ax)
-        line = (x <= b) if e > 0 else (x >= b)
-        return RegionMask(grid, _broadcast_line(grid, line))
+        return RegionMask(grid, _broadcast_line(grid, grid.axis(ax) <= grid.snap_boundary(alpha, ax)))
 
     @staticmethod
     def strip(grid: Grid, lo: float, hi: float) -> "RegionMask":
@@ -237,17 +259,19 @@ class SpinorField:
 
     # --- localization -------------------------------------------------------
     def apply_mask(self, mask: RegionMask) -> "SpinorField":
-        if self.rep != "position":
-            raise ValueError("masks act in position representation")
-        return replace(self, values=self.values * mask.sites)
+        return replace(self, values=self.values * self._sites(mask))
 
     def probability(self, mask: RegionMask) -> float:
         """||1_Delta psi||^2 for a normalized field: localization probability."""
+        sites = self._sites(mask)
+        w = self.grid.cell_measure(self.rep)
+        inside = (comp[sites] for comp in self.values)  # one component's cells at a time
+        return float(w * sum(np.vdot(c, c).real for c in inside))
+
+    def _sites(self, mask: RegionMask) -> np.ndarray:
         if self.rep != "position":
             raise ValueError("masks act in position representation")
-        w = self.grid.cell_measure(self.rep)
-        inside = (comp[mask.sites] for comp in self.values)  # one component's cells at a time
-        return float(w * sum(np.vdot(c, c).real for c in inside))
+        return mask.sites_on(self.grid)
 
     # --- support helpers ------------------------------------------------------
     def support_bounds(self, mass_tol: float = 1e-12):
@@ -286,21 +310,6 @@ def site_density(values: np.ndarray) -> np.ndarray:
     return (s[0::2] + s[1::2]).reshape(values.shape[1:])
 
 
-@functools.lru_cache(maxsize=2)  # the forward and inverse factors of one grid
-def _axis_factors(g: Grid, sign: int) -> tuple:
-    """Per-axis Fourier factors e^{sign i p origin_k} w, read-only, O(n) each.
-
-    w is the per-axis scale of the transform pair: dx / sqrt(2 pi) for the
-    forward FFT (sign -1) and n dp / sqrt(2 pi) for the inverse (sign +1).
-    """
-    p = g.paxis()
-    w = (g.dx if sign < 0 else g.n * g.dp) / np.sqrt(2.0 * np.pi)
-    out = tuple(w * np.exp(sign * 1j * p * g.origin[k]) for k in range(g.dim))
-    for f in out:
-        f.setflags(write=False)
-    return out
-
-
 def _fft_sites(transform, vals: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
     """transform (np.fft.fft or ifft) along the site axes -1, -2, -3 in fftn's order, into out.
 
@@ -314,7 +323,7 @@ def _fft_sites(transform, vals: np.ndarray, dim: int, out: np.ndarray) -> np.nda
 
 def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
     """Origin phase times scale on the sites, broadcast over the components (the 3D product is per call)."""
-    f = _axis_factors(g, sign)
+    f = g._tables()["factors"][sign]
     return f[0] if g.dim == 1 else f[0][:, None, None] * f[1][:, None] * f[2]
 
 
@@ -349,8 +358,7 @@ def _es_deconvolution(m: int, mr: int) -> np.ndarray:
     z, wphi = _es_quadrature()
     j = np.arange(m) - m // 2
     table = (2.0 * mr / _ES_WIDTH) / (2.0 * (np.cos(np.outer(j * (np.pi * _ES_WIDTH / mr), z)) @ wphi))
-    table.setflags(write=False)
-    return table
+    return read_only(table)[0]
 
 
 def _fine_size(m: int) -> int:
@@ -581,7 +589,7 @@ def band_edge(field: SpinorField) -> float:
     phi = field if field.rep == "momentum" else field.to_momentum()
     amp = np.sqrt(site_density(phi.values))
     big = amp > 1e-6 * float(amp.max())
-    return float(field.grid.abs_p()[big].max()) if np.any(big) else 0.0
+    return float(field.grid.energy(0.0)[big].max()) if np.any(big) else 0.0
 
 
 def dilate(field: SpinorField, lam: float) -> SpinorField:

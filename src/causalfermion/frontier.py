@@ -166,19 +166,15 @@ def construct_prescribed_tent(psi1: SpinorField, tau_shift: float, delta: float,
     return (psi1 + shifted).normalized(), dates1[0] + moves[0], dates1[1] + moves[1]
 
 
-def make_seed_with_dates(
-    psi: SpinorField,
-    target_t: float,
-    sign: int = +1,
-):
-    """(eta, t_eb): a compact state with t_e = t_eb = sign*target_t from a tent-zero seed, and its t_eb.
+def make_seed_with_dates(psi: SpinorField, target_t: float):
+    """(eta, t_eb): a compact state with t_e = t_eb = target_t from a tent-zero seed, and its t_eb.
 
     First force t_e = t_eb = 0 by superposing a shifted evolved copy (case (i)
     with tau = t_eb - t_e, delta = |tau|, then a time shift), then evolve by
-    -sign*target_t so both change times move to sign*target_t.
+    -target_t so both change times move to target_t.
 
     When psi is already balanced (|t_eb - t_e| < dx), eta is psi evolved by
-    s = t_e - sign*target_t, and by the group law its t_eb is psi's fitted
+    s = t_e - target_t, and by the group law its t_eb is psi's fitted
     t_eb less s: returned, so that ``make_late_change_state`` need not fit eta
     again.  After a superposition the second item is None.
     """
@@ -191,8 +187,8 @@ def make_seed_with_dates(
             psi, tau, abs(tau), dates1=(fp.t_e, fm.t_e)
         )
         t_eb = None
-    # time translation moves both change times from t_e to 0, then to sign*target_t
-    s = t_e - sign * target_t
+    # time translation moves both change times from t_e to 0, then to target_t
+    s = t_e - target_t
     return evolve_causal(balanced, s), None if t_eb is None else t_eb - s
 
 
@@ -242,7 +238,7 @@ def project_late_change(field: SpinorField, alpha: float, sign: int = +1) -> Spi
     state whose change time t_eb carries the sign -sign.
     """
     g = field.grid
-    half = RegionMask.half_space(g, alpha, e=+1)
+    half = RegionMask.half_space(g, alpha)
     out = evolve_causal(field, -sign * alpha)
     out = out.apply_mask(half)
     return evolve_causal(out, sign * alpha)

@@ -64,7 +64,7 @@ RANDOM_STATE_PEAK = 1.2
 def random_positive_state(grid: Grid, system, seed: int) -> SpinorField:
     """Gaussian envelope in |p| (peak RANDOM_STATE_PEAK, width 0.6) times a random spinor, P+-projected, normalized."""
     rng = np.random.default_rng(seed)
-    env = np.exp(-0.5 * ((grid.abs_p() - RANDOM_STATE_PEAK) / 0.6) ** 2)
+    env = np.exp(-0.5 * ((grid.energy(0.0) - RANDOM_STATE_PEAK) / 0.6) ** 2)
     d = system.components
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))

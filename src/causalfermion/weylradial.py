@@ -277,7 +277,7 @@ def sine_transform_profile(profile: RadialProfile):
     return s, _sine_transform_at(profile, s)
 
 
-def spectral_evolve(profile: RadialProfile, chi: int, t: float, radii: np.ndarray):
+def spectral_evolve(profile: RadialProfile, t: float, radii: np.ndarray):
     """(u, v) parts of psi_t at the radii via the Fourier-sine route.
 
     u(r) = (1/r) S[cos(ts) u~](r) = sqrt(2/pi) sum_s f_cos s j_0(s r)
@@ -301,14 +301,14 @@ def spectral_evolve(profile: RadialProfile, chi: int, t: float, radii: np.ndarra
     return coef * np.vstack([u0, u]), -coef * np.vstack([v0, v])
 
 
-def crosscheck_against_spectral(profile: RadialProfile, chi: int, t: float) -> float:
+def crosscheck_against_spectral(profile: RadialProfile, t: float) -> float:
     """Relative L2 discrepancy between the closed form and the sine route on 2048 intervals."""
     r_max = profile.r_max + abs(t) + 1.0
     radii = np.linspace(0.0, r_max, 2049)
     radii[0] = profile.dr / 2.0
     w = simpson_weights(radii.size, r_max / 2048)
     u_cf, v_cf = scalar_vector_parts(profile, t, radii)
-    u_sp, v_sp = spectral_evolve(profile, chi, t, radii)
+    u_sp, v_sp = spectral_evolve(profile, t, radii)
     diff = np.sum(np.abs(u_cf - u_sp) ** 2 + np.abs(v_cf - v_sp) ** 2, axis=1)
     return float(np.sqrt(radial_integral(w, radii, diff) / profile.norm_sq()))
 

@@ -78,7 +78,7 @@ def test_criterion_01_tent_law():
 def late_change_state():
     grid = fd.Grid(1, 32768, 14.0 / 32768)
     psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
-    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5)
     psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1, dates=t_eb))
     alpha = (-fr.support_edge(psi, -1, 1e-6) - fr.support_edge(psi, +1, 1e-6)) / 2
     return fr.soften_lower_edge(psi, alpha), alpha
@@ -125,7 +125,7 @@ def weyl_profile():
 def test_criterion_03_weyl_radial_oracle(weyl_profile):
     profile = weyl_profile
     worst_cross = max(
-        wr.crosscheck_against_spectral(profile, +1, t) for t in (0.5, 1.0, 2.0)
+        wr.crosscheck_against_spectral(profile, t) for t in (0.5, 1.0, 2.0)
     )
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(60, 3))

@@ -289,7 +289,7 @@ class TestPolarDecomposition:
             bp, rho, b = al.polar_decompose_sl2(a)
             a_rho = np.diag([np.exp(rho / 2), np.exp(-rho / 2)])
             assert np.max(np.abs(bp @ a_rho @ b - a)) <= 1e-12
-            assert al.is_unitary(bp, 1e-12) and al.is_unitary(b, 1e-12)
+            assert al.is_unitary(bp) and al.is_unitary(b)
 
     def test_su2_short_circuit(self):
         b = rand_su2()

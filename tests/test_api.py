@@ -1,12 +1,17 @@
-"""Every optional parameter of the package is set by some caller, and every name is used.
+"""Every optional parameter of the package is set by some caller, every parameter is read, and every name is used.
 
-An option that no call in ``src/``, ``tests/`` or ``bench/`` ever sets runs
-with one value only, so it is a constant.  Calls are matched to definitions by
-name (``f(...)`` and ``obj.f(...)`` match every ``def f``; ``C(...)`` matches
-``C.__init__``).  A parameter counts as set when a call passes it by keyword,
-reaches its position, or passes ``*args`` / ``**kwargs``.  A call that only
-forwards the caller's own option (``g(x, tol=tol)``) sets it when that option
-is set somewhere.
+An option that no call in ``src/``, ``tests/`` or ``bench/`` ever sets to
+another value than its default runs with one value only, so it is a constant.
+Calls are matched to definitions by name (``f(...)`` and ``obj.f(...)`` match
+every ``def f``; ``C(...)`` matches ``C.__init__``).  A parameter counts as set
+when a call passes it by keyword, reaches its position, or passes ``*args`` /
+``**kwargs``, unless the value passed is a literal equal to the default (a
+literal is a constant expression, or a name that the file assigns one at
+module level).  A call that only forwards the caller's own option
+(``g(x, tol=tol)``) sets it when that option is set somewhere.
+
+A parameter that its function's body never reads is dead weight in every call;
+a method's ``self`` and the runners' ``(cfg, out)`` interface are exempt.
 
 A module-level function, class or constant of the package is used when some
 file in ``src/``, ``tests/`` or ``bench/`` names it outside its definition:
@@ -18,9 +23,21 @@ it as a string, outside its own definition.  Both scans match by name only.
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
+
+from causalfermion import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "causalfermion"
+
+
+class _Literal(NamedTuple):
+    """A call argument that is a literal, with its value."""
+
+    value: object
+
+
+_NOT_LITERAL = object()
 
 
 class _Scan(ast.NodeVisitor):
@@ -28,10 +45,28 @@ class _Scan(ast.NodeVisitor):
 
     def __init__(self, where: str):
         self.where = where
-        self.options = []  # (where, name, parameter, position or None for keyword-only)
+        self.options = []  # (where, name, parameter, position or None for keyword-only, default value)
         self.calls = []  # (name, positional count or inf, {keyword: source} or None, {position: source})
         self._classes = []
         self._defs = []  # enclosing (name, defaulted parameter names)
+        self._constants = {}  # module-level names assigned a literal
+
+    def visit_Module(self, node):
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+                value = self._literal(stmt.value)
+                if value is not _NOT_LITERAL:
+                    self._constants[stmt.targets[0].id] = value
+        self.generic_visit(node)
+
+    def _literal(self, node):
+        """The value of a constant expression or of a module-level literal name, else _NOT_LITERAL."""
+        if isinstance(node, ast.Name):
+            return self._constants.get(node.id, _NOT_LITERAL)
+        try:
+            return ast.literal_eval(node)
+        except (ValueError, TypeError, SyntaxError):
+            return _NOT_LITERAL
 
     def visit_ClassDef(self, node):
         self._classes.append(node.name)
@@ -45,20 +80,21 @@ class _Scan(ast.NodeVisitor):
         bound = 1 if positional and positional[0].arg in ("self", "cls") and not static else 0
         name = self._classes[-1] if node.name == "__init__" and self._classes else node.name
         first = len(positional) - len(args.defaults)
-        mine = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
-        mine += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        self.options += [(f"{self.where}:{node.lineno}", name, p, pos) for p, pos in mine]
-        self._defs.append((name, {p for p, _ in mine}))
+        mine = [(a.arg, i - bound, args.defaults[i - first]) for i, a in enumerate(positional) if i >= first]
+        mine += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        self.options += [(f"{self.where}:{node.lineno}", name, p, pos, self._literal(d)) for p, pos, d in mine]
+        self._defs.append((name, {p for p, _, _ in mine}))
         self.generic_visit(node)
         self._defs.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def _source(self, value):
-        """The enclosing definition's option that value forwards, or None for any other value."""
+        """The enclosing definition's option that value forwards, a _Literal, or None for any other value."""
         if self._defs and isinstance(value, ast.Name) and value.id in self._defs[-1][1]:
             return (self._defs[-1][0], value.id)
-        return None
+        literal = self._literal(value)
+        return None if literal is _NOT_LITERAL else _Literal(literal)
 
     def visit_Call(self, node):
         f = node.func
@@ -87,18 +123,18 @@ def _options():
     return [o for s in _scan(PACKAGE) for o in s.options]
 
 
-def _set_options():
+def _set_options(*dirs):
     """The (name, parameter) pairs some call sets, forwarded options resolved to a fixed point.
 
     Options of test and bench helpers take part, since a helper may forward to the package.
     """
-    scans = _scan(ROOT / "src", ROOT / "tests", ROOT / "bench")
+    scans = _scan(*(dirs or (ROOT / "src", ROOT / "tests", ROOT / "bench")))
     options = [o for s in scans for o in s.options]
     calls = [c for s in scans for c in s.calls]
     done = set()
     while True:
         before = len(done)
-        for _, func, param, p in options:
+        for _, func, param, p, default in options:
             if (func, param) in done:
                 continue
             for name, n_pos, kws, pos in calls:
@@ -107,6 +143,8 @@ def _set_options():
                 src = "any" if kws is None else kws.get(param, "unset")
                 if src == "unset" and p is not None and n_pos > p:
                     src = pos.get(p)  # None when the position is reached through *args
+                if isinstance(src, _Literal):
+                    src = "unset" if src.value == default else None  # the default passed again sets nothing
                 if src is None or src == "any" or src in done:
                     done.add((func, param))
                     break
@@ -116,8 +154,8 @@ def _set_options():
 
 def test_every_optional_parameter_is_set_by_a_caller():
     done = _set_options()
-    unset = [f"{where} {func}({param})" for where, func, param, _ in _options() if (func, param) not in done]
-    assert unset == [], "options no caller sets (make them constants):\n" + "\n".join(unset)
+    unset = [f"{where} {func}({param})" for where, func, param, _, _ in _options() if (func, param) not in done]
+    assert unset == [], "options no caller sets to another value (make them constants):\n" + "\n".join(unset)
 
 
 def test_scan_sees_definitions_calls_and_forwarding():
@@ -129,10 +167,56 @@ def test_scan_sees_definitions_calls_and_forwarding():
     )
     s = _Scan("m.py")
     s.visit(ast.parse(code))
-    assert {(func, p, pos) for _, func, p, pos in s.options} == {
-        ("f", "a", 1), ("f", "b", None), ("g", "c", 1), ("K", "y", 0)}
+    assert {(func, p, pos, d) for _, func, p, pos, d in s.options} == {
+        ("f", "a", 1, 1), ("f", "b", None, 2), ("g", "c", 1, 0), ("K", "y", 0, 0)}
     assert ("g", 1, {"c": ("f", "a")}, {0: None}) in s.calls
-    assert ("evolve_causal", "guard") in {(func, p) for _, func, p, _ in _options()}
+    assert ("f", 2, {}, {0: _Literal(0), 1: _Literal(5)}) in s.calls
+    assert ("evolve_causal", "guard") in {(func, p) for _, func, p, _, _ in _options()}
+
+
+def test_an_option_passed_only_its_default_is_unset(tmp_path):
+    # e = +1 and tol = TOL restate the defaults, so only f's a and h's tol (set to 2.0 once) vary
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "TOL = 1e-12\n"
+        "def f(x, a=1, e=+1):\n    return x\n"
+        "def h(tol=TOL):\n    return tol\n"
+        "f(0, e=+1)\nf(0, 2, 1)\nh(TOL)\nh(tol=1e-12)\nh()\n"
+    )
+    assert _set_options(tmp_path / "src") == {("f", "a")}
+    (tmp_path / "src" / "n.py").write_text("h(2.0)\n")
+    assert _set_options(tmp_path / "src") == {("f", "a"), ("h", "tol")}
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of every parameter that its function's body never reads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [(node.lineno, node.name, p) for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a method's self, and the (cfg, out) that every runner takes, are interfaces rather than inputs
+    runners = {fn.__name__ for fn in cli.RUNNERS.values()}
+    unread = [f"{path.name}:{line} {func}({p})" for path in sorted(PACKAGE.glob("*.py"))
+              for line, func, p in _unread_parameters(ast.parse(path.read_text()))
+              if p != "self" and not (func in runners and p in ("cfg", "out"))]
+    assert unread == [], "parameters that no body reads (drop them):\n" + "\n".join(unread)
+
+
+def test_unread_parameter_scan_reads_bodies_only():
+    tree = ast.parse(
+        "def f(a, b=1, *c, d, **e):\n    return a + d\n"
+        "def g(x, y=lambda y: y):\n    def inner():\n        return x\n    return inner\n"
+    )
+    # a default, or a nested function's own parameter, is no read of the outer parameter
+    assert _unread_parameters(tree) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (3, "g", "y")]
 
 
 def _definitions(tree):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ FROZEN_SCHEMAS = {
     },
     "boost": {
         "n": (int, 8192), "length": (float, 14.0), "mass": (float, 1.0), "rhos": (list, [0.5, 1.0, 2.0]),
-        "target_t": (float, 1.5), "window": (float, 0.3), "edge_tau": (float, 1e-6),
+        "target_t": (float, 1.5), "window": (float, 0.3),
     },
     "contract": {
         "n": (int, 8192), "length": (float, 14.0), "mass": (float, 1.0), "delta": (float, 0.1),
@@ -44,6 +47,25 @@ FROZEN_SCHEMAS = {
     },
     "selftest": {},
 }
+
+
+def _cli_key_reads():
+    """{cli function: (keys it reads as cfg["key"] or cfg.get("key"), names of the functions it calls)}."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    out = {}
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        keys, calls = set(), set()
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+                    and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.add(node.func.id)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg"):
+                keys.add(node.args[0].value)
+        out[fn.name] = keys, calls
+    return out
 
 
 class TestConfigParsing:
@@ -83,6 +105,26 @@ class TestConfigParsing:
             for key, (typ, default) in schema.items():
                 got_typ, got_default = cli.SCHEMAS[command][key]
                 assert got_typ is typ and repr(got_default) == repr(default), (command, key)
+
+    @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+    def test_every_key_is_read_by_its_runner(self, command):
+        # a key that the runner and the cli helpers it calls never read changes nothing but the
+        # provenance lines, which CsvWriter writes for every key (and which this scan does not see)
+        reads = _cli_key_reads()
+        todo, seen, keys = [cli.RUNNERS[command].__name__], set(), set()
+        while todo:
+            name = todo.pop()
+            if name in reads and name not in seen:
+                seen.add(name)
+                keys |= reads[name][0]
+                todo += reads[name][1]
+        assert sorted(set(cli.SCHEMAS[command]) - keys) == []
+
+    def test_key_read_scan_sees_subscripts_gets_and_calls(self):
+        reads = _cli_key_reads()
+        assert reads["_system"] == ({"system", "mass", "chi"}, set())
+        assert {"_build_late_change", "CsvWriter"} <= reads["run_boost"][1]
+        assert reads["_resolves_state"][0] == {"bump_width"}  # cfg.get("bump_width", _SEED_WIDTH) included
 
     def test_required_keys_are_the_seeds(self):
         required = {(cmd, key) for cmd, schema in cli.SCHEMAS.items() for key, (_, d) in schema.items() if d is None}
@@ -159,6 +201,19 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "lattice", boom)
         rc = cli.main(["lattice", "--out", str(tmp_path)])
         assert rc == cli.EXIT_INVARIANT
+
+    @pytest.mark.parametrize("config", ["missing", "directory", "latin1"])
+    def test_unreadable_config_exit_2_one_line(self, config, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        if config == "directory":
+            path.mkdir()
+        elif config == "latin1":
+            path.write_bytes("n = 512  # \xe9\n".encode("latin-1"))
+        rc = cli.main(["frontier", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: cannot read config file ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_guard_violation_exit_3(self, tmp_path):
         rc = cli.main(

@@ -428,7 +428,7 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_no_stale_table(self, dim):
-        for cached in (dyn._momentum_mesh, dyn._energy, dyn._evolution_rows, fd._axis_factors):
+        for cached in (fd.Grid._tables, fd.Grid.energy, dyn._evolution_rows):
             cached.cache_clear()
         n = 64 if dim == 1 else 8
         a = fd.Grid(dim, n, 0.25)
@@ -450,14 +450,14 @@ class TestSpectralKernel:
     def test_tables_are_read_only_and_per_axis(self):
         for grid in self.GRIDS:
             dyn.evolve_causal(random_position_field(grid, al.Dirac(1.0), 1), 0.5, guard=False)
-            tables = [dyn._energy(grid, 1.0), *dyn._evolution_rows(grid, 1.0, 0.5), *dyn._momentum_mesh(grid)]
+            tables = [grid.energy(1.0), *dyn._evolution_rows(grid, 1.0, 0.5), *grid.momentum_mesh()]
             for table in tables:
                 with pytest.raises(ValueError):
                     table[(0,) * table.ndim] = 0.0
             # the 3D mesh stays sparse: O(n) per axis
-            assert [pk.size for pk in dyn._momentum_mesh(grid)] == [grid.n] * grid.dim
+            assert [pk.size for pk in grid.momentum_mesh()] == [grid.n] * grid.dim
             for sign in (-1, +1):
-                factors = fd._axis_factors(grid, sign)
+                factors = grid._tables()["factors"][sign]
                 # O(n) per axis: no n^3 table outlives a call
                 assert [f.shape for f in factors] == [(grid.n,)] * grid.dim
                 with pytest.raises(ValueError):
@@ -476,7 +476,7 @@ class TestMultiplier:
         fresh = dyn.evolution_multiplier_apply(phi, t, h_phi)
         assert np.array_equal(phi.values, kept) and np.array_equal(h_phi, h_kept)  # out=None writes neither
         # the multiplier as written before the stream: (h phi)(i sinc) + cos phi; addition commutes
-        eps = dyn._energy(grid, system.m)
+        eps = grid.energy(system.m)
         s = np.divide(np.sin(t * eps), eps, out=np.full_like(eps, t), where=eps > 0)
         sum_first = dyn.h_apply(phi, kept) * (1j * s) + np.cos(t * eps) * kept
         assert np.array_equal(fresh, sum_first)

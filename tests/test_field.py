@@ -121,19 +121,32 @@ class TestLayout:
         assert np.all(np.abs(fd.site_density(vals) - want) <= 7 * np.finfo(float).eps * want)
 
 
-def test_grid_axis_is_one_read_only_array_per_axis():
-    grid = fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9))
-    for k in range(3):
-        x = grid.axis(k)
-        assert x is grid.axis(k)
-        assert np.array_equal(x, grid.origin[k] + grid.dx * np.arange(grid.n))
+@pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.3, (-9.5,)), fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9))],
+                         ids=["1d", "3d"])
+def test_grid_tables_are_one_read_only_set_per_grid(grid):
+    # each table is one object on repeated calls, bit-equal to the formula that built it per call before
+    p = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    mesh = (p,) if grid.dim == 1 else np.meshgrid(p, p, p, indexing="ij", sparse=True)
+    for k in range(grid.dim):
+        assert grid.axis(k) is grid.axis(k)
+        assert np.array_equal(grid.axis(k), grid.origin[k] + grid.dx * np.arange(grid.n))
+    assert grid.paxis() is grid.paxis() and np.array_equal(grid.paxis(), p)
+    assert grid.momentum_mesh() is grid.momentum_mesh()
+    assert all(np.array_equal(got, want) for got, want in zip(grid.momentum_mesh(), mesh, strict=True))
+    # eps at m = 0 is |p| bit for bit: adding 0.0 to a sum of squares is exact
+    assert grid.energy(0.0) is grid.energy(0.0)
+    assert np.array_equal(grid.energy(0.0), np.sqrt(sum(pk**2 for pk in mesh)))
+    assert np.array_equal(grid.energy(1.5), np.sqrt(sum(pk * pk for pk in mesh) + 1.5**2))
+    tables = [*map(grid.axis, range(grid.dim)), grid.paxis(), *grid.momentum_mesh(), grid.energy(0.0)]
+    for table in tables:
         with pytest.raises(ValueError):
-            x[0] = 0.0
-    # an equal grid reads the same axis: the cache is keyed by value
-    assert fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9)).axis(1) is grid.axis(1)
-    # and it keeps one grid's axes only, so no 2^15-point axis outlives the op that read it
-    fd.Grid(1, 64, 0.25).axis(0)
-    assert fd._axes.cache_info().currsize == 1
+            table[(0,) * table.ndim] = 0.0
+    # an equal grid reads the same tables: the cache is keyed by value
+    twin = fd.Grid(grid.dim, grid.n, grid.dx, grid.origin)
+    assert twin.axis(grid.dim - 1) is grid.axis(grid.dim - 1) and twin.paxis() is grid.paxis()
+    # and it keeps one grid's tables only, so no 2^15-point table outlives the op that read it
+    fd.Grid(1, 2**15, 0.25).axis(0)
+    assert fd.Grid._tables.cache_info().currsize == 1
 
 
 def old_support_bounds(field, ax, mass_tol):
@@ -212,6 +225,22 @@ class TestMasks:
         m1 = fd.RegionMask.half_space(grid, 0.0)
         m2 = fd.RegionMask.half_space(grid, grid.dx / 4)
         assert np.array_equal(m1.sites, m2.sites)
+
+    @pytest.mark.parametrize(
+        "other", [fd.Grid(1, 16, 0.5), fd.Grid(3, 16, 0.6), fd.Grid(3, 16, 0.5, (-4.0, -4.0, -3.5))],
+        ids=["1d_same_n", "other_dx", "other_origin"],
+    )
+    def test_mask_from_another_grid_raises(self, other):
+        # a 1D mask broadcasts over the last axis, and an equal-shape mask fits every site: both were taken
+        grid = fd.Grid(3, 16, 0.5)
+        psi = random_field(grid, al.Dirac(1.0), 8)
+        mine, foreign = fd.RegionMask.half_space(grid, 0.3), fd.RegionMask.half_space(other, 0.3)
+        for use in (psi.apply_mask, psi.probability, mine.__and__, mine.__or__):
+            with pytest.raises(ValueError, match="mask built on"):
+                use(foreign)
+        # an equal grid is the same grid: the check compares values
+        twin = fd.RegionMask.half_space(fd.Grid(3, 16, 0.5), 0.3)
+        assert psi.probability(twin) == psi.probability(mine) and np.array_equal((mine & twin).sites, mine.sites)
 
 
 class TestBump:

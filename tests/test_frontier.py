@@ -32,7 +32,7 @@ def bump_fits(bump, bump_times):
 def late_change():
     grid = fd.Grid(1, 8192, 14.0 / 8192)
     psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
-    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+    eta, t_eb = fr.make_seed_with_dates(psi0, 1.5)
     psi = fr.recenter_lower_edge(fr.make_late_change_state(eta, 0.3, +1, dates=t_eb))
     alpha = (-fr.support_edge(psi, -1, TAU) - fr.support_edge(psi, +1, TAU)) / 2
     soft = fr.soften_lower_edge(psi, alpha)
@@ -178,7 +178,7 @@ class TestPrescribedTent:
         assert (psi - bump).norm() <= 1e-12
 
     def test_balanced_construction_zeroes_dates(self, bump, bump_times):
-        balanced, _ = fr.make_seed_with_dates(bump, 0.9, +1)
+        balanced, _ = fr.make_seed_with_dates(bump, 0.9)
         fp, fm = fr.fit_both_edges(balanced, bump_times)
         dt = bump_times[1] - bump_times[0]
         assert abs(fp.t_e - 0.9) <= 2 * dt
@@ -205,7 +205,7 @@ class TestPrescribedTent:
         # returns (psi's, moved by that time) is what a fit of the seed reads, to a cell
         grid = fd.Grid(1, 4096, 14.0 / 4096)
         psi0 = fd.make_bump(grid, 0.0, 0.7, spinor, system, guard=3.3)
-        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5)
         _, fm = fr.fit_both_edges(eta, fr.fit_times(eta))
         assert t_eb is not None and abs(t_eb - fm.t_e) <= grid.dx
 
@@ -214,7 +214,7 @@ class TestPrescribedTent:
         # make_late_change_state fits it (a window past the fitted t_eb ~ 1.5 is refused)
         grid = fd.Grid(1, 4096, 14.0 / 4096)
         psi0 = fd.make_bump(grid, 0.0, 0.7, [1, 0.3], al.Weyl(+1), guard=3.3)
-        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5, +1)
+        eta, t_eb = fr.make_seed_with_dates(psi0, 1.5)
         assert t_eb is None
         _, fm = fr.fit_both_edges(eta, fr.fit_times(eta))
         assert abs(fm.t_e - 1.5) <= 2 * grid.dx

@@ -228,20 +228,17 @@ class TestSharedQuadrature:
 
 class TestSpectralCrosscheck:
     def test_smooth_compact_tolerances(self, profile):
-        assert wr.crosscheck_against_spectral(profile, +1, 0.0) <= 1e-12
+        assert wr.crosscheck_against_spectral(profile, 0.0) <= 1e-12
         for t in (0.5, 1.0, 2.0):
-            assert wr.crosscheck_against_spectral(profile, +1, t) <= 1e-5
+            assert wr.crosscheck_against_spectral(profile, t) <= 1e-5
 
     def test_second_order_convergence(self):
         errs = {}
         for n in (1024, 2048, 4096):
             prof = wr.RadialProfile.from_callable(bump_profile(), 2.0, n).normalized()
-            errs[n] = wr.crosscheck_against_spectral(prof, +1, 1.0)
+            errs[n] = wr.crosscheck_against_spectral(prof, 1.0)
         assert errs[2048] <= errs[1024] / 3.5
         assert errs[4096] <= errs[2048] / 3.5
-
-    def test_other_chirality(self, profile):
-        assert wr.crosscheck_against_spectral(profile, -1, 1.0) <= 1e-5
 
 
 class TestSpectralRouteAgainstDense:
@@ -267,14 +264,12 @@ class TestSpectralRouteAgainstDense:
         # every row up to 128 (the direct rows end by row 12 here), then every 9th and the last
         idx = np.unique(np.r_[0:128, 128 : radii.size : 9, radii.size - 1])
         want = dense_spectral_evolve(t, radii[idx], s_dense, ut_dense)
-        for chi in (+1, -1):
-            got = wr.spectral_evolve(prof, chi, t, radii)
-            for fast, dense in zip(got, want):
-                assert np.max(np.abs(fast[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
+        for fast, dense in zip(wr.spectral_evolve(prof, t, radii), want):
+            assert np.max(np.abs(fast[idx] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     def test_uneven_radii_raise(self, profile):
         with pytest.raises(ValueError, match="outputs must be evenly spaced"):
-            wr.spectral_evolve(profile, +1, 0.5, np.array([profile.dr / 2.0, 0.1, 0.2, 0.5, 0.6]))
+            wr.spectral_evolve(profile, 0.5, np.array([profile.dr / 2.0, 0.1, 0.2, 0.5, 0.6]))
 
     def test_default_crosscheck_takes_few_direct_rows(self, profile, monkeypatch):
         # bessel_sums sums a row directly where NUFFT_ERR sum |c| / r or / r^2 could pass
@@ -283,7 +278,7 @@ class TestSpectralRouteAgainstDense:
         direct = fd.bessel_rows
         monkeypatch.setattr(fd, "bessel_rows", lambda k, zero, one, x: rows.append(x.size) or direct(k, zero, one, x))
         for t in (0.0, 0.5, 1.0, 2.0):
-            wr.crosscheck_against_spectral(profile, +1, t)
+            wr.crosscheck_against_spectral(profile, t)
         assert len(rows) == 4 and max(rows) <= 16
 
 
