@@ -20,7 +20,11 @@ and the mass is read from ``field`` (the momentum mesh, eps(p) and the
 Fourier factors; see ``Grid``).  The one table kept here is keyed by the
 time as well: the multiplier's rows cos(t eps) and sin(t eps)/eps per
 (grid, mass, t), read-only in a two-entry cache (``_evolution_rows``: the
-+-alpha pair of a late-change polish).
++-alpha pair of a late-change polish).  The FFT grid's momenta are odd
+under j -> n - j on the last axis, bit for bit, so eps(p) is even there:
+the rows and the foil's phase exp(i t eta eps) are evaluated on
+j = 0..n/2 and mirrored (``_mirror``), half the transcendental work with
+the whole-grid bits.
 
 Every causal evolution is a stream (``evolve_times``): one guard check at
 max |t|, one forward FFT and one h(p) phi serve every time, and each time
@@ -29,8 +33,14 @@ into h(p) phi, which it no longer needs), and the inverse FFT run in place
 on that array.  The stream holds phi and h(p) phi and yields one psi_t at a
 time, so its memory does not grow with the number of times;
 ``evolve_causal`` is the stream at a single time, and keeps two (d, *sites)
-arrays, phi and the one it returns.  Every table above is site-shaped and
-broadcasts over the component axis of a field's (d, *sites) values.
+arrays, phi and the one it returns.  The ``evolve`` command's stream,
+``newton_wigner_leaks``, runs the foil beside it: one support scan for the
+light cones as well, and per time the foil's phase product and inverse FFT,
+then the causal multiplier and inverse FFT, both written into one work array
+reused across times; it holds three (d, *sites) arrays, and
+``newton_wigner_leak`` is its one-time case.  Every table above is
+site-shaped and broadcasts over the component axis of a field's (d, *sites)
+values.
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -95,12 +105,42 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """A row on the whole FFT grid from its values at j = 0..n // 2 of the last axis: index n - j repeats j.
+
+    The grid's momenta satisfy p[n - j] = -p[j] exactly (``fftfreq`` negates
+    integers), so eps(p), and every function of it, is even in j -> n - j:
+    a row evaluated on half and mirrored keeps the bits of the whole-grid row.
+    """
+    k = half.shape[-1]
+    out = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
+    out[..., :k] = half
+    out[..., k:] = half[..., n - k : 0 : -1]
+    return out
+
+
+def _half(eps: np.ndarray) -> np.ndarray:
+    """eps at j = 0..n // 2 of the last axis: every distinct value (see ``_mirror``)."""
+    return eps[..., : eps.shape[-1] // 2 + 1]
+
+
+def _multiplier_rows(eps: np.ndarray, t: float) -> tuple:
+    """(cos(t eps), sin(t eps) / eps), evaluated on half the spectrum and mirrored; sin(t eps) / eps = t where eps = 0."""
+    e = _half(eps)
+    te = t * e
+    s = np.divide(np.sin(te), e, out=np.full_like(e, t), where=e > 0)
+    return _mirror(np.cos(te), eps.shape[-1]), _mirror(s, eps.shape[-1])
+
+
+def _foil_row(eps: np.ndarray, t: float, eta: int) -> np.ndarray:
+    """The Newton-Wigner phase exp(i t eta eps), evaluated on half the spectrum and mirrored."""
+    return _mirror(np.exp(1j * t * eta * _half(eps)), eps.shape[-1])
+
+
 @functools.lru_cache(maxsize=2)  # the +-alpha pair that a late-change polish alternates
 def _evolution_rows(grid: Grid, m: float, t: float) -> tuple:
     """(cos(t eps), sin(t eps) / eps) on the momentum mesh, read-only; sin(t eps) / eps = t where eps = 0."""
-    eps = grid.energy(m)
-    te = t * eps
-    return read_only(np.cos(te), np.divide(np.sin(te), eps, out=np.full_like(eps, t), where=eps > 0))
+    return read_only(*_multiplier_rows(grid.energy(m), t))
 
 
 def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
@@ -130,9 +170,10 @@ def evolution_multiplier_apply(
     and h(p) phi serve every time of a stream.
     """
     c, s = _evolution_rows(field.grid, field.system.m, t)
-    out = np.multiply(h_phi, 1j * s, out=out)
-    for o, v in zip(out, field.values):  # one component at a time: no second (d, *sites) temporary
-        o += c * v
+    plane = 1j * s
+    out = np.multiply(h_phi, plane, out=out)
+    for o, v in zip(out, field.values):  # i s is read: its plane now holds each component's c phi in turn
+        o += np.multiply(c, v, out=plane)
     return out
 
 
@@ -154,6 +195,17 @@ def check_guard(field: SpinorField, horizon: float) -> None:
             )
 
 
+def _stream_start(field: SpinorField, times, guard: bool) -> tuple:
+    """(phi, h(p) phi, times as floats): the guard check at max |t|, forward FFT and h(p) phi a stream's times share."""
+    if field.rep != "position":
+        raise ValueError("causal evolution takes a position-representation field")
+    times = np.asarray(times, dtype=float)
+    if guard:
+        check_guard(field, float(np.max(np.abs(times), initial=0.0)))
+    phi = field.to_momentum()
+    return phi, h_apply(phi, phi.values), times
+
+
 def evolve_times(field: SpinorField, times, guard: bool = True):
     """Yield psi_t with the causal multiplier exp(i t h(p)) for each t of times, in order.
 
@@ -161,13 +213,7 @@ def evolve_times(field: SpinorField, times, guard: bool = True):
     time; each psi_t is a new field, so a caller may keep or modify it.  As a
     generator, the checks run at the first ``next``.
     """
-    if field.rep != "position":
-        raise ValueError("causal evolution takes a position-representation field")
-    times = np.asarray(times, dtype=float)
-    if guard:
-        check_guard(field, float(np.max(np.abs(times), initial=0.0)))
-    phi = field.to_momentum()
-    h_phi = h_apply(phi, phi.values)
+    phi, h_phi, times = _stream_start(field, times, guard)
     last = times.size - 1
     for k, t in enumerate(times):
         # a new array per time; the last time needs h(p) phi no more and is written over it
@@ -188,7 +234,7 @@ def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: boo
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()
-    phi.values *= np.exp(1j * t * eta * phi.grid.energy(phi.system.m))
+    phi.values *= _foil_row(phi.grid.energy(phi.system.m), t, eta)
     return phi.to_position(out=phi.values)
 
 
@@ -267,12 +313,31 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
     return replace(field, values=vals)
 
 
-def newton_wigner_leak(field: SpinorField, t: float):
-    """(causal leak, positive-energy Newton-Wigner leak) outside the light cone of supp at time t, and
-    the causal psi_t that the first is read from, so that a caller need not evolve again."""
+def newton_wigner_leaks(field: SpinorField, times):
+    """Yield (causal leak, positive-energy Newton-Wigner leak, causal psi_t) for each t of times, in order.
+
+    Both leaks are the probability outside the light cone of supp(psi) at time
+    t, and psi_t is the causal state the first is read from.  One guard check
+    at max |t|, one support scan, one forward FFT and one h(p) phi serve every
+    time.  Each time writes the foil's psi_t and then the causal psi_t into one
+    work array, so the psi_t yielded is overwritten at the next time: a caller
+    keeps what it reads from it, not the field.
+    """
     g = field.grid
     lo, hi = field.support_bounds()
-    cone = RegionMask.strip(g, lo - abs(t), hi + abs(t))
-    causal = evolve_causal(field, t)
-    foil = evolve_newton_wigner(field, t)
-    return causal.probability(~cone), foil.probability(~cone), causal
+    phi, h_phi, times = _stream_start(field, times, True)
+    eps = g.energy(phi.system.m)
+    work = np.empty_like(phi.values)
+    for t in map(float, times):
+        outside = ~RegionMask.strip(g, lo - abs(t), hi + abs(t))
+        np.multiply(phi.values, _foil_row(eps, t, +1), out=work)
+        foil_leak = replace(phi, values=work).to_position(out=work).probability(outside)
+        evolution_multiplier_apply(phi, t, h_phi, out=work)
+        causal = replace(phi, values=work).to_position(out=work)
+        yield causal.probability(outside), foil_leak, causal
+
+
+def newton_wigner_leak(field: SpinorField, t: float):
+    """(causal leak, positive-energy Newton-Wigner leak) outside the light cone of supp at time t, and
+    the causal psi_t that the first is read from, so that a caller need not evolve again.  The stream at one time."""
+    return next(newton_wigner_leaks(field, (t,)))

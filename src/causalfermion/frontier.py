@@ -49,6 +49,12 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     return _edge(field.grid, _edge_masses(field, tau), e, tau)
 
 
+def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
+    """(support_edge along +e3, support_edge along -e3), both from one density pass, summed from either end."""
+    dens = _edge_masses(field, tau)
+    return _edge(field.grid, dens, +1, tau), _edge(field.grid, dens, -1, tau)
+
+
 def _edge_masses(field: SpinorField, tau: float) -> np.ndarray:
     """Per-cell mass / dx along the last axis (e3 in 3D), the terms support_edge sums against tau."""
     if not 0.0 < tau <= 1e-2:
@@ -80,16 +86,15 @@ def frontier_profile(field: SpinorField, times, tau: float = DEFAULT_EDGE_TOL) -
 
     Both edges of each psi_t are read from one pass of ``evolve_times``: one
     guard check at max |t| (the guard grows with |t|) and one forward FFT
-    serve every time, and each time is evolved once for the two directions.
-    Each psi_t's density is formed once and summed from either end.
+    serve every time, and each time is evolved once for the two directions
+    (``support_edges``).
     """
-    plus, minus = [], []
+    edges = []
     for psi_t in evolve_times(field, times):
-        dens = _edge_masses(psi_t, tau)
+        edges.append(support_edges(psi_t, tau))
         del psi_t  # freed before the stream writes the next time
-        plus.append(_edge(field.grid, dens, +1, tau))
-        minus.append(_edge(field.grid, dens, -1, tau))
-    return np.array(plus), np.array(minus)
+    plus, minus = np.reshape(edges, (-1, 2)).T
+    return plus, minus
 
 
 def fit_tent(times, edges) -> TentFit:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalfermion import algebra as al, cli, dynamics as dyn, field as fd, frontier as fr
+from causalfermion import algebra as al, cli, field as fd, frontier as fr
 from causalfermion.errors import ConfigError, InvariantFailure
 
 #: the per-command (type, default) literal that cli.KEYS replaced; the defaults reach the CSV comments
@@ -498,14 +498,6 @@ class TestArtifacts:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "evolve.csv").exists()
 
-    def test_default_evolve_evolves_once_per_time(self, tmp_path, monkeypatch):
-        # newton_wigner_leak returns the causal evolution it reads the leak from, and evolve reuses it
-        calls = []
-        evolve = dyn.evolve_causal
-        monkeypatch.setattr(dyn, "evolve_causal", lambda field, t: calls.append(t) or evolve(field, t))
-        assert cli.main(["evolve", "--out", str(tmp_path)]) == cli.EXIT_OK
-        assert calls == cli.SCHEMAS["evolve"]["times"][1]
-
     @staticmethod
     def count_transforms(monkeypatch) -> tuple:
         """Lists that grow by one per forward and per inverse FFT pass of a field."""
@@ -515,6 +507,12 @@ class TestArtifacts:
         monkeypatch.setattr(fd.SpinorField, "to_position",
                             lambda self, out=None: inverse.append(1) or to_position(self, out))
         return forward, inverse
+
+    def test_default_evolve_transforms_once_per_time(self, tmp_path, monkeypatch):
+        # one forward FFT serves every time; each time transforms back the foil and the causal state once
+        forward, inverse = self.count_transforms(monkeypatch)
+        assert cli.main(["evolve", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert (len(forward), len(inverse)) == (1, 2 * len(cli.SCHEMAS["evolve"]["times"][1]))
 
     def test_default_frontier_evolves_once_per_time(self, tmp_path, monkeypatch):
         # one forward FFT serves every time, and each time is evolved once for both edges

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from causalfermion import algebra as al
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
+from causalfermion import frontier as fr
 from causalfermion.errors import GuardViolation
 
 rng = np.random.default_rng(23)
@@ -109,6 +111,68 @@ class TestNewtonWigner:
         # the returned causal evolution is the one evolve_causal gives
         assert np.array_equal(evolved.values, dyn.evolve_causal(psi, 1.0).values)
 
+    def test_stream_is_each_time_on_its_own_bit_for_bit(self, monkeypatch):
+        psi = dirac_bump(m=0.0)
+        kept = psi.values.copy()
+        times = (0.5, -1.0, 0.0, 2.0)
+        guards, forward = [], []
+        check, to_momentum = dyn.check_guard, fd.SpinorField.to_momentum
+        monkeypatch.setattr(dyn, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
+        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self: forward.append(1) or to_momentum(self))
+        got = [(c, nw, psi_t.values.copy()) for c, nw, psi_t in dyn.newton_wigner_leaks(psi, times)]
+        # one guard check at max |t| and one forward FFT serve every time
+        assert (guards, len(forward)) == ([2.0], 1)
+        lo, hi = psi.support_bounds()
+        for t, (causal_leak, nw_leak, values) in zip(times, got):
+            outside = ~fd.RegionMask.strip(psi.grid, lo - abs(t), hi + abs(t))
+            causal = dyn.evolve_causal(psi, t)
+            assert np.array_equal(values, causal.values), t
+            assert causal_leak == causal.probability(outside), t
+            assert nw_leak == dyn.evolve_newton_wigner(psi, t).probability(outside), t
+        assert np.array_equal(psi.values, kept)
+
+    def test_stream_guard_raises_before_any_evolution(self, monkeypatch):
+        psi = dirac_bump(n=256, length=6.0, width=1.0, guard=0.0)
+        evolved = []
+        monkeypatch.setattr(dyn, "evolution_multiplier_apply", lambda *args, **kw: evolved.append(args[1]))
+        with pytest.raises(GuardViolation):
+            next(dyn.newton_wigner_leaks(psi, [0.0, 0.5, -5.0]))
+        assert evolved == []
+
+    def test_peak_memory_of_a_stream(self):
+        # phi, h(p) phi and one work array that the foil and the causal psi_t share: three
+        # (4, 2^15) complex arrays, plus O(n) rows (eps, the cached and the new multiplier rows,
+        # the foil row, masks and densities), here six complex rows of 16 n bytes
+        grid = fd.Grid(1, 2**15, 16.0 / 2**15)
+        psi = fd.make_bump(grid, 0.0, 1.0, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=2.0)
+        bound = 3 * psi.values.nbytes + 6 * 16 * grid.n
+
+        def peak(stream):
+            dyn._evolution_rows.cache_clear()
+            tracemalloc.start()
+            try:
+                for _, _, psi_t in stream(psi, [0.5, 1.0, 2.0]):  # as the evolve command reads each time
+                    psi_t.norm()
+                    fr.support_edges(psi_t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def fresh_per_time(field, times):
+            # the foil and psi_t each in a new array: with the caller's last psi_t, five arrays
+            lo, hi = field.support_bounds()
+            phi = field.to_momentum()
+            h_phi = dyn.h_apply(phi, phi.values)
+            eps = field.grid.energy(field.system.m)
+            for t in times:
+                outside = ~fd.RegionMask.strip(field.grid, lo - t, hi + t)
+                foil = dataclasses.replace(phi, values=phi.values * np.exp(1j * t * eps)).to_position()
+                causal = dataclasses.replace(phi, values=dyn.evolution_multiplier_apply(phi, t, h_phi)).to_position()
+                yield causal.probability(outside), foil.probability(outside), causal
+
+        assert peak(dyn.newton_wigner_leaks) < bound
+        assert peak(fresh_per_time) > bound
+
 
 class TestTimeReversal:
     def test_antiunitary_and_square(self):
@@ -121,8 +185,6 @@ class TestTimeReversal:
         assert (again + psi).norm() <= 1e-14
 
     def test_edges_invariant(self):
-        from causalfermion import frontier as fr
-
         psi = dirac_bump()
         rev = dyn.time_reverse(psi)
         for e in (+1, -1):
@@ -484,6 +546,39 @@ class TestMultiplier:
         over = dyn.evolution_multiplier_apply(phi, t, h_phi, out=h_phi)
         assert over is h_phi and np.array_equal(over, fresh)
         assert np.array_equal(phi.values, kept)
+
+
+class TestMirroredRows:
+    """The rows evaluated on j = 0..n // 2 of the last axis and mirrored, against the whole-grid formula."""
+
+    TIMES = (0.0, 1e-9, -1e-9, 1.3, -1.3)
+
+    @staticmethod
+    def assert_rows_are_the_whole_grid_formula(rows, eps, t):
+        c, s = rows
+        assert np.array_equal(c, np.cos(t * eps))
+        assert np.array_equal(s, np.divide(np.sin(t * eps), eps, out=np.full_like(eps, t), where=eps > 0))
+        assert np.all(s[eps == 0] == t)
+        for eta in (+1, -1):
+            assert np.array_equal(dyn._foil_row(eps, t, eta), np.exp(1j * t * eta * eps))
+
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.25), fd.Grid(3, 8, 0.3, (-1.1, 0.4, -0.7))],
+                             ids=["64", "8^3-off-centre"])
+    def test_evolution_rows(self, grid, m):
+        dyn._evolution_rows.cache_clear()
+        eps = grid.energy(m)
+        assert np.count_nonzero(eps == 0) == (m == 0)
+        for t in self.TIMES:
+            self.assert_rows_are_the_whole_grid_formula(dyn._evolution_rows(grid, m, t), eps, t)
+
+    @pytest.mark.parametrize("m", [1.0, 0.0])
+    def test_odd_lane(self, m):
+        # an odd n has no self-mirrored Nyquist cell: the mirror reads j = 1..(n - 1) / 2 back
+        p = 2.0 * np.pi * np.fft.fftfreq(63, d=0.25)
+        eps = np.sqrt(p * p + m * m)
+        for t in self.TIMES:
+            self.assert_rows_are_the_whole_grid_formula(dyn._multiplier_rows(eps, t), eps, t)
 
 
 class TestEvolveTimes:
