@@ -81,8 +81,8 @@ def _h_tables(system_type) -> tuple:
             None if mass is None else _signed_permutation(mass))
 
 
-def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
-    """h(p) vals on the momentum mesh, c sum_k M_k p_k + m B from the system's declared matrices.
+def h_apply(field: SpinorField, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h(p) vals on the momentum mesh, c sum_k M_k p_k + m B from the system's declared matrices, into out (not vals) or a new array.
 
     The 1D lane runs along e3, so there h(p) = c M_3 p + m B.
     Component i of a term c M vals is (c phase_i) vals[perm_i], written plane
@@ -95,7 +95,7 @@ def h_apply(field: SpinorField, vals: np.ndarray) -> np.ndarray:
     terms = [(s.coupling * pk, momentum[k]) for pk, k in zip(g.momentum_mesh(), axes)]
     if mass is not None:
         terms.append((s.m, mass))
-    out = np.empty(vals.shape, dtype=complex)
+    out = np.empty(vals.shape, dtype=complex) if out is None else out
     plane = np.empty(vals.shape[1:], dtype=complex)
     for i in range(len(vals)):
         for t, (c, (perm, phase)) in enumerate(terms):
@@ -143,8 +143,8 @@ def _evolution_rows(grid: Grid, m: float, t: float) -> tuple:
     return read_only(*_multiplier_rows(grid.energy(m), t))
 
 
-def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
-    """pi^eta(p) phi = (phi + eta (h/eps) phi) / 2 on the momentum mesh.
+def energy_projector_apply(field: SpinorField, eta: int, out: np.ndarray | None = None) -> np.ndarray:
+    """pi^eta(p) phi = (phi + eta (h/eps) phi) / 2 on the momentum mesh, into out (not field.values) or a new array.
 
     h/eps is taken as 0 where eps = 0: the p = 0 cell of a massless system is
     spectrally ambiguous, and h(0) = 0 leaves it at the projector average 1/2,
@@ -152,7 +152,7 @@ def energy_projector_apply(field: SpinorField, eta: int) -> np.ndarray:
     """
     eps = field.grid.energy(field.system.m)
     eta_inv = np.divide(eta, eps, out=np.zeros_like(eps), where=eps > 0)
-    out = h_apply(field, field.values)
+    out = h_apply(field, field.values, out=out)
     out *= eta_inv
     out += field.values
     out *= 0.5

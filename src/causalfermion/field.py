@@ -9,8 +9,18 @@ a mask) broadcasts over the leading component axis as it stands.
 
 Every table of a grid is built here, once, and handed out read-only from a
 bounded cache: the axes, momenta, momentum mesh and Fourier factors, O(n) per
-axis, of one grid at a time (``Grid._tables``), and eps(p) of two (grid, mass)
-pairs (``Grid.energy``; |p| is eps at m = 0).
+axis, of one grid at a time (``Grid._tables``), eps(p) of two (grid, mass)
+pairs (``Grid.energy``; |p| is eps at m = 0), and the site-shaped Fourier
+factors of both signs of one grid (``_fourier_factor``: in 3D the product of
+the per-axis factors, multiplied out once rather than per transform).
+
+A transform given a mask applies it in the same call (before the forward FFT,
+after the inverse) and skips the FFT lines that the mask's bounding box
+(``RegionMask.box``) decides: lines that hold only zeros, and lines that reach
+no site in the box (``_fft_sites``).  No partly transformed value leaves the
+call, and every line that runs is transformed as in fftn: the values are
+those of the unpruned transform and apply_mask bit for bit, but for the sign of
+a zero (a skipped line gives +0 where the FFT of a masked line may give -0).
 
 Measure conventions: position cell weight dx^dim, momentum cell weight dp^dim
 with dp = 2 pi / (N dx).  The Fourier pair
@@ -152,6 +162,20 @@ class RegionMask:
     def __invert__(self) -> "RegionMask":
         return RegionMask(self.grid, ~self.sites)
 
+    def box(self) -> tuple:
+        """The smallest box holding every site, one slice per axis; empty slices for an empty mask."""
+        s = self.sites
+        if s.ndim == 1:
+            lines = (s,)
+        else:
+            plane = s.any(axis=0)  # one pass over the sites serves the last two axes
+            lines = (s.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))
+        box = []
+        for line in lines:
+            hit = np.flatnonzero(line)
+            box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
+        return tuple(box)
+
     @staticmethod
     def full(grid: Grid) -> "RegionMask":
         return RegionMask(grid, np.ones((grid.n,) * grid.dim, dtype=bool))
@@ -241,21 +265,46 @@ class SpinorField:
         return self * (1.0 / n)
 
     # --- Fourier duality ----------------------------------------------------
-    def to_momentum(self) -> "SpinorField":
+    def to_momentum(self, out: np.ndarray | None = None, mask: RegionMask | None = None) -> "SpinorField":
+        """Momentum field of this field, or of its restriction to mask, written into out (which may be self.values) or into one new array.
+
+        With a mask the masked values are zero outside mask.box(), so the FFT
+        skips the lines that hold only zeros (``_fft_sites``); every nonzero
+        value has the bits of ``apply_mask(mask).to_momentum()``.
+        """
         if self.rep != "position":
             raise ValueError("to_momentum needs a position-representation field")
         g = self.grid
-        vals = _fft_sites(np.fft.fft, self.values, g.dim, np.empty(self.values.shape, dtype=complex))
+        vals = np.empty(self.values.shape, dtype=complex) if out is None else out
+        src, box = self.values, (slice(None),) * g.dim
+        if mask is not None:
+            sites, box = self._sites(mask), mask.box()
+            cols = (slice(None),) + box[:-1]  # the whole lines along the last axis through the box
+            _zero_outside(vals, box[:-1])
+            np.multiply(self.values[cols], sites[box[:-1]], out=vals[cols])
+            src = vals
+        _fft_sites(src, vals, box, forward=True)
         vals *= _fourier_factor(g, sign=-1)
         return replace(self, rep="momentum", values=vals)
 
-    def to_position(self, out: np.ndarray | None = None) -> "SpinorField":
-        """Position field, written into out (which may be self.values) or into one new array."""
+    def to_position(self, out: np.ndarray | None = None, mask: RegionMask | None = None) -> "SpinorField":
+        """Position field, or its restriction to mask, written into out (which may be self.values) or into one new array.
+
+        With a mask only the sites in mask.box() are transformed to the end
+        (``_fft_sites``) and every site outside it is set to zero; every nonzero
+        value has the bits of ``to_position().apply_mask(mask)``.
+        """
         if self.rep != "momentum":
             raise ValueError("to_position needs a momentum-representation field")
         g = self.grid
+        box, sites = ((slice(None),) * g.dim, None) if mask is None else (mask.box(), mask.sites_on(g))
         vals = np.multiply(self.values, _fourier_factor(g, sign=+1), out=out)
-        return replace(self, rep="position", values=_fft_sites(np.fft.ifft, vals, g.dim, vals))
+        _fft_sites(vals, vals, box, forward=False)
+        if mask is not None:
+            inside = (slice(None),) + box
+            np.multiply(vals[inside], sites[box], out=vals[inside])
+            _zero_outside(vals, box)
+        return replace(self, rep="position", values=vals)
 
     # --- localization -------------------------------------------------------
     def apply_mask(self, mask: RegionMask) -> "SpinorField":
@@ -310,21 +359,40 @@ def site_density(values: np.ndarray) -> np.ndarray:
     return (s[0::2] + s[1::2]).reshape(values.shape[1:])
 
 
-def _fft_sites(transform, vals: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """transform (np.fft.fft or ifft) along the site axes -1, -2, -3 in fftn's order, into out.
+def _fft_sites(vals: np.ndarray, out: np.ndarray, box: tuple, forward: bool) -> None:
+    """fft (forward) or ifft along the site axes -1, -2, -3 in fftn's order, into out, on the lines box can reach.
 
-    The passes after the first run in place, so an n-d transform allocates nothing
-    (out= needs numpy >= 2.0); the bits are fftn's / ifftn's over the site axes.
+    box holds one slice per site axis.  Forward, vals must be zero outside box,
+    and out zero off the lines along the last site axis that cross box: the pass
+    along a site axis runs only on the lines inside box on the axes before it
+    (the lines skipped hold zeros and stay zeros).  Inverse, only the sites in box are
+    read: the pass along a site axis runs only on the lines inside box on the
+    axes after it (the lines skipped reach no site in box).  Every line that
+    runs is transformed as in fftn, so the sites in box carry fftn's / ifftn's
+    bits, and a full box is the whole transform.  The passes after the first
+    run in place, so an n-d transform allocates nothing (out= needs numpy >= 2.0).
     """
-    for ax in range(-1, -dim - 1, -1):
-        vals = transform(vals, axis=ax, out=out)
-    return vals
+    transform, dim = (np.fft.fft if forward else np.fft.ifft), len(box)
+    every = (slice(None),) * (dim + 1)  # the component axis and the site axes
+    for ax in range(dim, 0, -1):  # array axis ax is site axis ax - 1 - dim
+        lines = every[:1] + box[: ax - 1] + every[ax:] if forward else every[: ax + 1] + box[ax:]
+        transform(vals[lines], axis=ax, out=out[lines])
+        vals = out
 
 
+def _zero_outside(vals: np.ndarray, box: tuple) -> None:
+    """Set to zero every value whose leading site indices, one per slice of box, lie outside box."""
+    for k, cut in enumerate(box):
+        inside = (slice(None),) + box[:k]
+        vals[inside + (slice(None, cut.start),)] = 0.0
+        vals[inside + (slice(cut.stop, None),)] = 0.0
+
+
+@functools.lru_cache(maxsize=2)  # both signs of one grid: every FFT pair on it reads them
 def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
-    """Origin phase times scale on the sites, broadcast over the components (the 3D product is per call)."""
+    """Origin phase times scale on the sites, read-only, broadcast over the components (in 3D the product of the axes' factors)."""
     f = g._tables()["factors"][sign]
-    return f[0] if g.dim == 1 else f[0][:, None, None] * f[1][:, None] * f[2]
+    return f[0] if g.dim == 1 else read_only(f[0][:, None, None] * f[1][:, None] * f[2])[0]
 
 
 #: exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)) on

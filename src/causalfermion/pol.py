@@ -6,7 +6,8 @@ operator ``dynamics.energy_projector_apply`` (h(p), applied as signed component
 permutations, eps(p) and the eps = 0 rule are defined there only).  Two engines
 coexist:
 
-  * 3D grid fields for generic states and measurement cascades;
+  * 3D grid fields for generic states and measurement cascades (a cascade
+    runs in three reused arrays, its FFTs pruned to the region's box);
   * a radial reduction for the point-localization sequences, whose momentum
     support grows linearly with the dilation index n and leaves any fixed
     3D grid long before n = 64.
@@ -36,11 +37,11 @@ from .weylradial import ball_integral, cumulative_simpson, radial_integral, simp
 # --- 3D grid engine -----------------------------------------------------------
 
 
-def positive_energy_project(field: SpinorField) -> SpinorField:
-    """P+ phi in momentum representation; idempotent, commutes with e^{ith}."""
+def positive_energy_project(field: SpinorField, out: np.ndarray | None = None) -> SpinorField:
+    """P+ phi in momentum representation, into out (not field.values) or a new array; idempotent, commutes with e^{ith}."""
     if field.rep != "momentum":
         raise ValueError("positive_energy_project acts in momentum representation")
-    return replace(field, values=energy_projector_apply(field, +1))
+    return replace(field, values=energy_projector_apply(field, +1, out=out))
 
 
 def pol_apply(field: SpinorField, mask: RegionMask, tol: float = 1e-10) -> SpinorField:
@@ -69,7 +70,9 @@ def random_positive_state(grid: Grid, system, seed: int) -> SpinorField:
     spin = rng.normal(size=d) + 1j * rng.normal(size=d)
     phase = np.exp(1j * rng.normal(size=env.shape))
     vals = (env * phase) * spin.reshape((d,) + (1,) * grid.dim)  # envelope first, as in field.make_bump
-    return positive_energy_project(SpinorField(grid, system, "momentum", vals)).normalized()
+    phi = positive_energy_project(SpinorField(grid, system, "momentum", vals))
+    phi.values *= 1.0 / phi.norm()  # normalized in the projection's own array
+    return phi
 
 
 #: deepest measurement cascade whose accumulated roundoff stays negligible: the
@@ -90,11 +93,16 @@ class CascadeStats:
     sigma2_bar_prime: float  # ||(I-P) E(Delta') phi1||^2
 
 
-def _pair_probabilities(pos: SpinorField, mask: RegionMask):
-    """(T phi, ||T phi||^2, ||(I-P) E phi||^2) for E = E(mask), from phi in position representation."""
-    e_phi = pos.apply_mask(mask).to_momentum()
-    t_phi = positive_energy_project(e_phi)
-    return t_phi, t_phi.norm_sq(), (e_phi - t_phi).norm_sq()
+def _pair_probabilities(pos: SpinorField, mask: RegionMask, work: np.ndarray, proj: np.ndarray):
+    """(T phi, ||T phi||^2, ||(I-P) E phi||^2) for E = E(mask), from phi in position representation.
+
+    E phi is written into work and T phi into proj; (I-P) E phi then overwrites E phi.
+    """
+    e_phi = pos.to_momentum(out=work, mask=mask)
+    t_phi = positive_energy_project(e_phi, out=proj)
+    sigma2 = t_phi.norm_sq()
+    np.subtract(work, proj, out=work)
+    return t_phi, sigma2, e_phi.norm_sq()
 
 
 def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_CASCADE_DEPTH) -> CascadeStats:
@@ -105,22 +113,32 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
     chain takes depth applications of T, not 2 depth - 1.  phi goes to position
     once; E(Delta) phi and E(Delta') phi are both masked from that array and
     projected once each, giving T phi, T' phi and the four sigma^2 values.
-    Each chain step adds ~ one FFT roundoff, so depths above
-    MAX_CASCADE_DEPTH raise ValueError instead of being cut.
+
+    One call allocates three (d, *sites) arrays and every step writes into
+    them: phi's position array, which holds the chain's states once E(Delta)
+    phi is taken; the masked array (E phi, then each E(Delta) T^j phi, taken
+    to position and back through ``to_position`` / ``to_momentum`` with the
+    mask); and the projection.  Each FFT runs only on the lines that
+    mask.box() can reach (``field._fft_sites``), so every value keeps the bits
+    of ``pol_apply``'s unpruned steps.  Each chain step adds ~ one FFT
+    roundoff, so depths above MAX_CASCADE_DEPTH raise ValueError instead of
+    being cut.
     """
     if field.rep != "momentum":
         raise ValueError("measurement_cascade acts in momentum representation")
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
     pos = field.to_position()
-    _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask)
-    cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask)  # cur = T phi
-    del pos  # the chain holds two states
+    work, proj = np.empty_like(pos.values), np.empty_like(pos.values)
+    _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask, work, proj)
+    cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask, work, proj)  # cur = T phi, in proj
+    spare = pos.values  # phi's position is read no more: it takes the chain's next state
     gamma = [1.0, float(np.real(field.inner(cur)))]
     for _ in range(depth - 1):
-        nxt = pol_apply(cur, mask, tol=np.inf)
+        e_cur = cur.to_position(out=work, mask=mask).to_momentum(out=work, mask=mask)
+        nxt = positive_energy_project(e_cur, out=spare)
         gamma += [cur.norm_sq(), float(np.real(cur.inner(nxt)))]
-        cur = nxt
+        cur, spare = nxt, cur.values
     gamma = np.array(gamma)
     if gamma[1] <= 0.0:
         raise ValueError("T(Delta) phi1 = 0")

@@ -1,4 +1,5 @@
 
+import dataclasses
 import re
 
 import numpy as np
@@ -17,6 +18,26 @@ def random_field(grid, system, seed):
     shape = (system.components,) + (grid.n,) * grid.dim
     vals = r.normal(size=shape) + 1j * r.normal(size=shape)
     return fd.SpinorField(grid, system, "position", vals).normalized()
+
+
+def masks_for_transforms(grid):
+    """The masks that pin the pruned transforms: centred and edge balls, half-spaces, one site, all and none."""
+    first = grid.axis(2)[0]
+    corner = np.zeros((grid.n,) * 3, dtype=bool)
+    corner[3, grid.n - 2, 5] = True
+    return {
+        "ball-1": fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.0),
+        "ball-1.5": fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.5),
+        # off-centre: the box reaches the last site of axis 0 and the first of axis 2
+        "ball-edge": fd.RegionMask.ball(grid, (grid.axis(0)[-1], 0.4, first + 0.3), 1.5),
+        "half-0": fd.RegionMask.half_space(grid, 0.0),
+        "half+0.5": fd.RegionMask.half_space(grid, 0.5),
+        "half-0.5": fd.RegionMask.half_space(grid, -0.5),
+        "half-first": fd.RegionMask.half_space(grid, first + grid.dx),
+        "one-site": fd.RegionMask(grid, corner),
+        "full": fd.RegionMask.full(grid),
+        "empty": fd.RegionMask(grid, np.zeros((grid.n,) * 3, dtype=bool)),
+    }
 
 
 class TestFourierDuality:
@@ -80,6 +101,45 @@ class TestFourierDuality:
         # into the momentum array itself: the same bits, and that array is the result
         back = phi.to_position(out=phi.values)
         assert back.values is phi.values and np.array_equal(back.values, want)
+
+    @pytest.mark.parametrize("grid", [fd.Grid(3, 16, 8.0 / 16), fd.Grid(3, 32, 6.0 / 32, (-3.1, -2.9, -3.0))],
+                             ids=["16^3", "32^3"])
+    @pytest.mark.parametrize("region", ["ball-1", "ball-1.5", "ball-edge", "half-0", "half+0.5", "half-0.5",
+                                        "half-first", "one-site", "full", "empty"])
+    def test_masked_transforms_are_fftn_times_the_factor_bit_for_bit(self, grid, region):
+        # a transform given a mask runs its FFT passes only on the lines mask.box() can reach;
+        # forward it is fftn of the masked field, inverse ifftn followed by the mask, to the bit
+        mask = masks_for_transforms(grid)[region]
+        sites, axes = mask.sites, (1, 2, 3)
+        psi = random_field(grid, al.Dirac(1.0), 5)
+        phi = psi.to_momentum(mask=mask)
+        assert np.array_equal(phi.values, np.fft.fftn(psi.values * sites, axes=axes) * fd._fourier_factor(grid, -1))
+        want = np.fft.ifftn(phi.values * fd._fourier_factor(grid, +1), axes=axes) * sites
+        assert np.array_equal(phi.to_position(mask=mask).values, want)
+        # into the field's own array, as the measurement cascade runs them
+        work = phi.values.copy()
+        pos = dataclasses.replace(phi, values=work).to_position(out=work, mask=mask)
+        assert pos.values is work and np.array_equal(work, want)
+        again = pos.to_momentum(out=work, mask=mask)
+        assert again.values is work
+        assert np.array_equal(work, np.fft.fftn(want, axes=axes) * fd._fourier_factor(grid, -1))
+        if region == "empty":
+            assert not np.any(phi.values) and not np.any(work)
+
+    @pytest.mark.parametrize("region", ["ball-1", "ball-edge", "half-first", "one-site", "full", "empty"])
+    def test_box_is_the_smallest_box_of_the_sites(self, region):
+        mask = masks_for_transforms(fd.Grid(3, 16, 8.0 / 16))[region]
+        box = mask.box()
+        outside = mask.sites.copy()
+        outside[box] = False
+        assert not np.any(outside)
+        if region == "empty":
+            assert box == (slice(0, 0),) * 3
+        if region == "ball-edge":
+            assert box[0].stop == mask.grid.n and box[2].start == 0
+        for ax, cut in enumerate(box):  # every face of a nonempty box holds a site
+            for face in (cut.start, cut.stop - 1) if cut.stop > cut.start else ():
+                assert np.any(np.take(mask.sites, face, axis=ax))
 
 
 class TestLayout:
@@ -235,7 +295,9 @@ class TestMasks:
         grid = fd.Grid(3, 16, 0.5)
         psi = random_field(grid, al.Dirac(1.0), 8)
         mine, foreign = fd.RegionMask.half_space(grid, 0.3), fd.RegionMask.half_space(other, 0.3)
-        for use in (psi.apply_mask, psi.probability, mine.__and__, mine.__or__):
+        to_position = psi.to_momentum().to_position
+        for use in (psi.apply_mask, psi.probability, mine.__and__, mine.__or__,
+                    lambda m: psi.to_momentum(mask=m), lambda m: to_position(mask=m)):
             with pytest.raises(ValueError, match="mask built on"):
                 use(foreign)
         # an equal grid is the same grid: the check compares values

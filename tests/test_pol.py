@@ -485,6 +485,27 @@ def chain_cascade(field, mask, depth):
     }
 
 
+def stepwise_cascade(field, mask, depth):
+    """Oracle: the cascade's algorithm, step by step through the unpruned public calls.
+
+    phi to position once; E(Delta) phi and E(Delta') phi masked from it, to momentum and
+    projected; then depth - 1 pol_apply steps, with gamma_2j+1 = Re <T^j phi, T^j+1 phi>.
+    """
+    pos = field.to_position()
+    sigmas = []
+    for region in (~mask, mask):
+        e_phi = pos.apply_mask(region).to_momentum()
+        cur = pol.positive_energy_project(e_phi)  # T phi, for the region mask last
+        sigmas += [cur.norm_sq(), (e_phi - cur).norm_sq()]
+    gamma = [1.0, float(np.real(field.inner(cur)))]
+    for _ in range(depth - 1):
+        nxt = pol.pol_apply(cur, mask, tol=np.inf)
+        gamma += [cur.norm_sq(), float(np.real(cur.inner(nxt)))]
+        cur = nxt
+    return {"gamma": np.array(gamma), "sigma2_prime": sigmas[0], "sigma2_bar_prime": sigmas[1],
+            "sigma2": sigmas[2], "sigma2_bar": sigmas[3]}
+
+
 @pytest.fixture(scope="module")
 def grid16():
     return fd.Grid(3, 16, 8.0 / 16)
@@ -508,6 +529,19 @@ class TestCascadeOracle:
             got = getattr(stats, name)
             assert np.shape(got) == np.shape(ref), name
             assert np.all(np.abs(np.asarray(got) - ref) <= 1e-13 * np.abs(ref)), name
+
+    @pytest.mark.parametrize("mass", [1.0, 0.0])
+    @pytest.mark.parametrize("region", ["ball", "half_space"])
+    @pytest.mark.parametrize("depth", [1, 2, 8, 12])
+    def test_keeps_the_bits_of_the_unpruned_steps(self, grid16, mass, region, depth):
+        # the cascade's reused arrays and pruned FFTs change no bit of any moment or probability
+        phi = pol.random_positive_state(grid16, al.Dirac(mass), seed=3)
+        mask = _region(grid16, region)
+        stats = pol.measurement_cascade(phi, mask, depth=depth)
+        want = stepwise_cascade(phi, mask, depth)
+        assert np.array_equal(stats.gamma, want.pop("gamma"))
+        for name, ref in want.items():
+            assert getattr(stats, name) == ref, name
 
     @pytest.mark.parametrize("depth", [1, 2, 8, 12])
     def test_work_per_cascade(self, grid16, depth, monkeypatch):
@@ -550,6 +584,22 @@ class TestCascade:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * cur.values.nbytes, peak
+
+    @pytest.mark.parametrize("region", ["ball", "half_space"])
+    def test_peak_memory_of_a_cascade(self, grid3, region):
+        # one default cascade (32^3, depth 8) holds three state-sized arrays (phi's position,
+        # reused for the chain; the masked array; the projection) beside the state it is given,
+        # plus the projector's scratch plane and site table: 3.4 states as measured
+        phi = pol.random_positive_state(grid3, al.Dirac(1.0), seed=2)
+        mask = _region(grid3, region)
+        pol.measurement_cascade(phi, mask, depth=8)  # warms the per-grid and per-mass tables
+        tracemalloc.start()
+        try:
+            pol.measurement_cascade(phi, mask, depth=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * phi.values.nbytes, peak / phi.values.nbytes
 
     def test_full_space_trivial(self, grid3, phi3):
         stats = pol.measurement_cascade(phi3, fd.RegionMask.full(grid3), depth=3)
