@@ -2,8 +2,8 @@
 
 Modules
 -------
-algebra     exact 2x2/4x4 spinor matrices: Hamiltonians, projectors, cross
-            sections, Wigner rotations, boost representations, time reversal
+algebra     exact 2x2/4x4 spinor matrices: Hamiltonians, projectors, boost
+            representations, time reversal
 field       grid-sampled spinor fields, Fourier duality, masks, constructors
 dynamics    the grid operators h(p), eps(p), pi^eta(p); spectral causal and
             Newton-Wigner propagators, boosts, time reversal

@@ -283,7 +283,7 @@ def influence_cylinder(c: float, a: float, b: float, rho: float):
     Returns the profile in the (x1, x3) half-plane: corner points P1..P4, the
     two circular arcs around the boosted end faces, and the straight flank.
     """
-    if not 0.0 <= a < b or c <= 0:
+    if not 0.0 <= a < b or not c > 0:
         raise ValueError("cylinder needs 0 <= a < b and c > 0")
     r = abs(rho)
     ch, sh, th = np.cosh(r), np.sinh(r), np.tanh(r)
@@ -295,30 +295,6 @@ def influence_cylinder(c: float, a: float, b: float, rho: float):
         "arc_low": {"center": (c, 0.0, ch * a), "radius": sh * a},
         "arc_high": {"center": (c, 0.0, ch * b), "radius": sh * b},
     }
-
-
-def in_boosted_ball_influence(x, center, radius: float, rho: float) -> bool:
-    """Whether x lies in the influence region of the boosted ball (center, radius).
-
-    The influence is the union over ball points y of balls around
-    (y1, y2, cosh(rho) y3) with radius |sinh(rho) y3|; minimized by a scan over
-    the ball cross-section through x (400 heights times 40 transverse offsets;
-    rotational symmetry around e3).
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(center, dtype=float)
-    ch, sh = np.cosh(rho), np.sinh(rho)
-    best = INF
-    for y3 in np.linspace(c[2] - radius, c[2] + radius, 400):
-        s = np.sqrt(max(radius**2 - (y3 - c[2]) ** 2, 0.0))
-        # transverse offset along the direction of x_perp reaches the boundary circle
-        xp = x[:2] - c[:2]
-        xp_norm = np.linalg.norm(xp)
-        for frac in np.linspace(-1.0, 1.0, 40):
-            yp = c[:2] + (frac * s) * (xp / xp_norm if xp_norm > 0 else np.array([1.0, 0.0]))
-            dist = np.sqrt(np.sum((x[:2] - yp) ** 2) + (x[2] - ch * y3) ** 2)
-            best = min(best, dist - abs(sh * y3))
-    return best <= 1e-9
 
 
 # --- diamonds and timelike lines --------------------------------------------

@@ -196,10 +196,18 @@ class RegionMask:
 
     @staticmethod
     def ball(grid: Grid, center, radius: float) -> "RegionMask":
+        center = _center(grid, center)
         mesh = grid.position_mesh()
-        center = np.atleast_1d(np.asarray(center, dtype=float))
         r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
         return RegionMask(grid, r2 <= radius**2)
+
+
+def _center(grid: Grid, center) -> np.ndarray:
+    """center as one float per axis of the grid (a scalar in 1D); ValueError for any other length."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.dim,):
+        raise ValueError(f"center must have one entry per axis, got shape {center.shape} on a {grid.dim}D grid")
+    return center
 
 
 def _broadcast_line(grid: Grid, line: np.ndarray) -> np.ndarray:
@@ -632,7 +640,7 @@ def make_bump(
     stay strictly inside the grid, otherwise GuardViolation is raised.
     An optional plane-wave factor e^{i momentum x} (last axis) shifts the band.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = _center(grid, center)
     mesh = grid.position_mesh()
     for k in range(grid.dim):
         lo, hi = grid.axis(k)[0], grid.axis(k)[-1]
@@ -650,39 +658,3 @@ def make_bump(
     spinor = spinor / np.linalg.norm(spinor)
     vals = prof * spinor.reshape((-1,) + (1,) * grid.dim)  # profile first: with FMA, complex products round by order
     return SpinorField(grid, system, "position", vals).normalized()
-
-
-def band_edge(field: SpinorField) -> float:
-    """Largest |p| carrying amplitude above 1e-6 of the peak (momentum support edge)."""
-    phi = field if field.rep == "momentum" else field.to_momentum()
-    amp = np.sqrt(site_density(phi.values))
-    big = amp > 1e-6 * float(amp.max())
-    return float(field.grid.energy(0.0)[big].max()) if np.any(big) else 0.0
-
-
-def dilate(field: SpinorField, lam: float) -> SpinorField:
-    """Momentum-representation dilation (D_lam phi)(p) = lam^{dim/2} phi(lam p).
-
-    1D: the Fourier sum phi(q) = dx/sqrt(2 pi) sum_j e^{-i q x_j} psi_j at
-    q = lam dp (m - n/2), m = 0..n-1, is one nufft1 call with theta_j =
-    -lam dp x_j and strengths psi_j e^{-i theta_j n/2} dx/sqrt(2 pi).
-    Unitary up to resampling error for fields band-limited to
-    Nyquist/lam.  3D dilation is provided only through radial profiles.
-    """
-    if field.rep != "momentum":
-        raise ValueError("dilate acts in momentum representation")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    g = field.grid
-    if g.dim != 1:
-        raise NotImplementedError("3D dilation is restricted to radial profiles")
-    nyq = np.pi / g.dx
-    edge = band_edge(field)
-    if lam * edge > nyq * (1.0 + 1e-12):
-        raise GuardViolation(f"lam * band = {lam * edge:.3g} exceeds Nyquist {nyq:.3g}")
-    psi = field.to_position()
-    theta = -lam * g.dp * g.axis(0)
-    strengths = psi.values * (np.exp(-0.5j * g.n * theta) * (g.dx / np.sqrt(2.0 * np.pi)))
-    vals = lam**0.5 * nufft1(theta, strengths.T, g.n).T
-    # column m holds p = dp (m - n/2); the grid's FFT order puts p = dp (k - n) at k >= n/2
-    return replace(field, values=np.ascontiguousarray(np.roll(vals, g.n // 2, axis=1)))

@@ -261,6 +261,55 @@ def test_every_module_level_name_is_used():
     assert unused == [], "definitions that nothing names (delete them):\n" + "\n".join(unused)
 
 
+#: package names that only tests/ names, each with the reason it stays
+TEST_ONLY = {
+    "influence_ball": "criterion 10's exact geometry",
+    "influence_boosted_point": "criterion 10's exact geometry",
+    "influence_cylinder": "criterion 10's exact geometry",
+    "DiamondRegion": "criterion 10's exact geometry",
+    "hits_all": "criterion 10's exact geometry",
+    "ball_probability_static": "criteria 4 and 5, which ROADMAP item 10 runs as a command",
+    "asymptotic_ball_probability": "criteria 4 and 5, which ROADMAP item 10 runs as a command",
+    "ball_capture_split": "ROADMAP item 10's capture identity",
+    "boost_e3": "ROADMAP item 7's finite-rho oracle",
+    "evolve_newton_wigner": "the oracle of newton_wigner_leaks' foil",
+}
+
+
+def _test_only(root):
+    """Package module-level names that tests/ names but neither src/ nor bench/ does.
+
+    This file is left out: TEST_ONLY declares its names, and a declaration is no use.
+    """
+    named = {d: set().union(*(_named(ast.parse(p.read_text())) for p in (root / d).rglob("*.py")
+                              if p.resolve() != Path(__file__).resolve()))
+             for d in ("src", "tests", "bench")}
+    defined = {name for p in (root / "src" / "causalfermion").glob("*.py")
+               for _, name in _definitions(ast.parse(p.read_text()))}
+    return {name for name in defined if name in named["tests"] and name not in named["src"] | named["bench"]}
+
+
+def test_test_only_names_are_declared():
+    # a name that only tests call is a decision: declare why it stays, or delete it; a name given a caller leaves the list
+    found = _test_only(ROOT)
+    assert found == set(TEST_ONLY), (f"undeclared test-only names: {sorted(found - set(TEST_ONLY))}; "
+                                     f"declared names that src/ or bench/ names, or no test does: "
+                                     f"{sorted(set(TEST_ONLY) - found)}")
+
+
+def test_test_only_scan_skips_names_with_a_src_or_bench_caller(tmp_path):
+    files = {
+        "src/causalfermion/m.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\ndef k():\n    pass\n",
+        "tests/t.py": "from m import f, g, h, k\n",
+        "bench/b.py": "k()\n",
+    }
+    for name, code in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(code)
+    # g has a src caller and k a bench caller; f and h are named only in tests
+    assert _test_only(tmp_path) == {"f", "h"}
+
+
 def test_name_scan_reads_loads_attributes_imports_and_strings():
     tree = ast.parse(
         "import m\nfrom m import a\nB = 1\nC = 2\nD, E = 3, 4\n__all__ = []\n"

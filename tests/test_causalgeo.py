@@ -164,11 +164,42 @@ class TestInfluenceClosedForms:
         center = (0.0, 0.0, (a + b) / 2)
         radius = np.sqrt(c**2 + ((b - a) / 2) ** 2)
         for key in ("P1", "P2", "P3", "P4"):
-            assert cg.in_boosted_ball_influence(prof[key], center, radius, rho)
+            assert in_boosted_ball_influence(prof[key], center, radius, rho)
         # points along the straight flank
         for frac in np.linspace(0, 1, 7):
             pt = (1 - frac) * np.array(prof["P2"]) + frac * np.array(prof["P3"])
-            assert cg.in_boosted_ball_influence(pt, center, radius, rho)
+            assert in_boosted_ball_influence(pt, center, radius, rho)
+        assert not in_boosted_ball_influence((0.0, 0.0, 20.0), center, radius, rho)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+    def test_cylinder_needs_positive_radius(self, c):
+        # c <= 0 is False for NaN, so the check must be not c > 0
+        with pytest.raises(ValueError, match=r"^cylinder needs 0 <= a < b and c > 0$"):
+            cg.influence_cylinder(c, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (np.nan, 2.0), (1.0, np.nan)],
+                             ids=["a-below-0", "a-above-b", "a-equals-b", "nan-a", "nan-b"])
+    def test_cylinder_needs_ordered_heights(self, a, b):
+        with pytest.raises(ValueError, match=r"^cylinder needs 0 <= a < b and c > 0$"):
+            cg.influence_cylinder(1.0, a, b, 1.0)
+
+
+def in_boosted_ball_influence(x, center, radius, rho):
+    """Oracle: whether x lies in the influence region of the boosted ball (center, radius).
+
+    The influence is the union over ball points y of balls around (y1, y2, cosh(rho) y3) with
+    radius |sinh(rho) y3|; minimized over the ball cross-section through x (400 heights times
+    40 transverse offsets along x_perp; rotational symmetry around e3).
+    """
+    x, c = np.asarray(x, dtype=float), np.asarray(center, dtype=float)
+    y3 = np.linspace(c[2] - radius, c[2] + radius, 400)[:, None]
+    s = np.sqrt(np.maximum(radius**2 - (y3 - c[2]) ** 2, 0.0))
+    xp = x[:2] - c[:2]
+    xp_norm = np.linalg.norm(xp)
+    u = xp / xp_norm if xp_norm > 0 else np.array([1.0, 0.0])
+    yp = c[:2] + (np.linspace(-1.0, 1.0, 40) * s)[..., None] * u  # (400, 40, 2)
+    dist = np.sqrt(np.sum((x[:2] - yp) ** 2, axis=-1) + (x[2] - np.cosh(rho) * y3) ** 2)
+    return np.min(dist - np.abs(np.sinh(rho) * y3)) <= 1e-9
 
 
 def ternary_hits_all(diamonds, lines_x, lines_v):

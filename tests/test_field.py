@@ -10,9 +10,6 @@ from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion.errors import GuardViolation
 
-rng = np.random.default_rng(7)
-
-
 def random_field(grid, system, seed):
     r = np.random.default_rng(seed)
     shape = (system.components,) + (grid.n,) * grid.dim
@@ -329,59 +326,28 @@ class TestBump:
             fd.make_bump(grid, 0.0, 1.0, [1, 0], al.Weyl(+1), guard=3.5)
 
 
-class TestDilation:
-    def grid_state(self):
-        grid = fd.Grid(1, 1024, 24.0 / 1024)
-        psi = fd.make_bump(grid, 0.0, 2.0, [1.0, 0.5], al.Weyl(+1))
-        return psi.to_momentum()
+class TestCenter:
+    """A ball or bump centre has one entry per axis; any other length raises instead of broadcasting."""
 
-    def test_identity(self):
-        phi = self.grid_state()
-        assert (fd.dilate(phi, 1.0) - phi).norm() <= 1e-12
+    @pytest.mark.parametrize("dim, center", [(3, 0.0), (3, (0.0, 0.0)), (1, (0.0, 1.0)), (1, (0.0, 0.0, 0.0)),
+                                             (3, (0.0, 0.0, 0.0, 0.0))],
+                             ids=["3d-scalar", "3d-pair", "1d-pair", "1d-triple", "3d-quadruple"])
+    @pytest.mark.parametrize("build", [
+        lambda grid, c: fd.RegionMask.ball(grid, c, 1.0),
+        lambda grid, c: fd.make_bump(grid, c, 1.0, [1, 0], al.Weyl(+1)),
+    ], ids=["ball", "bump"])
+    def test_wrong_length_raises(self, dim, center, build):
+        # unchecked, a scalar on a 3D grid builds a (16, 1, 1) ball mask (5 sites, a 209-site slab in apply_mask)
+        # or an IndexError in make_bump; a pair builds a cylinder in 3D, and extra entries are dropped
+        with pytest.raises(ValueError, match=r"^center must have one entry per axis"):
+            build(fd.Grid(dim, 16, 0.5), center)
 
-    @pytest.mark.parametrize("lam", [0.5, 0.8, 1.0, 1.25])
-    def test_matches_dense_sum(self, lam):
-        # oracle: phi(lam p_k) = dx/sqrt(2 pi) sum_j e^{-i lam p_k x_j} psi_j as one dense matrix
-        phi = self.grid_state()
-        g = phi.grid
-        kernel = np.exp(-1j * np.outer(lam * g.paxis(), g.axis(0))) * (g.dx / np.sqrt(2.0 * np.pi))
-        want = lam**0.5 * (phi.to_position().values @ kernel.T)
-        got = fd.dilate(phi, lam).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_composition(self):
-        phi = self.grid_state()
-        double = fd.dilate(fd.dilate(phi, 1.2), 1.1)
-        single = fd.dilate(phi, 1.32)
-        # double resampling vs single: limited by the band-cut amplitude
-        assert (double - single).norm() <= 1e-6
-
-    def test_norm_preserved(self):
-        phi = self.grid_state()
-        assert abs(fd.dilate(phi, 0.8).norm() - 1.0) <= 1e-8
-
-    def test_mask_covariance(self):
-        # E(lam Delta) D_lam = D_lam E(Delta) on half-space masks, tested as
-        # the probability identity P(D_lam psi in {x <= lam a}) = P(psi in
-        # {x <= a}) with both boundaries chosen on exact cell edges
-        phi = self.grid_state()
-        grid = phi.grid
-        alpha = grid.snap_boundary(0.64)
-        lam = grid.snap_boundary(0.32) / alpha
-        p_lhs = fd.dilate(phi, lam).to_position().probability(
-            fd.RegionMask.half_space(grid, lam * alpha)
-        )
-        p_rhs = phi.to_position().probability(fd.RegionMask.half_space(grid, alpha))
-        # two different Riemann discretizations of the same continuum mass
-        assert abs(p_lhs - p_rhs) <= 1e-4
-
-    def test_band_guard(self):
-        grid = fd.Grid(1, 128, 4.0 / 128)
-        vals = np.zeros((2, 128), dtype=complex)
-        vals[0] = rng.normal(size=128)  # full-band noise
-        phi = fd.SpinorField(grid, al.Weyl(+1), "position", vals).normalized().to_momentum()
-        with pytest.raises(GuardViolation, match=r"^lam \* band = .* exceeds Nyquist "):
-            fd.dilate(phi, 3.0)
+    def test_right_length_ball(self):
+        grid = fd.Grid(3, 16, 0.5)
+        # the sites i^2 + j^2 + k^2 <= 4 in cells of 0.5: 1 + 6 + 12 + 8 + 6
+        assert np.count_nonzero(fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.0).sites) == 33
+        assert np.array_equal(fd.RegionMask.ball(fd.Grid(1, 16, 0.5), 0.0, 1.0).sites,
+                              fd.RegionMask.ball(fd.Grid(1, 16, 0.5), (0.0,), 1.0).sites)
 
 
 class TestSinCosSums:

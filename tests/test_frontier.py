@@ -230,10 +230,8 @@ class TestPrescribedTent:
         psi_m = fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(lam * 1.0), momentum=0.8)
         times = np.linspace(-4.0, 4.0, 17)
         fit_heavy = fr.fit_tent(times, fr.frontier_profile(psi_m, times, tau=TAU)[0])
-        dilated = fd.dilate(
-            fd.make_bump(grid, 0.3, 1.0, spinor, al.Dirac(1.0), momentum=0.8).to_momentum(),
-            lam,
-        ).to_position()
+        # D_lam phi(p) = lam^{1/2} phi(lam p) is psi(x / lam) / lam^{1/2}: the bump scaled by lam in closed form
+        dilated = fd.make_bump(grid, 0.3 * lam, 1.0 * lam, spinor, al.Dirac(1.0), momentum=0.8 / lam)
         fit_dil = fr.fit_tent(
             lam * times, fr.frontier_profile(dilated.normalized(), lam * times, tau=TAU)[0]
         )
