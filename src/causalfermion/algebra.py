@@ -36,7 +36,9 @@ ALPHA = np.array(
 def _unimodular(a) -> np.ndarray:
     """a as a complex matrix of SL(2,C); ValueError unless det a = 1 to UNITARY_TOL."""
     a = np.asarray(a, dtype=complex)
-    if not abs(np.linalg.det(a) - 1.0) <= UNITARY_TOL:  # a NaN determinant fails too
+    if not np.all(np.isfinite(a)):  # checked first: det of a non-finite matrix warns before it fails
+        raise ValueError(f"A = {a.tolist()} has a non-finite entry")
+    if not abs(np.linalg.det(a) - 1.0) <= UNITARY_TOL:
         raise ValueError(f"det A = {np.linalg.det(a)}")
     return a
 

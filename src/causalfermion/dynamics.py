@@ -33,7 +33,9 @@ into h(p) phi, which it no longer needs), and the inverse FFT run in place
 on that array.  The stream holds phi and h(p) phi and yields one psi_t at a
 time, so its memory does not grow with the number of times;
 ``evolve_causal`` is the stream at a single time, and keeps two (d, *sites)
-arrays, phi and the one it returns.  The ``evolve`` command's stream,
+arrays, phi and the one it returns; given two work arrays it allocates
+neither, so the late-change soft edge (``frontier``) runs its 30 evolutions in
+two arrays.  The ``evolve`` command's stream,
 ``newton_wigner_leaks``, runs the foil beside it: one support scan for the
 light cones as well, and per time the foil's phase product and inverse FFT,
 then the causal multiplier and inverse FFT, both written into one work array
@@ -51,7 +53,8 @@ i.e. each output sample needs the state evolved by a sample-dependent time and
 read at a sample-dependent point.  Split by energy sign, this is one Fourier
 sum over the boosted momenta kappa_eta(p) = cosh(rho) p + eta sinh(rho) eps(p);
 on evenly spaced outputs it is a type-1 nonuniform FFT (``field.nufft1``, with
-exponential-of-semicircle spreading, O(N log N) in 1D; see ``boost_values``).
+exponential-of-semicircle spreading, O(N log N) in 1D; see ``boost_values``),
+whose 2N sources are written into one (d, 2N) array.
 """
 
 from __future__ import annotations
@@ -195,25 +198,33 @@ def check_guard(field: SpinorField, horizon: float) -> None:
             )
 
 
-def _stream_start(field: SpinorField, times, guard: bool) -> tuple:
-    """(phi, h(p) phi, times as floats): the guard check at max |t|, forward FFT and h(p) phi a stream's times share."""
+def _stream_start(field: SpinorField, times, guard: bool, work=(None, None)) -> tuple:
+    """(phi, h(p) phi, times as floats): the guard check at max |t|, forward FFT and h(p) phi a stream's times share.
+
+    phi and h(p) phi are written into the two arrays of work (phi's may be
+    field.values, read by the guard check before the FFT overwrites it), or
+    into new ones where work holds None.
+    """
     if field.rep != "position":
         raise ValueError("causal evolution takes a position-representation field")
     times = np.asarray(times, dtype=float)
     if guard:
         check_guard(field, float(np.max(np.abs(times), initial=0.0)))
-    phi = field.to_momentum()
-    return phi, h_apply(phi, phi.values), times
+    phi = field.to_momentum(out=work[0])
+    return phi, h_apply(phi, phi.values, out=work[1]), times
 
 
-def evolve_times(field: SpinorField, times, guard: bool = True):
+def evolve_times(field: SpinorField, times, guard: bool = True, work=(None, None)):
     """Yield psi_t with the causal multiplier exp(i t h(p)) for each t of times, in order.
 
     One guard check at max |t|, one forward FFT and one h(p) phi serve every
-    time; each psi_t is a new field, so a caller may keep or modify it.  As a
-    generator, the checks run at the first ``next``.
+    time; each psi_t is a new field, so a caller may keep or modify it, but
+    for the last, which is written over h(p) phi.  work is two (d, *sites)
+    complex arrays for phi and h(p) phi (``_stream_start``), so the last psi_t
+    lands in work[1]; (None, None) allocates both.  As a generator, the
+    checks run at the first ``next``.
     """
-    phi, h_phi, times = _stream_start(field, times, guard)
+    phi, h_phi, times = _stream_start(field, times, guard, work)
     last = times.size - 1
     for k, t in enumerate(times):
         # a new array per time; the last time needs h(p) phi no more and is written over it
@@ -222,9 +233,14 @@ def evolve_times(field: SpinorField, times, guard: bool = True):
         del vals  # the caller's psi_t alone keeps it
 
 
-def evolve_causal(field: SpinorField, t: float, guard: bool = True) -> SpinorField:
-    """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact.  The stream at one time."""
-    return next(evolve_times(field, (t,), guard))
+def evolve_causal(field: SpinorField, t: float, guard: bool = True, work=(None, None)) -> SpinorField:
+    """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact.  The stream at one time.
+
+    Given work = (a, b), two (d, *sites) complex arrays, the evolution allocates
+    no state: the FFT runs in a (which may be field.values, then overwritten)
+    and psi_t is written into b.
+    """
+    return next(evolve_times(field, (t,), guard, work))
 
 
 def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: bool = True) -> SpinorField:
@@ -255,18 +271,23 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
         s(A_rho) (dp / sqrt(2 pi)) sum_{eta = +-1} sum_p e^{i x kappa_eta(p)} pi^eta(p) phi(p),
         kappa_eta = cosh(rho) p + eta sinh(rho) eps(p),
 
-    with pi^eta from ``energy_projector_apply`` (pi^- phi = phi - pi^+ phi).
+    with pi^eta from ``energy_projector_apply`` (pi^- phi = phi - pi^+ phi),
+    pi^+ phi and pi^- phi side by side in one (d, 2N) array of sources (phi
+    is transformed into the second half, and pi^- phi written over it) and
+    phased there.
     On x_j = x_0 + j delta this is a type-1 transform in theta = delta kappa
     mod 2 pi (the wrap is exact because j is an integer), evaluated by
     ``field.nufft1``: exponential-of-semicircle spreading over 15 fine cells on
     a grid oversampled at least 2.5x, one FFT per spinor component, within
     NUFFT_ERR = 5e-14 of sum |strengths| (tested against a long-double sum).
 
-    Outputs that are not evenly spaced (to 1e-12 relative) raise
-    ValueError.  Accuracy requires the light cone of supp(psi) at time
+    A non-finite rho, and outputs that are not evenly spaced (to 1e-12
+    relative), raise ValueError.  Accuracy requires the light cone of supp(psi) at time
     y0(x) = -sinh(rho) x to stay inside the grid for every requested x
     (checked, GuardViolation otherwise).
     """
+    if not np.isfinite(rho):
+        raise ValueError(f"rapidity rho = {rho} must be finite")
     if field.grid.dim != 1:
         raise NotImplementedError("boosts are implemented for the 1D lane only")
     if field.rep != "position":
@@ -284,12 +305,15 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
     if x_out.size == 0:
         return np.zeros((field.system.components, 0), dtype=complex)
     delta = even_step(x_out)
-    phi = field.to_momentum()
-    p, eps = g.paxis(), g.energy(phi.system.m)
+    p, eps = g.paxis(), g.energy(field.system.m)
     kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
-    plus = energy_projector_apply(phi, +1)
-    proj = np.concatenate([plus, phi.values - plus], axis=1)
-    strengths = np.exp(1j * x_out[0] * kappa) * proj
+    # the sources of both energy signs in one array: phi in the second half, pi^+ phi in the first,
+    # then pi^- phi = phi - pi^+ phi over phi, then phased
+    strengths = np.empty((field.system.components, kappa.size), dtype=complex)
+    phi = field.to_momentum(out=strengths[:, g.n :])
+    plus = energy_projector_apply(phi, +1, out=strengths[:, : g.n])
+    np.subtract(phi.values, plus, out=phi.values)
+    np.multiply(np.exp(1j * x_out[0] * kappa), strengths, out=strengths)  # phase first: with FMA, order rounds
     out = (g.dp / np.sqrt(2.0 * np.pi)) * nufft1(delta * kappa, strengths.T, x_out.size)
     srep = field.system.boost_rep(al.boost_matrix(rho))
     return np.einsum("ij,xj->ix", srep, out)

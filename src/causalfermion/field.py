@@ -197,6 +197,7 @@ class RegionMask:
     @staticmethod
     def ball(grid: Grid, center, radius: float) -> "RegionMask":
         center = _center(grid, center)
+        _require_positive("radius", radius)
         mesh = grid.position_mesh()
         r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
         return RegionMask(grid, r2 <= radius**2)
@@ -207,7 +208,15 @@ def _center(grid: Grid, center) -> np.ndarray:
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (grid.dim,):
         raise ValueError(f"center must have one entry per axis, got shape {center.shape} on a {grid.dim}D grid")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center {center} must be finite")
     return center
+
+
+def _require_positive(name: str, value: float) -> None:
+    """ValueError naming the argument unless value is finite and > 0."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} = {value} must be finite and > 0")
 
 
 def _broadcast_line(grid: Grid, line: np.ndarray) -> np.ndarray:
@@ -266,11 +275,12 @@ class SpinorField:
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
-    def normalized(self) -> "SpinorField":
+    def normalized(self, out: np.ndarray | None = None) -> "SpinorField":
+        """This field over its norm, written into out (which may be self.values) or into a new array."""
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero field")
-        return self * (1.0 / n)
+        return replace(self, values=np.multiply(self.values, 1.0 / n, out=out))
 
     # --- Fourier duality ----------------------------------------------------
     def to_momentum(self, out: np.ndarray | None = None, mask: RegionMask | None = None) -> "SpinorField":
@@ -315,8 +325,9 @@ class SpinorField:
         return replace(self, rep="position", values=vals)
 
     # --- localization -------------------------------------------------------
-    def apply_mask(self, mask: RegionMask) -> "SpinorField":
-        return replace(self, values=self.values * self._sites(mask))
+    def apply_mask(self, mask: RegionMask, out: np.ndarray | None = None) -> "SpinorField":
+        """The restriction to mask, written into out (which may be self.values) or into a new array."""
+        return replace(self, values=np.multiply(self.values, self._sites(mask), out=out))
 
     def probability(self, mask: RegionMask) -> float:
         """||1_Delta psi||^2 for a normalized field: localization probability."""
@@ -641,6 +652,7 @@ def make_bump(
     An optional plane-wave factor e^{i momentum x} (last axis) shifts the band.
     """
     center = _center(grid, center)
+    _require_positive("width", width)
     mesh = grid.position_mesh()
     for k in range(grid.dim):
         lo, hi = grid.axis(k)[0], grid.axis(k)[-1]

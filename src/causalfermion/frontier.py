@@ -11,11 +11,18 @@ with a single change time t_e per direction; fitting the profile recovers
 (e0, t_e) and certifies the law through the residual.  A late-change seed
 carries its t_eb from the fit that balanced it, so the top-window truncation
 checks its window against that t_eb without fitting the seed again.
+
+The soft lower edge (``soften_lower_edge``) runs its 15 late-change
+projections, 30 guard-checked causal evolutions at +-alpha, in two (d, n)
+arrays allocated once per call: each mask, ramp product and normalization
+writes in place, and each evolution runs its FFT in one array and writes
+psi_t into the other (``evolve_causal``'s work arrays).  The operations and
+their order are those of the stepwise chain, so the state keeps its bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,34 +241,42 @@ def recenter_lower_edge(field: SpinorField) -> SpinorField:
     return translate(field, -support_edge(field, e=+1))
 
 
-def project_late_change(field: SpinorField, alpha: float, sign: int = +1) -> SpinorField:
+def project_late_change(field: SpinorField, alpha: float, sign: int = +1, work=None) -> SpinorField:
     """psi^alpha = W(sign*alpha) E({x <= alpha}) W(sign*alpha)^{-1} psi.
 
     For psi localized in {x >= 0}, psi^alpha is localized in {0 <= x <= 2 alpha}
     and converges to psi as alpha grows.  The fixed points satisfy
     (psi^alpha)_{-sign*alpha} in {x <= alpha}, so the output is a late-change
     state whose change time t_eb carries the sign -sign.
+
+    The projection runs in work, two (d, *sites) complex arrays, and returns
+    psi^alpha in work[0], which may hold field's values; work=None allocates
+    the two.  Each evolution runs in the pair (``evolve_causal``'s work): the
+    first from work[0] into work[1], the mask in place, the second back.
     """
-    g = field.grid
-    half = RegionMask.half_space(g, alpha)
-    out = evolve_causal(field, -sign * alpha)
-    out = out.apply_mask(half)
-    return evolve_causal(out, sign * alpha)
+    a, b = _work(field) if work is None else work
+    out = evolve_causal(field, -sign * alpha, work=(a, b))
+    out = out.apply_mask(RegionMask.half_space(field.grid, alpha), out=b)
+    return evolve_causal(out, sign * alpha, work=(b, a))
 
 
-def late_change_polish(field: SpinorField, alpha: float) -> SpinorField:
+def late_change_polish(field: SpinorField, alpha: float, work=None) -> SpinorField:
     """Alternate the late-change projection with the {0 <= x <= 2 alpha} mask.
 
     For a state with positive t_eb: the underlying projection runs with
     parameter -1.  Repeated application (_POLISH_ROUNDS rounds) converges onto
-    the grid subspace whose states contract under positive boosts.
+    the grid subspace whose states contract under positive boosts.  Every
+    round masks, projects and normalizes in place in work (as
+    ``project_late_change``), and the result is in work[0], which may hold
+    field's values; work=None allocates the two arrays.
     """
-    g = field.grid
-    strip = RegionMask.strip(g, 0.0, 2.0 * alpha)
-    out = field
+    work = _work(field) if work is None else work
+    strip = RegionMask.strip(field.grid, 0.0, 2.0 * alpha)
+    out = field.apply_mask(strip, out=work[0])
     for _ in range(_POLISH_ROUNDS):
-        out = project_late_change(out.apply_mask(strip), alpha, -1).normalized()
-    return out.apply_mask(strip).normalized()
+        out = project_late_change(out, alpha, -1, work).normalized(out=work[0])
+        out = out.apply_mask(strip, out=work[0])
+    return out.normalized(out=work[0])
 
 
 def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
@@ -274,6 +289,9 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     density, shrinking the discretization floor of boosted-strip probabilities
     by two orders of magnitude while keeping the evolution-side defect at
     rounding level.  The state has positive t_eb.
+
+    All _SOFTEN_CYCLES + 1 polishes run in two (d, *sites) arrays allocated
+    here, and the state returned holds the first of them.
     """
     g = field.grid
     x = g.axis(0)
@@ -283,10 +301,20 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     ramp[:i0] = 0.0
     ramp[i0 : i0 + k] = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, k)))
 
-    cur = (field * ramp).normalized()  # the ramp is site-shaped: it scales every component
+    work = _work(field)
+
+    def ramped(state):  # the ramp is site-shaped: it scales every component
+        return replace(state, values=np.multiply(state.values, ramp, out=work[0])).normalized(out=work[0])
+
+    cur = ramped(field)
     for _ in range(_SOFTEN_CYCLES):
-        cur = (late_change_polish(cur, alpha) * ramp).normalized()
-    return late_change_polish(cur, alpha)
+        cur = ramped(late_change_polish(cur, alpha, work))
+    return late_change_polish(cur, alpha, work)
+
+
+def _work(field: SpinorField) -> tuple:
+    """Two complex arrays of field's shape: the late-change projections run in them."""
+    return np.empty_like(field.values, dtype=complex), np.empty_like(field.values, dtype=complex)
 
 
 def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: float) -> float:
@@ -296,8 +324,10 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     boost evaluation lands on a node of an exactly evolved grid state; the node
     sum with weight dx / cosh(rho) is then the discrete probability measure of
     the boosted field (exact at rho = 0, no interpolation ringing at a sharp
-    support edge).
+    support edge).  A non-finite rho, lo or hi raises ValueError.
     """
+    if not np.all(np.isfinite((rho, lo, hi))):
+        raise ValueError(f"rho = {rho}, lo = {lo} and hi = {hi} must be finite")
     g = field.grid
     c = np.cosh(rho)
     y = g.axis(0)

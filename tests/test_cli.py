@@ -500,12 +500,13 @@ class TestArtifacts:
 
     @staticmethod
     def count_transforms(monkeypatch) -> tuple:
-        """Lists that grow by one per forward and per inverse FFT pass of a field."""
+        """Lists that grow by one per forward and per inverse FFT pass of a field; out= and mask= reach the transforms."""
         forward, inverse = [], []
         to_momentum, to_position = fd.SpinorField.to_momentum, fd.SpinorField.to_position
-        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self: forward.append(1) or to_momentum(self))
+        monkeypatch.setattr(fd.SpinorField, "to_momentum",
+                            lambda self, *args, **kw: forward.append(1) or to_momentum(self, *args, **kw))
         monkeypatch.setattr(fd.SpinorField, "to_position",
-                            lambda self, out=None: inverse.append(1) or to_position(self, out))
+                            lambda self, *args, **kw: inverse.append(1) or to_position(self, *args, **kw))
         return forward, inverse
 
     def test_default_evolve_transforms_once_per_time(self, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,7 +119,8 @@ class TestNewtonWigner:
         guards, forward = [], []
         check, to_momentum = dyn.check_guard, fd.SpinorField.to_momentum
         monkeypatch.setattr(dyn, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
-        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self: forward.append(1) or to_momentum(self))
+        monkeypatch.setattr(fd.SpinorField, "to_momentum",
+                            lambda self, *args, **kw: forward.append(1) or to_momentum(self, *args, **kw))
         got = [(c, nw, psi_t.values.copy()) for c, nw, psi_t in dyn.newton_wigner_leaks(psi, times)]
         # one guard check at max |t| and one forward FFT serve every time
         assert (guards, len(forward)) == ([2.0], 1)
@@ -265,6 +267,19 @@ def dense_boost_values(field, rho, x_out):
     return np.einsum("ij,xj->ix", field.system.boost_rep(al.boost_matrix(rho)), out)
 
 
+def concatenating_boost_values(field, rho, x_out):
+    """boost_values with its sources concatenated from pi^+ phi and a pi^- phi temporary, then phased into a copy."""
+    g = field.grid
+    phi = field.to_momentum()
+    p, eps = g.paxis(), g.energy(field.system.m)
+    kappa = np.concatenate([np.cosh(rho) * p + eta * np.sinh(rho) * eps for eta in (1, -1)])
+    plus = dyn.energy_projector_apply(phi, +1)
+    proj = np.concatenate([plus, phi.values - plus], axis=1)
+    strengths = np.exp(1j * x_out[0] * kappa) * proj
+    out = (g.dp / np.sqrt(2.0 * np.pi)) * fd.nufft1(fd.even_step(x_out) * kappa, strengths.T, x_out.size)
+    return np.einsum("ij,xj->ix", field.system.boost_rep(al.boost_matrix(rho)), out)
+
+
 def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -294,6 +309,49 @@ class TestBoostTransform:
         assert dyn.boost_values(psi, 0.7, np.array([])).shape == (4, 0)
         one = np.array([0.4])
         assert _rel_err(dyn.boost_values(psi, 0.7, one), dense_boost_values(psi, 0.7, one)) <= 1e-10
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=["dirac1", "dirac0", "weyl+", "weyl-"])
+    def test_sources_in_one_array_bit_for_bit(self, system):
+        # the strip_probability_boosted layout, preimages y / cosh(rho) of the nodes in a strip
+        grid = fd.Grid(1, 4096, 14.0 / 4096)
+        spinor = [1, 0.3, 1j, 0.2] if system.components == 4 else [1, 0.5j]
+        psi = fd.make_bump(grid, 0.3, 0.7, spinor, system, momentum=2.0)
+        y = grid.axis(0)
+        for rho in (-0.5, 1.0, 3.0):
+            c = np.cosh(rho)
+            xs = y[(y > -0.4 * c) & (y < 0.2 * c)] / c
+            got, want = dyn.boost_values(psi, rho, xs), concatenating_boost_values(psi, rho, xs)
+            assert got.tobytes() == want.tobytes(), rho
+
+    def test_peak_memory_of_one_boost(self):
+        # one (d, 2N) array of sources, phi's FFT in its second half, then nufft1's fine grid and
+        # spreading: 8.6-9.0 states at this size (one state is psi's (4, 2^13) complex values); phi,
+        # pi^+ phi, the pi^- phi temporary and the concatenated and phased sources read 12.6-13.0
+        grid = fd.Grid(1, 8192, 14.0 / 8192)
+        psi = fd.make_bump(grid, 0.3, 0.7, [1, 0.3, 1j, 0.2], al.Dirac(1.0))
+        y = grid.axis(0)
+        for rho in (0.5, 3.0):
+            c = np.cosh(rho)
+            xs = y[(y > -0.1 * c) & (y < 0.1 * c)] / c
+            tracemalloc.start()
+            try:
+                dyn.boost_values(psi, rho, xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * psi.values.nbytes, (rho, peak / psi.values.nbytes)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_rapidity_raises(self, rho, monkeypatch):
+        # before any work, and before numpy warns on the sinh or the cast
+        psi = dirac_bump(n=512)
+        forward = []
+        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self, *a, **kw: forward.append(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^rapidity rho = .* must be finite$"):
+                dyn.boost_values(psi, rho, np.linspace(-0.1, 0.1, 9))
+        assert forward == []
 
     def test_uneven_outputs_raise(self):
         psi = dirac_bump(n=512)
@@ -602,6 +660,17 @@ class TestEvolveTimes:
         assert np.array_equal(psi.values, kept)
         want = oracle_evolve(psi, times[0])
         assert np.max(np.abs(states[0].values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "16^3"])
+    @pytest.mark.parametrize("system", TestSpectralKernel.SYSTEMS, ids=TestSpectralKernel.IDS)
+    def test_work_arrays_take_the_evolution_bit_for_bit(self, grid, system):
+        # given (a, b), the FFT runs in a, here the field's own values, and psi_t lands in b
+        psi = random_position_field(grid, system, 13)
+        want = dyn.evolve_causal(psi, -0.7, guard=False).values
+        a, b = psi.values.copy(), np.empty_like(psi.values)
+        got = dyn.evolve_causal(dataclasses.replace(psi, values=a), -0.7, guard=False, work=(a, b))
+        assert got.values is b and got.rep == "position"
+        assert b.tobytes() == want.tobytes()
 
     def test_rejects_momentum_fields(self):
         phi = dirac_bump().to_momentum()

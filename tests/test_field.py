@@ -276,6 +276,17 @@ class TestMasks:
         once = psi.apply_mask(m)
         assert (once.apply_mask(m) - once).norm() == 0.0
 
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 128, 4.0 / 128), fd.Grid(3, 8, 0.5)], ids=["1d", "8^3"])
+    def test_mask_and_normalize_in_place_bit_for_bit(self, grid):
+        # out= writes the same bits as a new array, and may be the field's own values
+        psi = random_field(grid, al.Dirac(1.0), 9) * 3.0
+        m = fd.RegionMask.half_space(grid, 0.3)
+        want = psi.apply_mask(m).normalized().values
+        vals = psi.values.copy()
+        got = dataclasses.replace(psi, values=vals).apply_mask(m, out=vals).normalized(out=vals)
+        assert got.values is vals and np.array_equal(vals, want)
+        assert vals.tobytes() == want.tobytes()  # signed zeros too
+
     def test_halfspace_snap_exactness(self):
         grid = fd.Grid(1, 128, 4.0 / 128)
         # an edge between cells: membership must be unambiguous
@@ -341,6 +352,28 @@ class TestCenter:
         # or an IndexError in make_bump; a pair builds a cylinder in 3D, and extra entries are dropped
         with pytest.raises(ValueError, match=r"^center must have one entry per axis"):
             build(fd.Grid(dim, 16, 0.5), center)
+
+    @pytest.mark.parametrize("center", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)],
+                             ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda grid, c: fd.RegionMask.ball(grid, c, 1.0),
+        lambda grid, c: fd.make_bump(grid, c, 1.0, [1, 0], al.Weyl(+1)),
+    ], ids=["ball", "bump"])
+    def test_non_finite_center_raises(self, center, build):
+        # unchecked, a NaN centre gives an empty ball, and a bump that fails late, as the zero field
+        with pytest.raises(ValueError, match=r"^center \[.*\] must be finite$"):
+            build(fd.Grid(3, 16, 0.5), center)
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+    def test_ball_radius_must_be_finite_and_positive(self, size):
+        # unchecked: NaN gives an empty ball, -1 the 33-site ball of radius 1, inf the whole grid
+        with pytest.raises(ValueError, match=r"^radius = .* must be finite and > 0$"):
+            fd.RegionMask.ball(fd.Grid(3, 16, 0.5), (0.0, 0.0, 0.0), size)
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+    def test_bump_width_must_be_finite_and_positive(self, size):
+        with pytest.raises(ValueError, match=r"^width = .* must be finite and > 0$"):
+            fd.make_bump(fd.Grid(1, 256, 0.1), 0.0, size, [1, 0], al.Weyl(+1))
 
     def test_right_length_ball(self):
         grid = fd.Grid(3, 16, 0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from causalfermion import algebra as al
+from causalfermion import cli
 from causalfermion import dynamics as dyn
 from causalfermion import field as fd
 from causalfermion import frontier as fr
@@ -304,6 +305,86 @@ class TestLateChange:
         assert fm.t_e < 0
 
 
+@pytest.fixture(scope="module", params=[(1.0, 4096), (0.0, 4096), (1.0, 8192), (0.0, 8192)],
+                ids=["m1-4096", "m0-4096", "m1-8192", "m0-8192"])
+def cli_late_change(request):
+    """(psi, alpha): the CLI's late-change state before its soft lower edge, and its polish parameter."""
+    mass, n = request.param
+    cfg = cli.resolve_config("contract", None, [f"n={n}", f"mass={mass}"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fr, "soften_lower_edge", lambda psi, alpha: psi)
+        _, psi, alpha = cli._build_late_change(cfg)
+    return psi, alpha
+
+
+def stepwise_polish(field, alpha):
+    """The late-change polish step by step through evolve_causal, apply_mask and normalized, each step a new field."""
+    strip = fd.RegionMask.strip(field.grid, 0.0, 2.0 * alpha)
+    half = fd.RegionMask.half_space(field.grid, alpha)
+    out = field
+    for _ in range(fr._POLISH_ROUNDS):
+        # the projection with parameter -1: W(-alpha) E({x <= alpha}) W(-alpha)^{-1}
+        out = dyn.evolve_causal(dyn.evolve_causal(out.apply_mask(strip), alpha).apply_mask(half), -alpha)
+        out = out.normalized()
+    return out.apply_mask(strip).normalized()
+
+
+def stepwise_soften(field, alpha):
+    """soften_lower_edge step by step, through stepwise_polish."""
+    g = field.grid
+    i0 = int(np.searchsorted(g.axis(0), 0.0))
+    k = max(12, int(round(fr._RAMP_WIDTH / g.dx)))
+    ramp = np.ones(g.n)
+    ramp[:i0] = 0.0
+    ramp[i0 : i0 + k] = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, k)))
+    cur = (field * ramp).normalized()
+    for _ in range(fr._SOFTEN_CYCLES):
+        cur = (stepwise_polish(cur, alpha) * ramp).normalized()
+    return stepwise_polish(cur, alpha)
+
+
+class TestLateChangeInPlace:
+    """The polish and the soft edge run in two reused arrays, with the bits of the stepwise chain."""
+
+    def test_soften_matches_stepwise_oracle(self, cli_late_change):
+        psi, alpha = cli_late_change
+        kept = psi.values.copy()
+        got = fr.soften_lower_edge(psi, alpha)
+        assert got.values.tobytes() == stepwise_soften(psi, alpha).values.tobytes()
+        assert np.array_equal(psi.values, kept)
+
+    def test_polish_and_projection_match_stepwise_oracle(self, cli_late_change):
+        psi, alpha = cli_late_change
+        kept = psi.values.copy()
+        assert fr.late_change_polish(psi, alpha).values.tobytes() == stepwise_polish(psi, alpha).values.tobytes()
+        half = fd.RegionMask.half_space(psi.grid, alpha)
+        want = dyn.evolve_causal(dyn.evolve_causal(psi, alpha).apply_mask(half), -alpha)
+        assert fr.project_late_change(psi, alpha, -1).values.tobytes() == want.values.tobytes()
+        assert np.array_equal(psi.values, kept)
+
+    def test_guard_checks_every_evolution_input(self, cli_late_change, monkeypatch):
+        psi, alpha = cli_late_change
+        guards = []
+        check = dyn.check_guard
+        monkeypatch.setattr(dyn, "check_guard", lambda field, horizon: guards.append(horizon) or check(field, horizon))
+        fr.soften_lower_edge(psi, alpha)
+        assert guards == [alpha] * 2 * fr._POLISH_ROUNDS * (fr._SOFTEN_CYCLES + 1)
+
+    def test_peak_memory_of_soften(self, cli_late_change):
+        # two (d, n) work arrays and O(n) rows (ramp, masks, densities, the multiplier's plane); the
+        # stepwise chain read 7.05 states (one state is psi's (4, n) complex values).  The +-alpha
+        # multiplier rows are cached before the trace: a bounded two-entry table, not the call's
+        psi, alpha = cli_late_change
+        fr.soften_lower_edge(psi, alpha)
+        tracemalloc.start()
+        try:
+            fr.soften_lower_edge(psi, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * psi.values.nbytes, peak / psi.values.nbytes
+
+
 @pytest.fixture(scope="module")
 def slow_state():
     # heavy, slow momentum band: the cut mass of psi_{-alpha} above alpha is
@@ -372,6 +453,17 @@ class TestContractionScan:
         probs = {rho: fr.strip_probability_boosted(soft, rho, -0.1, 0.1) for rho in (0.0, 1.0, 3.0)}
         assert probs[0.0] < 0.9  # baseline: state wider than the strip
         assert probs[3.0] >= 0.999
+
+    @pytest.mark.parametrize("args", [(np.nan, -0.1, 0.1), (np.inf, -0.1, 0.1), (1.0, np.nan, 0.1),
+                                      (1.0, -0.1, np.nan), (1.0, -np.inf, 0.1), (1.0, -0.1, np.inf)],
+                             ids=["rho-nan", "rho-inf", "lo-nan", "hi-nan", "lo-inf", "hi-inf"])
+    def test_non_finite_input_raises(self, bump, args, monkeypatch):
+        # unchecked, a NaN rapidity or edge selects no node and reads a probability of 0.0
+        boosts = []
+        monkeypatch.setattr(fr, "boost_values", lambda *a: boosts.append(1))
+        with pytest.raises(ValueError, match=r"^rho = .*, lo = .* and hi = .* must be finite$"):
+            fr.strip_probability_boosted(bump, *args)
+        assert boosts == []
 
     def test_symmetric_state_symmetric_trend(self):
         # T-symmetric state: p(rho) = p(-rho)
