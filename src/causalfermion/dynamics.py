@@ -189,10 +189,9 @@ def check_guard(field: SpinorField, horizon: float) -> None:
     serves every axis (``SpinorField.support_box``).  The check only gets
     stricter as |horizon| grows, so a check at max |t| covers every smaller |t|.
     """
-    g = field.grid
+    x = field.grid.axis()
     for ax, (lo, hi) in enumerate(field.support_box(EPS_LEAK)):
-        a0, a1 = g.axis(ax)[0], g.axis(ax)[-1]
-        if lo - abs(horizon) < a0 or hi + abs(horizon) > a1:
+        if lo - abs(horizon) < x[0] or hi + abs(horizon) > x[-1]:
             raise GuardViolation(
                 f"support [{lo:.4g}, {hi:.4g}] + horizon {abs(horizon):.4g} leaves axis {ax}"
             )
@@ -295,7 +294,7 @@ def boost_values(field: SpinorField, rho: float, x_out: np.ndarray) -> np.ndarra
     g = field.grid
     x_out = np.asarray(x_out, dtype=float)
     lo, hi = field.support_bounds()
-    a0, a1 = g.axis(0)[0], g.axis(0)[-1]
+    a0, a1 = g.axis()[[0, -1]]
     y0_max = float(np.max(np.abs(np.sinh(rho) * x_out))) if x_out.size else 0.0
     if lo - y0_max < a0 or hi + y0_max > a1:
         raise GuardViolation(
@@ -328,7 +327,7 @@ def boost_e3(field: SpinorField, rho: float) -> SpinorField:
     # only roundoff-level amplitude (matters when composing boosts)
     lo, hi = field.support_bounds(mass_tol=1e-16)
     new_lo, new_hi = influence_strip(lo, hi, rho)
-    x = g.axis(0)
+    x = g.axis()
     if new_lo < x[0] + g.dx or new_hi > x[-1] - g.dx:
         raise GuardViolation(f"influence region [{new_lo:.4g}, {new_hi:.4g}] leaves the grid")
     inside = (x >= new_lo - g.dx) & (x <= new_hi + g.dx)

@@ -7,12 +7,12 @@ Values are stored components first, shape (d, *sites): each component is a
 C-contiguous scalar field, and a site-shaped table (a Fourier factor, eps(p),
 a mask) broadcasts over the leading component axis as it stands.
 
-Every table of a grid is built here, once, and handed out read-only from a
-bounded cache: the axes, momenta, momentum mesh and Fourier factors, O(n) per
-axis, of one grid at a time (``Grid._tables``), eps(p) of two (grid, mass)
-pairs (``Grid.energy``; |p| is eps at m = 0), and the site-shaped Fourier
-factors of both signs of one grid (``_fourier_factor``: in 3D the product of
-the per-axis factors, multiplied out once rather than per transform).
+Every grid is centred: each axis holds the cells -n dx / 2 + j dx.  Every
+table of a grid is built here, once, and handed out read-only from a bounded
+cache: the axis, momenta, momentum mesh and site-shaped Fourier factors of
+both signs of one grid at a time (``Grid._tables``; in 3D a factor is the
+product of the axis factors, multiplied out once rather than per transform),
+and eps(p) of two (grid, mass) pairs (``Grid.energy``; |p| is eps at m = 0).
 
 A transform given a mask applies it in the same call (before the forward FFT,
 after the inverse) and skips the FFT lines that the mask's bounding box
@@ -53,12 +53,11 @@ LEAK_SAMPLES = 84
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid; same point count along every axis."""
+    """Uniform periodic grid, centred on 0; the same n cells along every axis."""
 
     dim: int
     n: int
     dx: float
-    origin: tuple = ()
 
     def __post_init__(self):
         if self.dim not in (1, 3):
@@ -67,13 +66,11 @@ class Grid:
             raise ValueError("n must be a power of two >= 4")
         if not 0.0 < self.dx < np.inf:
             raise ValueError(f"dx must be finite and > 0, got {self.dx!r}")
-        if not self.origin:
-            # centered grid: cells at origin + j dx, j = 0..n-1
-            object.__setattr__(self, "origin", (-self.n * self.dx / 2.0,) * self.dim)
-        elif len(self.origin) != self.dim:
-            raise ValueError("origin must have one entry per axis")
-        # a tuple keeps the grid hashable: its tables are cached per grid
-        object.__setattr__(self, "origin", tuple(self.origin))
+
+    @property
+    def origin(self) -> float:
+        """The first cell center of every axis, -n dx / 2."""
+        return -self.n * self.dx / 2.0
 
     @property
     def length(self) -> float:
@@ -83,9 +80,9 @@ class Grid:
     def dp(self) -> float:
         return 2.0 * np.pi / self.length
 
-    def axis(self, k: int = 0) -> np.ndarray:
-        """Cell centers origin_k + j dx along axis k, read-only."""
-        return self._tables()["axes"][k]
+    def axis(self) -> np.ndarray:
+        """Cell centers origin + j dx of every axis, read-only."""
+        return self._tables()["axis"]
 
     def paxis(self) -> np.ndarray:
         """Momenta 2 pi fftfreq(n, dx), in the FFT's order, read-only."""
@@ -95,16 +92,15 @@ class Grid:
         w = self.dx if rep == "position" else self.dp
         return w**self.dim
 
-    def snap_boundary(self, alpha: float, k: int = 0) -> float:
+    def snap_boundary(self, alpha: float) -> float:
         """Snap alpha to the nearest cell boundary origin + (j + 1/2) dx."""
-        j = round((alpha - self.origin[k]) / self.dx - 0.5)
-        return self.origin[k] + (j + 0.5) * self.dx
+        j = round((alpha - self.origin) / self.dx - 0.5)
+        return self.origin + (j + 0.5) * self.dx
 
     def position_mesh(self):
         if self.dim == 1:
-            return (self.axis(0),)
-        ax = [self.axis(k) for k in range(3)]
-        return np.meshgrid(*ax, indexing="ij", sparse=True)
+            return (self.axis(),)
+        return np.meshgrid(*(self.axis(),) * 3, indexing="ij", sparse=True)
 
     def momentum_mesh(self) -> tuple:
         """The momentum mesh, one paxis per axis (sparse in 3D), read-only."""
@@ -112,20 +108,23 @@ class Grid:
 
     @functools.lru_cache(maxsize=1)  # an op reads the tables of one grid; none is kept past the next grid
     def _tables(self) -> dict:
-        """Every table of the grid alone, read-only and O(n) per axis.
+        """Every table of the grid alone, read-only.
 
-        "axes" and "p" serve axis and paxis, "mesh" momentum_mesh, and "factors"[sign]
-        the per-axis Fourier factors e^{sign i p origin_k} w.  w is the per-axis scale
-        of the transform pair: dx / sqrt(2 pi) for the forward FFT (sign -1) and
-        n dp / sqrt(2 pi) for the inverse (sign +1).
+        "axis" and "p" serve axis and paxis, "mesh" momentum_mesh, and "factors"[sign]
+        the site-shaped Fourier factor that to_momentum (sign -1) and to_position
+        (sign +1) multiply by: the axis factor e^{sign i p origin} w, in 3D multiplied
+        out over the sites.  w is the per-axis scale of the transform pair: dx / sqrt(2 pi)
+        for the forward FFT and n dp / sqrt(2 pi) for the inverse.
         """
         p = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        axes = tuple(self.origin[k] + self.dx * np.arange(self.n) for k in range(self.dim))
+        axis = self.origin + self.dx * np.arange(self.n)
         mesh = (p,) if self.dim == 1 else tuple(np.meshgrid(p, p, p, indexing="ij", sparse=True))
-        factors = {sign: read_only(*(w / np.sqrt(2.0 * np.pi) * np.exp(sign * 1j * p * o) for o in self.origin))
-                   for sign, w in ((-1, self.dx), (+1, self.n * self.dp))}
-        read_only(p, *axes, *mesh)
-        return {"axes": axes, "p": p, "mesh": mesh, "factors": factors}
+        factors = {}
+        for sign, w in ((-1, self.dx), (+1, self.n * self.dp)):
+            f = w / np.sqrt(2.0 * np.pi) * np.exp(sign * 1j * p * self.origin)
+            factors[sign] = f if self.dim == 1 else f[:, None, None] * f[:, None] * f
+        read_only(p, axis, *mesh, *factors.values())
+        return {"axis": axis, "p": p, "mesh": mesh, "factors": factors}
 
     @functools.lru_cache(maxsize=2)  # the system's mass and m = 0 (|p|): a cascade reads both
     def energy(self, m: float) -> np.ndarray:
@@ -183,15 +182,13 @@ class RegionMask:
     @staticmethod
     def half_space(grid: Grid, alpha: float) -> "RegionMask":
         """{x : x <= alpha} along the last axis (e3 in 3D); its complement is {x > alpha}."""
-        ax = grid.dim - 1
-        return RegionMask(grid, _broadcast_line(grid, grid.axis(ax) <= grid.snap_boundary(alpha, ax)))
+        return RegionMask(grid, _broadcast_line(grid, grid.axis() <= grid.snap_boundary(alpha)))
 
     @staticmethod
     def strip(grid: Grid, lo: float, hi: float) -> "RegionMask":
         """{x : lo <= x <= hi} along the last axis (e3 in 3D)."""
-        ax = grid.dim - 1
-        x = grid.axis(ax)
-        line = (x >= grid.snap_boundary(lo, ax)) & (x <= grid.snap_boundary(hi, ax))
+        x = grid.axis()
+        line = (x >= grid.snap_boundary(lo)) & (x <= grid.snap_boundary(hi))
         return RegionMask(grid, _broadcast_line(grid, line))
 
     @staticmethod
@@ -302,7 +299,7 @@ class SpinorField:
             np.multiply(self.values[cols], sites[box[:-1]], out=vals[cols])
             src = vals
         _fft_sites(src, vals, box, forward=True)
-        vals *= _fourier_factor(g, sign=-1)
+        vals *= g._tables()["factors"][-1]
         return replace(self, rep="momentum", values=vals)
 
     def to_position(self, out: np.ndarray | None = None, mask: RegionMask | None = None) -> "SpinorField":
@@ -316,7 +313,7 @@ class SpinorField:
             raise ValueError("to_position needs a momentum-representation field")
         g = self.grid
         box, sites = ((slice(None),) * g.dim, None) if mask is None else (mask.box(), mask.sites_on(g))
-        vals = np.multiply(self.values, _fourier_factor(g, sign=+1), out=out)
+        vals = np.multiply(self.values, g._tables()["factors"][+1], out=out)
         _fft_sites(vals, vals, box, forward=False)
         if mask is not None:
             inside = (slice(None),) + box
@@ -356,6 +353,7 @@ class SpinorField:
             raise ValueError("support is a position-space notion")
         g = self.grid
         dens = site_density(self.values)
+        x = g.axis()
         box = []
         for ax in range(g.dim):
             line = dens.sum(axis=tuple(k for k in range(3) if k != ax)) if g.dim == 3 else dens
@@ -366,7 +364,6 @@ class SpinorField:
             cum_r = np.cumsum(line[::-1]) / total
             i0 = int(np.searchsorted(cum_l, mass_tol / 2.0, side="right"))
             i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
-            x = g.axis(ax)
             box.append((float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])))
         return box
 
@@ -405,13 +402,6 @@ def _zero_outside(vals: np.ndarray, box: tuple) -> None:
         inside = (slice(None),) + box[:k]
         vals[inside + (slice(None, cut.start),)] = 0.0
         vals[inside + (slice(cut.stop, None),)] = 0.0
-
-
-@functools.lru_cache(maxsize=2)  # both signs of one grid: every FFT pair on it reads them
-def _fourier_factor(g: Grid, sign: int) -> np.ndarray:
-    """Origin phase times scale on the sites, read-only, broadcast over the components (in 3D the product of the axes' factors)."""
-    f = g._tables()["factors"][sign]
-    return f[0] if g.dim == 1 else read_only(f[0][:, None, None] * f[1][:, None] * f[2])[0]
 
 
 #: exponential-of-semicircle (ES) kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)) on
@@ -650,12 +640,20 @@ def make_bump(
     `guard` is the planned evolution horizon: the support fattened by guard must
     stay strictly inside the grid, otherwise GuardViolation is raised.
     An optional plane-wave factor e^{i momentum x} (last axis) shifts the band.
+    A spinor that is zero or not finite, or a guard that is negative or not
+    finite, raises ValueError.
     """
     center = _center(grid, center)
     _require_positive("width", width)
+    if not 0.0 <= guard < np.inf:
+        raise ValueError(f"guard = {guard} must be finite and >= 0")
+    spinor = np.asarray(spinor, dtype=complex)
+    norm = np.linalg.norm(spinor)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"spinor {spinor} must be finite and nonzero")
     mesh = grid.position_mesh()
+    lo, hi = grid.axis()[0], grid.axis()[-1]
     for k in range(grid.dim):
-        lo, hi = grid.axis(k)[0], grid.axis(k)[-1]
         if center[k] - width - guard < lo + grid.dx or center[k] + width + guard > hi - grid.dx:
             raise GuardViolation(
                 f"support [{center[k]-width}, {center[k]+width}] + guard {guard} leaves axis {k}"
@@ -666,7 +664,6 @@ def make_bump(
         prof = np.where(r2 < w2, np.exp(-w2 / np.maximum(w2 - r2, 1e-300)), 0.0)
     if momentum:
         prof = prof * np.exp(1j * momentum * mesh[grid.dim - 1])
-    spinor = np.asarray(spinor, dtype=complex)
-    spinor = spinor / np.linalg.norm(spinor)
+    spinor = spinor / norm
     vals = prof * spinor.reshape((-1,) + (1,) * grid.dim)  # profile first: with FMA, complex products round by order
     return SpinorField(grid, system, "position", vals).normalized()

@@ -79,7 +79,7 @@ def _edge_masses(field: SpinorField, tau: float) -> np.ndarray:
 
 def _edge(g, dens: np.ndarray, e: int, tau: float) -> float:
     """support_edge along e from the per-cell masses of ``_edge_masses``."""
-    x = g.axis(g.dim - 1)
+    x = g.axis()
     cum = np.cumsum(dens if e > 0 else dens[::-1])
     # cells 0..j have mass <= tau  ->  boundary after cell j is still admissible
     j = int(np.searchsorted(cum, tau, side="right")) - 1
@@ -147,7 +147,7 @@ def fit_times(field: SpinorField) -> np.ndarray:
     """Symmetric 17-point time grid spanning both tent slopes within the grid's guard margin."""
     lo, hi = field.support_bounds()
     g = field.grid
-    margin = min(lo - g.axis(0)[0], g.axis(0)[-1] - hi)
+    margin = min(lo - g.axis()[0], g.axis()[-1] - hi)
     horizon = min(2.0 * (hi - lo), 0.95 * margin)
     return np.linspace(-horizon, horizon, 17)
 
@@ -294,7 +294,7 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     here, and the state returned holds the first of them.
     """
     g = field.grid
-    x = g.axis(0)
+    x = g.axis()
     i0 = int(np.searchsorted(x, 0.0))
     k = max(12, int(round(_RAMP_WIDTH / g.dx)))
     ramp = np.ones(g.n)
@@ -324,13 +324,16 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     boost evaluation lands on a node of an exactly evolved grid state; the node
     sum with weight dx / cosh(rho) is then the discrete probability measure of
     the boosted field (exact at rho = 0, no interpolation ringing at a sharp
-    support edge).  A non-finite rho, lo or hi raises ValueError.
+    support edge).  A non-finite rho, lo or hi, or an empty strip (lo >= hi),
+    raises ValueError.
     """
     if not np.all(np.isfinite((rho, lo, hi))):
         raise ValueError(f"rho = {rho}, lo = {lo} and hi = {hi} must be finite")
+    if lo >= hi:
+        raise ValueError(f"strip [{lo}, {hi}] is empty: lo must be < hi")
     g = field.grid
     c = np.cosh(rho)
-    y = g.axis(0)
+    y = g.axis()
     sel = (y > lo * c) & (y < hi * c)
     xs = y[sel] / c
     if xs.size == 0:

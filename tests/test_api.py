@@ -3,12 +3,14 @@
 An option that no call in ``src/``, ``tests/`` or ``bench/`` ever sets to
 another value than its default runs with one value only, so it is a constant.
 Calls are matched to definitions by name (``f(...)`` and ``obj.f(...)`` match
-every ``def f``; ``C(...)`` matches ``C.__init__``).  A parameter counts as set
+every ``def f``; ``C(...)`` matches ``C.__init__``, whose options include a
+dataclass's fields with a default).  A parameter counts as set
 when a call passes it by keyword, reaches its position, or passes ``*args`` /
 ``**kwargs``, unless the value passed is a literal equal to the default (a
 literal is a constant expression, or a name that the file assigns one at
 module level).  A call that only forwards the caller's own option
-(``g(x, tol=tol)``) sets it when that option is set somewhere.
+(``g(x, tol=tol)``) sets it when that option is set somewhere.  An option
+that only tests set is declared in ``TEST_SET_OPTIONS`` with the reason it stays.
 
 A parameter that its function's body never reads is dead weight in every call;
 a method's ``self`` and the runners' ``(cfg, out)`` interface are exempt.
@@ -69,6 +71,10 @@ class _Scan(ast.NodeVisitor):
             return _NOT_LITERAL
 
     def visit_ClassDef(self, node):
+        if _is_dataclass(node):  # a field with a default is an option of the class's constructor
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            self.options += [(f"{self.where}:{f.lineno}", node.name, f.target.id, i, self._literal(f.value))
+                             for i, f in enumerate(fields) if f.value is not None]
         self._classes.append(node.name)
         self.generic_visit(node)
         self._classes.pop()
@@ -163,15 +169,43 @@ def test_scan_sees_definitions_calls_and_forwarding():
         "def f(x, a=1, *, b=2):\n    return g(x, c=a)\n"
         "def g(x, c=0):\n    return x\n"
         "class K:\n    def __init__(self, y=0):\n        pass\n"
+        "@dataclass(frozen=True)\nclass D:\n    u: int\n    v: float = 0.5\n    w = 3\n"
         "K(1)\nf(0, 5)\n"
     )
     s = _Scan("m.py")
     s.visit(ast.parse(code))
+    # a dataclass field with a default is an option of the constructor, at the field's position
     assert {(func, p, pos, d) for _, func, p, pos, d in s.options} == {
-        ("f", "a", 1, 1), ("f", "b", None, 2), ("g", "c", 1, 0), ("K", "y", 0, 0)}
+        ("f", "a", 1, 1), ("f", "b", None, 2), ("g", "c", 1, 0), ("K", "y", 0, 0), ("D", "v", 1, 0.5)}
     assert ("g", 1, {"c": ("f", "a")}, {0: None}) in s.calls
     assert ("f", 2, {}, {0: _Literal(0), 1: _Literal(5)}) in s.calls
     assert ("evolve_causal", "guard") in {(func, p) for _, func, p, _, _ in _options()}
+
+
+#: package options that only tests set to another value than the default, each with the reason it stays
+TEST_SET_OPTIONS = {
+    ("evolve_times", "guard"): "the kernel and stream oracles run on random fields that fill every momentum cell",
+    ("evolve_causal", "guard"): "the kernel and stream oracles run on random fields that fill every momentum cell",
+    ("evolve_newton_wigner", "eta"): "the foil oracle",
+    ("evolve_newton_wigner", "guard"): "the foil oracle",
+    ("make_bump", "momentum"): "criterion 1",
+    ("support_edge", "tau"): "the tau-property tests",
+    ("make_late_change_state", "sign"): "late-change states with negative t_eb",
+    ("pol_apply", "tol"): "the direct-chain oracles",
+    ("ball_probability_evolved", "center"): "criteria 4 and 5",
+    ("ball_probability_evolved", "radius"): "criteria 4 and 5",
+    ("slab_probability_evolved", "beta"): "criteria 4 and 5",
+}
+
+
+def test_test_set_options_are_declared():
+    # an option that only tests set is a decision, as a test-only name is: declare why it stays, or make it
+    # a constant; an option given a src/ or bench/ caller leaves the list
+    done = _set_options(ROOT / "src", ROOT / "bench")
+    found = {(func, param) for _, func, param, _, _ in _options() if (func, param) not in done}
+    assert found == set(TEST_SET_OPTIONS), (f"undeclared test-set options: {sorted(found - set(TEST_SET_OPTIONS))}; "
+                                            f"declared options that src/ or bench/ sets: "
+                                            f"{sorted(set(TEST_SET_OPTIONS) - found)}")
 
 
 def test_an_option_passed_only_its_default_is_unset(tmp_path):

@@ -1,6 +1,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ def random_field(grid, system, seed):
 
 def masks_for_transforms(grid):
     """The masks that pin the pruned transforms: centred and edge balls, half-spaces, one site, all and none."""
-    first = grid.axis(2)[0]
+    first = grid.axis()[0]
     corner = np.zeros((grid.n,) * 3, dtype=bool)
     corner[3, grid.n - 2, 5] = True
     return {
         "ball-1": fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.0),
         "ball-1.5": fd.RegionMask.ball(grid, (0.0, 0.0, 0.0), 1.5),
         # off-centre: the box reaches the last site of axis 0 and the first of axis 2
-        "ball-edge": fd.RegionMask.ball(grid, (grid.axis(0)[-1], 0.4, first + 0.3), 1.5),
+        "ball-edge": fd.RegionMask.ball(grid, (grid.axis()[-1], 0.4, first + 0.3), 1.5),
         "half-0": fd.RegionMask.half_space(grid, 0.0),
         "half+0.5": fd.RegionMask.half_space(grid, 0.5),
         "half-0.5": fd.RegionMask.half_space(grid, -0.5),
@@ -67,7 +68,7 @@ class TestFourierDuality:
         # analytic pair: exp(-x^2/(2 s^2)) <-> s exp(-p^2 s^2 / 2)
         grid = fd.Grid(1, 1024, 40.0 / 1024)
         s = 1.3
-        x = grid.axis(0)
+        x = grid.axis()
         vals = np.zeros((2, grid.n), dtype=complex)
         vals[0] = np.exp(-(x**2) / (2 * s * s))
         psi = fd.SpinorField(grid, al.Weyl(+1), "position", vals)
@@ -82,15 +83,15 @@ class TestFourierDuality:
         with pytest.raises(ValueError, match="to_position needs a momentum-representation field"):
             psi.to_position()
 
-    @pytest.mark.parametrize("grid", [fd.Grid(1, 256, 10.0 / 256), fd.Grid(3, 32, 6.0 / 32, (-3.1, -2.9, -3.0))],
+    @pytest.mark.parametrize("grid", [fd.Grid(1, 256, 10.0 / 256), fd.Grid(3, 32, 6.0 / 32)],
                              ids=["1d", "32^3"])
     def test_transforms_are_fftn_times_the_factor_bit_for_bit(self, grid):
         psi = random_field(grid, al.Dirac(1.0), 3)
         axes = tuple(range(1, grid.dim + 1))  # the site axes, after the component axis
         kept = psi.values.copy()
         phi = psi.to_momentum()
-        assert np.array_equal(phi.values, np.fft.fftn(psi.values, axes=axes) * fd._fourier_factor(grid, -1))
-        want = np.fft.ifftn(phi.values * fd._fourier_factor(grid, +1), axes=axes)
+        assert np.array_equal(phi.values, np.fft.fftn(psi.values, axes=axes) * grid._tables()["factors"][-1])
+        want = np.fft.ifftn(phi.values * grid._tables()["factors"][+1], axes=axes)
         mom = phi.values.copy()
         assert np.array_equal(phi.to_position().values, want)
         # out=None and to_momentum leave their input as it was
@@ -99,7 +100,7 @@ class TestFourierDuality:
         back = phi.to_position(out=phi.values)
         assert back.values is phi.values and np.array_equal(back.values, want)
 
-    @pytest.mark.parametrize("grid", [fd.Grid(3, 16, 8.0 / 16), fd.Grid(3, 32, 6.0 / 32, (-3.1, -2.9, -3.0))],
+    @pytest.mark.parametrize("grid", [fd.Grid(3, 16, 8.0 / 16), fd.Grid(3, 32, 6.0 / 32)],
                              ids=["16^3", "32^3"])
     @pytest.mark.parametrize("region", ["ball-1", "ball-1.5", "ball-edge", "half-0", "half+0.5", "half-0.5",
                                         "half-first", "one-site", "full", "empty"])
@@ -110,8 +111,8 @@ class TestFourierDuality:
         sites, axes = mask.sites, (1, 2, 3)
         psi = random_field(grid, al.Dirac(1.0), 5)
         phi = psi.to_momentum(mask=mask)
-        assert np.array_equal(phi.values, np.fft.fftn(psi.values * sites, axes=axes) * fd._fourier_factor(grid, -1))
-        want = np.fft.ifftn(phi.values * fd._fourier_factor(grid, +1), axes=axes) * sites
+        assert np.array_equal(phi.values, np.fft.fftn(psi.values * sites, axes=axes) * grid._tables()["factors"][-1])
+        want = np.fft.ifftn(phi.values * grid._tables()["factors"][+1], axes=axes) * sites
         assert np.array_equal(phi.to_position(mask=mask).values, want)
         # into the field's own array, as the measurement cascade runs them
         work = phi.values.copy()
@@ -119,7 +120,7 @@ class TestFourierDuality:
         assert pos.values is work and np.array_equal(work, want)
         again = pos.to_momentum(out=work, mask=mask)
         assert again.values is work
-        assert np.array_equal(work, np.fft.fftn(want, axes=axes) * fd._fourier_factor(grid, -1))
+        assert np.array_equal(work, np.fft.fftn(want, axes=axes) * grid._tables()["factors"][-1])
         if region == "empty":
             assert not np.any(phi.values) and not np.any(work)
 
@@ -178,15 +179,13 @@ class TestLayout:
         assert np.all(np.abs(fd.site_density(vals) - want) <= 7 * np.finfo(float).eps * want)
 
 
-@pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.3, (-9.5,)), fd.Grid(3, 16, 0.3, (-2.5, -2.2, -2.9))],
-                         ids=["1d", "3d"])
+@pytest.mark.parametrize("grid", [fd.Grid(1, 64, 0.3), fd.Grid(3, 16, 0.3)], ids=["1d", "3d"])
 def test_grid_tables_are_one_read_only_set_per_grid(grid):
     # each table is one object on repeated calls, bit-equal to the formula that built it per call before
     p = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
     mesh = (p,) if grid.dim == 1 else np.meshgrid(p, p, p, indexing="ij", sparse=True)
-    for k in range(grid.dim):
-        assert grid.axis(k) is grid.axis(k)
-        assert np.array_equal(grid.axis(k), grid.origin[k] + grid.dx * np.arange(grid.n))
+    assert grid.axis() is grid.axis()
+    assert np.array_equal(grid.axis(), -grid.n * grid.dx / 2.0 + grid.dx * np.arange(grid.n))
     assert grid.paxis() is grid.paxis() and np.array_equal(grid.paxis(), p)
     assert grid.momentum_mesh() is grid.momentum_mesh()
     assert all(np.array_equal(got, want) for got, want in zip(grid.momentum_mesh(), mesh, strict=True))
@@ -194,15 +193,16 @@ def test_grid_tables_are_one_read_only_set_per_grid(grid):
     assert grid.energy(0.0) is grid.energy(0.0)
     assert np.array_equal(grid.energy(0.0), np.sqrt(sum(pk**2 for pk in mesh)))
     assert np.array_equal(grid.energy(1.5), np.sqrt(sum(pk * pk for pk in mesh) + 1.5**2))
-    tables = [*map(grid.axis, range(grid.dim)), grid.paxis(), *grid.momentum_mesh(), grid.energy(0.0)]
+    factors = grid._tables()["factors"]
+    tables = [grid.axis(), grid.paxis(), *grid.momentum_mesh(), grid.energy(0.0), factors[-1], factors[+1]]
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0.0
     # an equal grid reads the same tables: the cache is keyed by value
-    twin = fd.Grid(grid.dim, grid.n, grid.dx, grid.origin)
-    assert twin.axis(grid.dim - 1) is grid.axis(grid.dim - 1) and twin.paxis() is grid.paxis()
+    twin = fd.Grid(grid.dim, grid.n, grid.dx)
+    assert twin.axis() is grid.axis() and twin.paxis() is grid.paxis()
     # and it keeps one grid's tables only, so no 2^15-point table outlives the op that read it
-    fd.Grid(1, 2**15, 0.25).axis(0)
+    fd.Grid(1, 2**15, 0.25).axis()
     assert fd.Grid._tables.cache_info().currsize == 1
 
 
@@ -217,12 +217,12 @@ def old_support_bounds(field, ax, mass_tol):
     cum_r = np.cumsum(dens[::-1]) / total
     i0 = int(np.searchsorted(cum_l, mass_tol / 2.0, side="right"))
     i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
-    x = g.axis(ax)
+    x = g.axis()
     return float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])
 
 
 @pytest.mark.parametrize("grid, center", [(fd.Grid(1, 512, 12.0 / 512), 0.4),
-                                          (fd.Grid(3, 32, 0.3, (-4.5, -4.9, -4.7)), (0.4, -0.3, 0.7))],
+                                          (fd.Grid(3, 32, 0.3), (0.4, -0.3, 0.7))],
                          ids=["1d", "32^3"])
 def test_support_box_is_the_per_axis_support_bounds_bit_for_bit(grid, center):
     bump = fd.make_bump(grid, center, 2.0, [1, 0.3, 1j, 0], al.Dirac(1.0))
@@ -295,8 +295,7 @@ class TestMasks:
         assert np.array_equal(m1.sites, m2.sites)
 
     @pytest.mark.parametrize(
-        "other", [fd.Grid(1, 16, 0.5), fd.Grid(3, 16, 0.6), fd.Grid(3, 16, 0.5, (-4.0, -4.0, -3.5))],
-        ids=["1d_same_n", "other_dx", "other_origin"],
+        "other", [fd.Grid(1, 16, 0.5), fd.Grid(3, 16, 0.6)], ids=["1d_same_n", "other_dx"],
     )
     def test_mask_from_another_grid_raises(self, other):
         # a 1D mask broadcasts over the last axis, and an equal-shape mask fits every site: both were taken
@@ -318,7 +317,7 @@ class TestBump:
         grid = fd.Grid(1, 1024, 16.0 / 1024)
         psi = fd.make_bump(grid, 0.3, 1.1, [1, 2j, 0, 0], al.Dirac(1.0))
         assert abs(psi.norm() - 1.0) <= 1e-13
-        x = grid.axis(0)
+        x = grid.axis()
         nonzero = np.nonzero(np.abs(psi.values[0]) > 0.0)[0]
         assert abs(x[nonzero[0]] - (0.3 - 1.1)) <= grid.dx
         assert abs(x[nonzero[-1]] - (0.3 + 1.1)) <= grid.dx
@@ -374,6 +373,20 @@ class TestCenter:
     def test_bump_width_must_be_finite_and_positive(self, size):
         with pytest.raises(ValueError, match=r"^width = .* must be finite and > 0$"):
             fd.make_bump(fd.Grid(1, 256, 0.1), 0.0, size, [1, 0], al.Weyl(+1))
+
+    @pytest.mark.parametrize("spinor", [[0, 0], [np.nan, 0], [1, np.inf]], ids=["zero", "nan", "inf"])
+    def test_bump_spinor_must_be_finite_and_nonzero(self, spinor):
+        # unchecked, each normalized the spinor into NaNs (a RuntimeWarning for the zero spinor) and built a NaN field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^spinor \[.*\] must be finite and nonzero$"):
+                fd.make_bump(fd.Grid(1, 256, 0.1), 0.0, 1.0, spinor, al.Weyl(+1))
+
+    @pytest.mark.parametrize("guard", [np.nan, -5.0, np.inf], ids=["nan", "negative", "inf"])
+    def test_bump_guard_must_be_finite_and_nonnegative(self, guard):
+        # unchecked, a NaN guard passed the support check and a negative one loosened it
+        with pytest.raises(ValueError, match=r"^guard = .* must be finite and >= 0$"):
+            fd.make_bump(fd.Grid(1, 256, 0.1), 0.0, 1.0, [1, 0], al.Weyl(+1), guard=guard)
 
     def test_right_length_ball(self):
         grid = fd.Grid(3, 16, 0.5)
@@ -518,7 +531,7 @@ class TestSpreading:
     def test_boost(self, rho, monkeypatch):
         grid = fd.Grid(1, 4096, 14.0 / 4096)
         psi = fd.make_bump(grid, 0.0, 0.7, [1, 0.3, 1j, 0], al.Dirac(1.0), guard=3.3)
-        x = grid.axis(0)[(grid.axis(0) > -0.3) & (grid.axis(0) < 0.3)] / np.cosh(rho)
+        x = grid.axis()[(grid.axis() > -0.3) & (grid.axis() < 0.3)] / np.cosh(rho)
         self.assert_bits_of_bincount(monkeypatch, lambda: (dyn.boost_values(psi, rho, x),))
 
     @pytest.mark.parametrize("k_max, n_k, x_max, n_x, d, live", [

@@ -332,7 +332,7 @@ def stepwise_polish(field, alpha):
 def stepwise_soften(field, alpha):
     """soften_lower_edge step by step, through stepwise_polish."""
     g = field.grid
-    i0 = int(np.searchsorted(g.axis(0), 0.0))
+    i0 = int(np.searchsorted(g.axis(), 0.0))
     k = max(12, int(round(fr._RAMP_WIDTH / g.dx)))
     ramp = np.ones(g.n)
     ramp[:i0] = 0.0
@@ -463,6 +463,15 @@ class TestContractionScan:
         monkeypatch.setattr(fr, "boost_values", lambda *a: boosts.append(1))
         with pytest.raises(ValueError, match=r"^rho = .*, lo = .* and hi = .* must be finite$"):
             fr.strip_probability_boosted(bump, *args)
+        assert boosts == []
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, -0.3), (0.2, 0.2)], ids=["reversed", "zero-width"])
+    def test_empty_strip_raises(self, bump, lo, hi, monkeypatch):
+        # unchecked, an empty strip selects no node and reads a probability of 0.0
+        boosts = []
+        monkeypatch.setattr(fr, "boost_values", lambda *a: boosts.append(1))
+        with pytest.raises(ValueError, match=r"^strip \[.*\] is empty: lo must be < hi$"):
+            fr.strip_probability_boosted(bump, 0.5, lo, hi)
         assert boosts == []
 
     def test_symmetric_state_symmetric_trend(self):
