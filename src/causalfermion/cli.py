@@ -329,7 +329,8 @@ def _build_late_change(cfg):
     except NoLateChangeSeed as exc:  # t_eb is fitted from the seed, so no check in KEYS can bound window
         raise ConfigError(f"key 'window' = {cfg['window']!r} does not fit the seed: {exc}") from exc
     psi = fr.recenter_lower_edge(psi)
-    alpha = (-fr.support_edge(psi, -1, 1e-6) - fr.support_edge(psi, +1, 1e-6)) / 2
+    plus, minus = fr.support_edges(psi, 1e-6)
+    alpha = (-minus - plus) / 2
     psi = fr.soften_lower_edge(psi, alpha)
     return grid, psi, alpha
 
@@ -367,7 +368,7 @@ def run_radial(cfg, out: Path) -> None:
     w = cfg["width"]
 
     def gfun(r):
-        prof = np.where(r < w, np.exp(-w * w / np.maximum(w * w - r * r, 1e-300)), 0.0)
+        prof = fd.bump_profile(r * r, w)
         vals = np.zeros(r.shape + (2,), dtype=complex)
         vals[..., 0] = prof
         vals[..., 1] = 0.4j * prof * np.cos(2.1 * r)
@@ -526,7 +527,7 @@ def run_selftest(cfg, out: Path) -> None:
     check("time_reversal_square", (tr + psi).norm() <= 1e-12)
     prof = wr.RadialProfile.from_callable(
         lambda r: np.stack(
-            [np.where(r < 1.5, np.exp(-2.25 / np.maximum(2.25 - r * r, 1e-300)), 0.0),
+            [fd.bump_profile(r * r, 1.5),
              np.zeros_like(r)], axis=-1
         ).astype(complex),
         2.0,

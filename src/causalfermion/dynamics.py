@@ -28,21 +28,13 @@ the whole-grid bits.
 
 Every causal evolution is a stream (``evolve_times``): one guard check at
 max |t|, one forward FFT and one h(p) phi serve every time, and each time
-costs the multiplier, written into a new (d, *sites) array (the last time
-into h(p) phi, which it no longer needs), and the inverse FFT run in place
-on that array.  The stream holds phi and h(p) phi and yields one psi_t at a
+costs the multiplier and the inverse FFT.  The stream yields one psi_t at a
 time, so its memory does not grow with the number of times;
-``evolve_causal`` is the stream at a single time, and keeps two (d, *sites)
-arrays, phi and the one it returns; given two work arrays it allocates
-neither, so the late-change soft edge (``frontier``) runs its 30 evolutions in
-two arrays.  The ``evolve`` command's stream,
-``newton_wigner_leaks``, runs the foil beside it: one support scan for the
-light cones as well, and per time the foil's phase product and inverse FFT,
-then the causal multiplier and inverse FFT, both written into one work array
-reused across times; it holds three (d, *sites) arrays, and
-``newton_wigner_leak`` is its one-time case.  Every table above is
-site-shaped and broadcasts over the component axis of a field's (d, *sites)
-values.
+``evolve_causal`` is the stream at a single time.  The ``evolve`` command's
+stream, ``newton_wigner_leaks``, runs the foil beside it, from the same
+phi and h(p) phi and one support scan for the light cones; ``newton_wigner_leak``
+is its one-time case.  Every table above is site-shaped and broadcasts over
+the component axis of a field's (d, *sites) values.
 
 A pure boost with rapidity rho along e3 acts in position space as
 
@@ -197,30 +189,30 @@ def check_guard(field: SpinorField, horizon: float) -> None:
             )
 
 
-def _stream_start(field: SpinorField, times, guard: bool, work=(None, None)) -> tuple:
+def _stream_start(field: SpinorField, times, guard: bool, work=None) -> tuple:
     """(phi, h(p) phi, times as floats): the guard check at max |t|, forward FFT and h(p) phi a stream's times share.
 
-    phi and h(p) phi are written into the two arrays of work (phi's may be
-    field.values, read by the guard check before the FFT overwrites it), or
-    into new ones where work holds None.
+    phi lands in work[0] (which may be field.values) and h(p) phi in work[1].
+    A time that is not finite raises ValueError.
     """
     if field.rep != "position":
         raise ValueError("causal evolution takes a position-representation field")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
     if guard:
         check_guard(field, float(np.max(np.abs(times), initial=0.0)))
-    phi = field.to_momentum(out=work[0])
-    return phi, h_apply(phi, phi.values, out=work[1]), times
+    a, b = (None, None) if work is None else work
+    phi = field.to_momentum(out=a)
+    return phi, h_apply(phi, phi.values, out=b), times
 
 
-def evolve_times(field: SpinorField, times, guard: bool = True, work=(None, None)):
+def evolve_times(field: SpinorField, times, guard: bool = True, work=None):
     """Yield psi_t with the causal multiplier exp(i t h(p)) for each t of times, in order.
 
     One guard check at max |t|, one forward FFT and one h(p) phi serve every
     time; each psi_t is a new field, so a caller may keep or modify it, but
-    for the last, which is written over h(p) phi.  work is two (d, *sites)
-    complex arrays for phi and h(p) phi (``_stream_start``), so the last psi_t
-    lands in work[1]; (None, None) allocates both.  As a generator, the
+    for the last, which lands in work[1], over h(p) phi.  As a generator, the
     checks run at the first ``next``.
     """
     phi, h_phi, times = _stream_start(field, times, guard, work)
@@ -232,20 +224,20 @@ def evolve_times(field: SpinorField, times, guard: bool = True, work=(None, None
         del vals  # the caller's psi_t alone keeps it
 
 
-def evolve_causal(field: SpinorField, t: float, guard: bool = True, work=(None, None)) -> SpinorField:
+def evolve_causal(field: SpinorField, t: float, guard: bool = True, work=None) -> SpinorField:
     """psi_t with the causal multiplier exp(i t h(p)); norm and group law exact.  The stream at one time.
 
-    Given work = (a, b), two (d, *sites) complex arrays, the evolution allocates
-    no state: the FFT runs in a (which may be field.values, then overwritten)
-    and psi_t is written into b.
+    psi_t lands in work[1]; the FFT runs in work[0], which may be field.values.
     """
     return next(evolve_times(field, (t,), guard, work))
 
 
 def evolve_newton_wigner(field: SpinorField, t: float, eta: int = +1, guard: bool = True) -> SpinorField:
-    """Acausal foil: scalar multiplier exp(i t eta eps(p)) (sign-definite energy)."""
+    """Acausal foil: scalar multiplier exp(i t eta eps(p)) (sign-definite energy); a non-finite t raises ValueError."""
     if field.rep != "position":
         raise ValueError("evolve_newton_wigner takes a position-representation field")
+    if not np.isfinite(t):
+        raise ValueError(f"time t = {t} must be finite")
     if guard:
         check_guard(field, t)
     phi = field.to_momentum()

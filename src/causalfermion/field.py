@@ -22,6 +22,11 @@ call, and every line that runs is transformed as in fftn: the values are
 those of the unpruned transform and apply_mask bit for bit, but for the sign of
 a zero (a skipped line gives +0 where the FFT of a masked line may give -0).
 
+A function that can write into caller-owned storage takes it in one of two
+forms: out=None where it writes one (d, *sites) result, and work=None where it
+needs two arrays, given as a pair (a, b); None allocates.  Its docstring says
+which array the result lands in.
+
 Measure conventions: position cell weight dx^dim, momentum cell weight dp^dim
 with dp = 2 pi / (N dx).  The Fourier pair
 
@@ -609,7 +614,9 @@ def bessel_rows(k: np.ndarray, zero: np.ndarray, one: np.ndarray, x: np.ndarray)
 
 
 def even_step(x: np.ndarray) -> float:
-    """delta of evenly spaced points x_j = x_0 + j delta (to 1e-12 relative); else ValueError."""
+    """delta of evenly spaced finite points x_j = x_0 + j delta (to 1e-12 relative); else ValueError."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("outputs must be finite")
     delta = (x[-1] - x[0]) / max(x.size - 1, 1)
     even = x[0] + delta * np.arange(x.size)
     if np.max(np.abs(x - even)) > 1e-12 * max(float(np.max(np.abs(x))), abs(delta)):
@@ -624,6 +631,13 @@ def translate(field: SpinorField, shift: float) -> SpinorField:
     g = field.grid
     cells = int(round(shift / g.dx))
     return replace(field, values=np.roll(field.values, cells, axis=-1))
+
+
+def bump_profile(r2, width: float) -> np.ndarray:
+    """The C-infinity profile exp(-w^2/(w^2 - r^2)) at squared radii r2, exactly zero from r = w = width on."""
+    w2 = width * width
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(r2 < w2, np.exp(-w2 / np.maximum(w2 - r2, 1e-300)), 0.0)
 
 
 def make_bump(
@@ -658,10 +672,7 @@ def make_bump(
             raise GuardViolation(
                 f"support [{center[k]-width}, {center[k]+width}] + guard {guard} leaves axis {k}"
             )
-    r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
-    w2 = width * width
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        prof = np.where(r2 < w2, np.exp(-w2 / np.maximum(w2 - r2, 1e-300)), 0.0)
+    prof = bump_profile(sum((m - c) ** 2 for m, c in zip(mesh, center)), width)
     if momentum:
         prof = prof * np.exp(1j * momentum * mesh[grid.dim - 1])
     spinor = spinor / norm

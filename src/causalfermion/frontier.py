@@ -11,13 +11,6 @@ with a single change time t_e per direction; fitting the profile recovers
 (e0, t_e) and certifies the law through the residual.  A late-change seed
 carries its t_eb from the fit that balanced it, so the top-window truncation
 checks its window against that t_eb without fitting the seed again.
-
-The soft lower edge (``soften_lower_edge``) runs its 15 late-change
-projections, 30 guard-checked causal evolutions at +-alpha, in two (d, n)
-arrays allocated once per call: each mask, ramp product and normalization
-writes in place, and each evolution runs its FFT in one array and writes
-psi_t into the other (``evolve_causal``'s work arrays).  The operations and
-their order are those of the stepwise chain, so the state keeps its bits.
 """
 
 from __future__ import annotations
@@ -50,20 +43,18 @@ class TentFit:
 
 
 def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL) -> float:
-    """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary.
-
-    Each cell adds |psi|^2 dx^dim / dx (in 1D no dx enters): tau bounds a mass of tau dx, a unit state totals 1/dx."""
-    return _edge(field.grid, _edge_masses(field, tau), e, tau)
+    """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary: the entry of ``support_edges`` for e = +1 or -1."""
+    if e not in (+1, -1):
+        raise ValueError(f"direction e = {e} must be +1 or -1")
+    return support_edges(field, tau)[0 if e > 0 else 1]
 
 
 def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
-    """(support_edge along +e3, support_edge along -e3), both from one density pass, summed from either end."""
-    dens = _edge_masses(field, tau)
-    return _edge(field.grid, dens, +1, tau), _edge(field.grid, dens, -1, tau)
+    """(support_edge along +e3, support_edge along -e3), both from one density pass, summed from either end.
 
-
-def _edge_masses(field: SpinorField, tau: float) -> np.ndarray:
-    """Per-cell mass / dx along the last axis (e3 in 3D), the terms support_edge sums against tau."""
+    Each cell of the last axis (e3 in 3D) adds |psi|^2 dx^dim / dx (in 1D no
+    dx enters): tau bounds a mass of tau dx, a unit state totals 1/dx.
+    """
     if not 0.0 < tau <= 1e-2:
         raise ValueError("tau must lie in (0, 1e-2]")
     g = field.grid
@@ -74,18 +65,10 @@ def _edge_masses(field: SpinorField, tau: float) -> np.ndarray:
     total = float(dens.sum())
     if total <= tau:
         raise ValueError(f"total mass {total} <= tau = {tau}")
-    return dens
-
-
-def _edge(g, dens: np.ndarray, e: int, tau: float) -> float:
-    """support_edge along e from the per-cell masses of ``_edge_masses``."""
+    # cells 0..j from either end have mass <= tau  ->  the boundary after cell j is still admissible
+    jp, jm = (int(np.searchsorted(np.cumsum(d), tau, side="right")) for d in (dens, dens[::-1]))
     x = g.axis()
-    cum = np.cumsum(dens if e > 0 else dens[::-1])
-    # cells 0..j have mass <= tau  ->  boundary after cell j is still admissible
-    j = int(np.searchsorted(cum, tau, side="right")) - 1
-    if e > 0:
-        return x[0] - g.dx / 2.0 + (j + 1) * g.dx
-    return -(x[-1] + g.dx / 2.0) + (j + 1) * g.dx
+    return x[0] - g.dx / 2.0 + jp * g.dx, -(x[-1] + g.dx / 2.0) + jm * g.dx
 
 
 def frontier_profile(field: SpinorField, times, tau: float = DEFAULT_EDGE_TOL) -> tuple:
@@ -109,10 +92,12 @@ def fit_tent(times, edges) -> TentFit:
 
     The kink position comes from a coarse argmax refined by intersecting the
     two fixed-slope branch lines; a global fit would be biased by grid smearing
-    around the kink.
+    around the kink.  A time or edge that is not finite raises ValueError.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(edges, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("tent fit needs finite times and edges")
     if t.size < 5:
         raise ValueError("tent fit needs at least 5 time samples")
     order = np.argsort(t)
@@ -249,15 +234,11 @@ def project_late_change(field: SpinorField, alpha: float, sign: int = +1, work=N
     (psi^alpha)_{-sign*alpha} in {x <= alpha}, so the output is a late-change
     state whose change time t_eb carries the sign -sign.
 
-    The projection runs in work, two (d, *sites) complex arrays, and returns
-    psi^alpha in work[0], which may hold field's values; work=None allocates
-    the two.  Each evolution runs in the pair (``evolve_causal``'s work): the
-    first from work[0] into work[1], the mask in place, the second back.
+    psi^alpha lands in work[0], which may hold field's values.
     """
-    a, b = _work(field) if work is None else work
-    out = evolve_causal(field, -sign * alpha, work=(a, b))
-    out = out.apply_mask(RegionMask.half_space(field.grid, alpha), out=b)
-    return evolve_causal(out, sign * alpha, work=(b, a))
+    out = evolve_causal(field, -sign * alpha, work=work)
+    out = out.apply_mask(RegionMask.half_space(field.grid, alpha), out=out.values)
+    return evolve_causal(out, sign * alpha, work=None if work is None else work[::-1])
 
 
 def late_change_polish(field: SpinorField, alpha: float, work=None) -> SpinorField:
@@ -265,18 +246,15 @@ def late_change_polish(field: SpinorField, alpha: float, work=None) -> SpinorFie
 
     For a state with positive t_eb: the underlying projection runs with
     parameter -1.  Repeated application (_POLISH_ROUNDS rounds) converges onto
-    the grid subspace whose states contract under positive boosts.  Every
-    round masks, projects and normalizes in place in work (as
-    ``project_late_change``), and the result is in work[0], which may hold
-    field's values; work=None allocates the two arrays.
+    the grid subspace whose states contract under positive boosts.  The
+    result lands in work[0], which may hold field's values.
     """
-    work = _work(field) if work is None else work
     strip = RegionMask.strip(field.grid, 0.0, 2.0 * alpha)
-    out = field.apply_mask(strip, out=work[0])
+    out = field.apply_mask(strip, out=None if work is None else work[0])
     for _ in range(_POLISH_ROUNDS):
-        out = project_late_change(out, alpha, -1, work).normalized(out=work[0])
-        out = out.apply_mask(strip, out=work[0])
-    return out.normalized(out=work[0])
+        out = project_late_change(out, alpha, -1, work)
+        out = out.normalized(out=out.values).apply_mask(strip, out=out.values)
+    return out.normalized(out=out.values)
 
 
 def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
@@ -288,10 +266,8 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     nearby late-change grid state whose edge profile is flat at a far smaller
     density, shrinking the discretization floor of boosted-strip probabilities
     by two orders of magnitude while keeping the evolution-side defect at
-    rounding level.  The state has positive t_eb.
-
-    All _SOFTEN_CYCLES + 1 polishes run in two (d, *sites) arrays allocated
-    here, and the state returned holds the first of them.
+    rounding level.  The state has positive t_eb.  Every polish runs in one
+    pair of (d, *sites) arrays.
     """
     g = field.grid
     x = g.axis()
@@ -301,7 +277,7 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     ramp[:i0] = 0.0
     ramp[i0 : i0 + k] = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, k)))
 
-    work = _work(field)
+    work = np.empty_like(field.values, dtype=complex), np.empty_like(field.values, dtype=complex)
 
     def ramped(state):  # the ramp is site-shaped: it scales every component
         return replace(state, values=np.multiply(state.values, ramp, out=work[0])).normalized(out=work[0])
@@ -312,11 +288,6 @@ def soften_lower_edge(field: SpinorField, alpha: float) -> SpinorField:
     return late_change_polish(cur, alpha, work)
 
 
-def _work(field: SpinorField) -> tuple:
-    """Two complex arrays of field's shape: the late-change projections run in them."""
-    return np.empty_like(field.values, dtype=complex), np.empty_like(field.values, dtype=complex)
-
-
 def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: float) -> float:
     """Probability of the boosted state inside {lo <= x3 <= hi}.
 
@@ -324,8 +295,8 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     boost evaluation lands on a node of an exactly evolved grid state; the node
     sum with weight dx / cosh(rho) is then the discrete probability measure of
     the boosted field (exact at rho = 0, no interpolation ringing at a sharp
-    support edge).  A non-finite rho, lo or hi, or an empty strip (lo >= hi),
-    raises ValueError.
+    support edge).  A non-finite rho, lo or hi, an empty strip (lo >= hi), or
+    a strip that holds no sampling node, raises ValueError.
     """
     if not np.all(np.isfinite((rho, lo, hi))):
         raise ValueError(f"rho = {rho}, lo = {lo} and hi = {hi} must be finite")
@@ -337,7 +308,7 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     sel = (y > lo * c) & (y < hi * c)
     xs = y[sel] / c
     if xs.size == 0:
-        return 0.0
+        raise ValueError(f"strip [{lo}, {hi}] holds no sampling node: the step dx / cosh(rho) is {g.dx / c:.4g}")
     vals = boost_values(field, rho, xs)
     dens = site_density(vals)
     return float(np.sum(dens) * g.dx / c)

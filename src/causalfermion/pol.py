@@ -93,15 +93,15 @@ class CascadeStats:
     sigma2_bar_prime: float  # ||(I-P) E(Delta') phi1||^2
 
 
-def _pair_probabilities(pos: SpinorField, mask: RegionMask, work: np.ndarray, proj: np.ndarray):
+def _pair_probabilities(pos: SpinorField, mask: RegionMask, work: tuple):
     """(T phi, ||T phi||^2, ||(I-P) E phi||^2) for E = E(mask), from phi in position representation.
 
-    E phi is written into work and T phi into proj; (I-P) E phi then overwrites E phi.
+    T phi lands in work[1], and (I-P) E phi in work[0].
     """
-    e_phi = pos.to_momentum(out=work, mask=mask)
-    t_phi = positive_energy_project(e_phi, out=proj)
+    e_phi = pos.to_momentum(out=work[0], mask=mask)
+    t_phi = positive_energy_project(e_phi, out=work[1])
     sigma2 = t_phi.norm_sq()
-    np.subtract(work, proj, out=work)
+    np.subtract(work[0], work[1], out=work[0])
     return t_phi, sigma2, e_phi.norm_sq()
 
 
@@ -129,13 +129,13 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
     if not 1 <= depth <= MAX_CASCADE_DEPTH:
         raise ValueError(f"cascade depth {depth} outside 1..{MAX_CASCADE_DEPTH}")
     pos = field.to_position()
-    work, proj = np.empty_like(pos.values), np.empty_like(pos.values)
-    _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask, work, proj)
-    cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask, work, proj)  # cur = T phi, in proj
+    work = np.empty_like(pos.values), np.empty_like(pos.values)
+    _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask, work)
+    cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask, work)  # cur = T phi, in work[1]
     spare = pos.values  # phi's position is read no more: it takes the chain's next state
     gamma = [1.0, float(np.real(field.inner(cur)))]
     for _ in range(depth - 1):
-        e_cur = cur.to_position(out=work, mask=mask).to_momentum(out=work, mask=mask)
+        e_cur = cur.to_position(out=work[0], mask=mask).to_momentum(out=work[0], mask=mask)
         nxt = positive_energy_project(e_cur, out=spare)
         gamma += [cur.norm_sq(), float(np.real(cur.inner(nxt)))]
         cur, spare = nxt, cur.values

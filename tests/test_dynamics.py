@@ -16,6 +16,8 @@ from causalfermion.errors import GuardViolation
 
 rng = np.random.default_rng(23)
 
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+
 
 def dirac_bump(n=2048, length=16.0, width=1.0, guard=3.0, m=1.0):
     grid = fd.Grid(1, n, length / n)
@@ -358,6 +360,17 @@ class TestBoostTransform:
         with pytest.raises(ValueError, match="outputs must be evenly spaced"):
             dyn.boost_values(psi, 0.7, np.array([0.0, 0.1, 0.3]))
 
+    @NON_FINITE
+    def test_non_finite_outputs_raise(self, bad):
+        # unchecked, the step of [nan, 1, 2] reads nan, and a boost at [nan, 0.1] returned values
+        with pytest.raises(ValueError, match="^outputs must be finite$"):
+            fd.even_step(np.array([bad, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="^outputs must be finite$"):
+            fd.even_step(np.array([0.0, 1.0, bad]))
+        if np.isnan(bad):  # an infinite output's evolution window leaves the grid first (GuardViolation)
+            with pytest.raises(ValueError, match="^outputs must be finite$"):
+                dyn.boost_values(dirac_bump(n=512), 0.5, np.array([bad, 0.1]))
+
     @pytest.mark.parametrize("m", [1, 59, 589, 1179])
     @pytest.mark.parametrize("d", [2, 4])
     def test_nufft1_matches_direct_sum(self, m, d):
@@ -671,3 +684,21 @@ class TestEvolveTimes:
         phi = dirac_bump().to_momentum()
         with pytest.raises(ValueError, match="position-representation"):
             next(dyn.evolve_times(phi, [0.5]))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no-guard"])
+    def test_non_finite_times_raise_in_every_stream(self, bad, guard, monkeypatch):
+        # unchecked, every comparison of check_guard is false for nan, and a nan time evolved to an
+        # all-nan state; the check runs before the forward FFT, with or without the guard
+        psi = dirac_bump(n=512)
+        forward = []
+        monkeypatch.setattr(fd.SpinorField, "to_momentum", lambda self, *a, **kw: forward.append(1))
+        streams = [lambda: dyn.evolve_causal(psi, bad, guard=guard),
+                   lambda: next(dyn.evolve_times(psi, [0.5, bad, 1.0], guard=guard)),
+                   lambda: dyn.evolve_newton_wigner(psi, bad, guard=guard)]
+        if guard:
+            streams.append(lambda: next(dyn.newton_wigner_leaks(psi, [0.5, bad])))
+        for stream in streams:
+            with pytest.raises(ValueError, match=r"^times? .*must be finite"):
+                stream()
+        assert forward == []

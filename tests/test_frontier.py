@@ -12,6 +12,8 @@ from causalfermion.errors import GuardViolation, NoLateChangeSeed
 
 TAU = 1e-6
 
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+
 
 @pytest.fixture(scope="module")
 def bump():
@@ -70,6 +72,20 @@ class TestSupportEdge:
         with pytest.raises(ValueError, match=r"^total mass .* <= tau = 0\.001$"):
             fr.support_edge(bump * 1e-5, +1, 1e-3)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_each_edge_is_an_entry_of_support_edges(self, dim):
+        grid = fd.Grid(1, 4096, 24.0 / 4096) if dim == 1 else fd.Grid(3, 16, 0.5)
+        psi = fd.make_bump(grid, (0.3,) * dim, 1.5, [1, 0.3, 1j, 0], al.Dirac(1.0))
+        plus, minus = fr.support_edges(psi, TAU)
+        assert fr.support_edge(psi, +1, TAU).tobytes() == plus.tobytes()
+        assert fr.support_edge(psi, -1, TAU).tobytes() == minus.tobytes()
+
+    @pytest.mark.parametrize("e", [0, 2, -2])
+    def test_direction_must_be_plus_or_minus_one(self, bump, e):
+        # unchecked, e = 0 read as -1 and e = 2 as +1
+        with pytest.raises(ValueError, match=rf"^direction e = {e} must be \+1 or -1$"):
+            fr.support_edge(bump, e, TAU)
+
 
 class TestFrontierProfile:
     def test_single_time(self, bump):
@@ -86,6 +102,12 @@ class TestFrontierProfile:
         evolved = [dyn.evolve_causal(bump, float(t)) for t in bump_times]
         assert np.array_equal(plus, [fr.support_edge(psi_t, +1, TAU) for psi_t in evolved])
         assert np.array_equal(minus, [fr.support_edge(psi_t, -1, TAU) for psi_t in evolved])
+
+    @NON_FINITE
+    def test_non_finite_time_raises(self, bump, bad):
+        # unchecked, a nan time passed the guard and read an edge of -6.0
+        with pytest.raises(ValueError, match="must be finite"):
+            fr.frontier_profile(bump, [0.0, bad, 1.0, 2.0, 3.0], tau=TAU)
 
     def test_guard_raises_before_any_evolution(self, bump, monkeypatch):
         evolved = []
@@ -150,6 +172,15 @@ class TestTentFit:
         )
         dt = bump_times[1] - bump_times[0]
         assert abs(fit_rev.t_e + fit_p.t_e) <= 2 * dt
+
+    @NON_FINITE
+    def test_non_finite_time_or_edge_raises(self, bad):
+        # unchecked, a nan time gave a nan fit
+        times = np.linspace(-2.0, 2.0, 9)
+        edges = 1.0 - np.abs(times)
+        for t, y in ((np.where(times == 0.5, bad, times), edges), (times, np.where(times == 0.5, bad, edges))):
+            with pytest.raises(ValueError, match="^tent fit needs finite times and edges$"):
+                fr.fit_tent(t, y)
 
     def test_insufficient_samples(self, bump):
         times = [0.0, 0.5, 1.0]
@@ -370,6 +401,16 @@ class TestLateChangeInPlace:
         fr.soften_lower_edge(psi, alpha)
         assert guards == [alpha] * 2 * fr._POLISH_ROUNDS * (fr._SOFTEN_CYCLES + 1)
 
+    def test_given_pair_or_none_give_the_bits_and_the_pair_takes_the_result(self, cli_late_change):
+        psi, alpha = cli_late_change
+        for run in (lambda work: fr.project_late_change(psi, alpha, -1, work),
+                    lambda work: fr.late_change_polish(psi, alpha, work)):
+            want = run(None).values
+            work = np.empty_like(psi.values), np.empty_like(psi.values)
+            got = run(work)
+            assert got.values is work[0]
+            assert got.values.tobytes() == want.tobytes()
+
     def test_peak_memory_of_soften(self, cli_late_change):
         # two (d, n) work arrays and O(n) rows (ramp, masks, densities, the multiplier's plane); the
         # stepwise chain read 7.05 states (one state is psi's (4, n) complex values).  The +-alpha
@@ -472,6 +513,17 @@ class TestContractionScan:
         monkeypatch.setattr(fr, "boost_values", lambda *a: boosts.append(1))
         with pytest.raises(ValueError, match=r"^strip \[.*\] is empty: lo must be < hi$"):
             fr.strip_probability_boosted(bump, 0.5, lo, hi)
+        assert boosts == []
+
+    def test_strip_between_sampling_nodes_raises(self, monkeypatch):
+        # unchecked, a nonempty strip narrower than the sampling step read a probability of 0.0
+        grid = fd.Grid(1, 1024, 16.0 / 1024)
+        psi = fd.make_bump(grid, 0.0, 1.0, [1, 0, 0, 0], al.Dirac(1.0))
+        boosts = []
+        monkeypatch.setattr(fr, "boost_values", lambda *a: boosts.append(1))
+        with pytest.raises(ValueError, match=r"^strip \[0\.001, 0\.005\] holds no sampling node: "
+                                             r"the step dx / cosh\(rho\) is 0\.01386$"):
+            fr.strip_probability_boosted(psi, 0.5, 0.001, 0.005)
         assert boosts == []
 
     def test_symmetric_state_symmetric_trend(self):
