@@ -66,7 +66,8 @@ def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
     if total <= tau:
         raise ValueError(f"total mass {total} <= tau = {tau}")
     # cells 0..j from either end have mass <= tau  ->  the boundary after cell j is still admissible
-    jp, jm = (int(np.searchsorted(np.cumsum(d), tau, side="right")) for d in (dens, dens[::-1]))
+    cum = np.empty_like(dens)
+    jp, jm = (int(np.searchsorted(np.cumsum(d, out=cum), tau, side="right")) for d in (dens, dens[::-1]))
     x = g.axis()
     return x[0] - g.dx / 2.0 + jp * g.dx, -(x[-1] + g.dx / 2.0) + jm * g.dx
 
