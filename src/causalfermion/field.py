@@ -27,6 +27,10 @@ forms: out=None where it writes one (d, *sites) result, and work=None where it
 needs two arrays, given as a pair (a, b); None allocates.  Its docstring says
 which array the result lands in.
 
+Every whole-array reduction of a field (norm, inner product, probability) is
+``real_inner``, Re sum conj(a) b, or its per-site form ``site_density``: one
+einsum over float views in numpy's own loop, never BLAS, at any thread count.
+
 Measure conventions: position cell weight dx^dim, momentum cell weight dp^dim
 with dp = 2 pi / (N dx).  The Fourier pair
 
@@ -268,11 +272,10 @@ class SpinorField:
     def inner(self, other: "SpinorField") -> complex:
         self._compatible(other)
         w = self.grid.cell_measure(self.rep)
-        return complex(w * np.vdot(self.values, other.values))
+        return complex(w * real_inner(self.values, other.values), -w * real_inner(self.values, 1j * other.values))
 
     def norm_sq(self) -> float:
-        w = self.grid.cell_measure(self.rep)
-        return float(w * np.vdot(self.values, self.values).real)
+        return self.grid.cell_measure(self.rep) * real_inner(self.values, self.values)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
@@ -333,10 +336,7 @@ class SpinorField:
 
     def probability(self, mask: RegionMask) -> float:
         """||1_Delta psi||^2 for a normalized field: localization probability."""
-        sites = self._sites(mask)
-        w = self.grid.cell_measure(self.rep)
-        inside = (comp[sites] for comp in self.values)  # one component's cells at a time
-        return float(w * sum(np.vdot(c, c).real for c in inside))
+        return self.grid.cell_measure(self.rep) * float(site_density(self.values)[self._sites(mask)].sum())
 
     def _sites(self, mask: RegionMask) -> np.ndarray:
         if self.rep != "position":
@@ -371,6 +371,12 @@ class SpinorField:
             i1 = g.n - 1 - int(np.searchsorted(cum_r, mass_tol / 2.0, side="right"))
             box.append((float(x[min(i0, g.n - 1)]), float(x[max(min(i1, g.n - 1), 0)])))
         return box
+
+
+def real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum conj(a) b over two complex arrays of one shape: re re + im im, one einsum over the float views."""
+    fa, fb = (np.ascontiguousarray(v, dtype=complex).view(float).ravel() for v in (a, b))
+    return float(np.einsum("i,i->", fa, fb))
 
 
 def site_density(values: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import boost_values, evolve_causal, evolve_times, time_reverse
 from .errors import NoLateChangeSeed
-from .field import RegionMask, SpinorField, site_density, translate
+from .field import RegionMask, SpinorField, real_inner, site_density, translate
 
 DEFAULT_EDGE_TOL = 1e-6
 
@@ -46,7 +46,7 @@ def support_edge(field: SpinorField, e: int = +1, tau: float = DEFAULT_EDGE_TOL)
     """sup{alpha : (mass in {x e <= alpha}) / dx <= tau}, reported at a cell boundary: the entry of ``support_edges`` for e = +1 or -1."""
     if e not in (+1, -1):
         raise ValueError(f"direction e = {e} must be +1 or -1")
-    return support_edges(field, tau)[0 if e > 0 else 1]
+    return _edges(field, tau, (e,))[0]
 
 
 def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
@@ -55,6 +55,11 @@ def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
     Each cell of the last axis (e3 in 3D) adds |psi|^2 dx^dim / dx (in 1D no
     dx enters): tau bounds a mass of tau dx, a unit state totals 1/dx.
     """
+    return _edges(field, tau, (+1, -1))
+
+
+def _edges(field: SpinorField, tau: float, directions: tuple) -> tuple:
+    """support_edge for each e in directions, from one density pass, each summed from its own end only."""
     if not 0.0 < tau <= 1e-2:
         raise ValueError("tau must lie in (0, 1e-2]")
     g = field.grid
@@ -65,11 +70,10 @@ def support_edges(field: SpinorField, tau: float = DEFAULT_EDGE_TOL) -> tuple:
     total = float(dens.sum())
     if total <= tau:
         raise ValueError(f"total mass {total} <= tau = {tau}")
-    # cells 0..j from either end have mass <= tau  ->  the boundary after cell j is still admissible
-    cum = np.empty_like(dens)
-    jp, jm = (int(np.searchsorted(np.cumsum(d, out=cum), tau, side="right")) for d in (dens, dens[::-1]))
-    x = g.axis()
-    return x[0] - g.dx / 2.0 + jp * g.dx, -(x[-1] + g.dx / 2.0) + jm * g.dx
+    cum, x = np.empty_like(dens), g.axis()
+    # cells 0..j from the e end have mass <= tau  ->  the boundary after cell j is still admissible
+    return tuple(e * x[::e][0] - g.dx / 2.0 + int(np.searchsorted(np.cumsum(dens[::e], out=cum), tau, side="right")) * g.dx
+                 for e in directions)
 
 
 def frontier_profile(field: SpinorField, times, tau: float = DEFAULT_EDGE_TOL) -> tuple:
@@ -181,21 +185,14 @@ def make_seed_with_dates(psi: SpinorField, target_t: float):
     if abs(tau) < psi.grid.dx:
         balanced, t_e, t_eb = psi, fp.t_e, fm.t_e
     else:
-        balanced, t_e, _ = construct_prescribed_tent(
-            psi, tau, abs(tau), dates1=(fp.t_e, fm.t_e)
-        )
+        balanced, t_e, _ = construct_prescribed_tent(psi, tau, abs(tau), dates1=(fp.t_e, fm.t_e))
         t_eb = None
     # time translation moves both change times from t_e to 0, then to target_t
     s = t_e - target_t
     return evolve_causal(balanced, s), None if t_eb is None else t_eb - s
 
 
-def make_late_change_state(
-    eta: SpinorField,
-    delta: float,
-    sign: int = +1,
-    dates=None,
-):
+def make_late_change_state(eta: SpinorField, delta: float, sign: int = +1, dates=None):
     """Truncate a seed with positive t_eb to its top window of width delta.
 
     psi = E({-eb(eta) - delta <= x <= -eb(eta)}) eta, normalized; the result
@@ -311,5 +308,4 @@ def strip_probability_boosted(field: SpinorField, rho: float, lo: float, hi: flo
     if xs.size == 0:
         raise ValueError(f"strip [{lo}, {hi}] holds no sampling node: the step dx / cosh(rho) is {g.dx / c:.4g}")
     vals = boost_values(field, rho, xs)
-    dens = site_density(vals)
-    return float(np.sum(dens) * g.dx / c)
+    return float(real_inner(vals, vals) * g.dx / c)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import energy_projector_apply
 from .errors import DomainViolation
-from .field import Grid, RegionMask, SpinorField, bessel_sums
+from .field import Grid, RegionMask, SpinorField, bessel_sums, real_inner
 # cumulative_simpson is bound here too: bench/test_bench.py checks that the tracer wraps this binding
 from .weylradial import ball_integral, cumulative_simpson, radial_integral, simpson_weights  # noqa: F401
 
@@ -133,11 +133,12 @@ def measurement_cascade(field: SpinorField, mask: RegionMask, depth: int = MAX_C
     _, sigma2_prime, sigma2_bar_prime = _pair_probabilities(pos, ~mask, work)
     cur, sigma2, sigma2_bar = _pair_probabilities(pos, mask, work)  # cur = T phi, in work[1]
     spare = pos.values  # phi's position is read no more: it takes the chain's next state
-    gamma = [1.0, float(np.real(field.inner(cur)))]
+    w = field.grid.cell_measure("momentum")
+    gamma = [1.0, w * real_inner(field.values, cur.values)]
     for _ in range(depth - 1):
         e_cur = cur.to_position(out=work[0], mask=mask).to_momentum(out=work[0], mask=mask)
         nxt = positive_energy_project(e_cur, out=spare)
-        gamma += [cur.norm_sq(), float(np.real(cur.inner(nxt)))]
+        gamma += [cur.norm_sq(), w * real_inner(cur.values, nxt.values)]
         cur, spare = nxt, cur.values
     gamma = np.array(gamma)
     if gamma[1] <= 0.0:

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +470,23 @@ class TestArtifacts:
         assert rows[0] == "experiment,N,estimate,stderr,target,z_score"
         fields = rows[1].split(",")
         assert abs(float(fields[5])) <= 3.0
+
+    @pytest.mark.parametrize("argv", [["cascade", "--set", "n=16", "--set", "seed=1"], ["contract", "--set", "n=4096"]],
+                             ids=["cascade", "contract"])
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, argv):
+        # each thread count in its own process, set before numpy is imported: every grid reduction
+        # runs in numpy's own loop, so no sum is split into per-thread partial sums
+        src = str(Path(cli.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = tmp_path / f"blas-{threads}"
+            done = subprocess.run([sys.executable, "-m", "causalfermion.cli", *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+            written.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+        assert written[0] and written[0] == written[1]
 
     def test_lattice_run(self, tmp_path):
         rc = cli.main(["lattice", "--out", str(tmp_path)])

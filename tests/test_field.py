@@ -140,6 +140,43 @@ class TestFourierDuality:
                 assert np.any(np.take(mask.sites, face, axis=ax))
 
 
+class TestReductions:
+    """norm_sq, inner and probability are einsums over the float views in numpy's own loop, never BLAS."""
+
+    GRIDS = [fd.Grid(1, 4096, 16.0 / 4096), fd.Grid(3, 16, 0.5)]
+    SYSTEMS = [al.Dirac(1.0), al.Weyl(+1)]
+
+    @staticmethod
+    def same_bits(got, want):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["lane-2^12", "grid-16^3"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=["dirac", "weyl"])
+    def test_norm_sq_and_inner_match_the_einsum_oracle_bit_for_bit(self, grid, system):
+        a, b = (random_field(grid, system, seed) for seed in (1, 2))
+        w = grid.cell_measure("position")
+        fa, fb = (f.values.view(float).ravel() for f in (a, b))  # re, im interleaved
+        pairs = fb.reshape(-1, 2)
+        i_b = np.stack([-pairs[:, 1], pairs[:, 0]], axis=1).ravel()  # the float view of i b
+        got = a.inner(b)
+        assert self.same_bits(got.real, w * np.einsum("i,i->", fa, fb))
+        assert self.same_bits(got.imag, -w * np.einsum("i,i->", fa, i_b))
+        assert self.same_bits(a.norm_sq(), w * np.einsum("i,i->", fa, fa))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["lane-2^12", "grid-16^3"])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=["dirac", "weyl"])
+    def test_probability_matches_the_einsum_oracle_bit_for_bit(self, grid, system):
+        masks = fd.RegionMask.half_space(grid, 0.3), fd.RegionMask.ball(grid, (0.0,) * grid.dim, 1.5), fd.RegionMask.full(grid)
+        for seed in (3, 4, 5):
+            psi = random_field(grid, system, seed)
+            f = psi.values.view(float).reshape(system.components, -1)
+            s = np.einsum("kj,kj->j", f, f)  # re^2 and im^2 summed over the components
+            dens = s[0::2] + s[1::2]
+            for mask in masks:
+                want = grid.cell_measure("position") * dens[mask.sites.ravel()].sum()
+                assert self.same_bits(psi.probability(mask), want), (seed, mask.box())
+
+
 class TestLayout:
     """Values are stored components first, (d, *sites), and every component plane stays contiguous."""
 
